@@ -13,18 +13,17 @@ fork-server/pool fan-out) to prove the enforcement point in
 ``run_cells`` covers every dispatch path, including cached payloads and
 the fork-server's early-return path.
 
-With ``--jsonl PATH`` the gate instead replays over a file of streamed
-metrics records (one ``{"label": ..., "metrics": {...}}`` object per
-line, as written by ``scripts/check_service.py`` from a ``repro serve``
-job): every record's integrity checks must pass, and the file must not
-be vacuous.  This is how CI proves the daemon streams the same
-enforceable metrics the in-process runner does.
+With ``--jsonl PATH`` the gate instead replays over a file of metrics
+records (one ``{"label": ..., "metrics": {...}}`` object per line, as
+appended by ``python -m repro fuzz --jsonl PATH``): every record's
+integrity checks must pass, and the file must not be vacuous.  This is
+how CI proves a fuzz run kept its violation counters at zero.
 
 Usage::
 
     PYTHONPATH=src python scripts/check_integrity.py           # gate
     PYTHONPATH=src python scripts/check_integrity.py --ops null-call
-    PYTHONPATH=src python scripts/check_integrity.py --jsonl streamed.jsonl
+    PYTHONPATH=src python scripts/check_integrity.py --jsonl fuzz.jsonl
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.obs import verify_payload_integrity
 
 
 def gate_jsonl(path: str, waive: tuple = ()) -> int:
-    """Gate a file of streamed metrics records (see module docstring)."""
+    """Gate a file of metrics records (see module docstring)."""
     labels = []
     payloads = []
     with open(path, encoding="utf-8") as handle:
@@ -68,7 +67,7 @@ def gate_jsonl(path: str, waive: tuple = ()) -> int:
     except IntegrityError as exc:
         print(f"INTEGRITY FAILURE: {exc}")
         return 1
-    print(f"integrity ok — {checked} checks across {len(labels)} streamed "
+    print(f"integrity ok — {checked} checks across {len(labels)} "
           f"record(s): {', '.join(labels)}")
     return 0
 
@@ -93,7 +92,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--jsonl", default=None, metavar="PATH",
-        help="gate a file of streamed metrics records instead of "
+        help="gate a file of metrics records instead of "
         "running the sweep (one {label, metrics} object per line)",
     )
     parser.add_argument(

@@ -42,14 +42,7 @@ it against the committed baseline ``BENCH_simspeed.json``:
   pool-based ``table1_runner_parallel``.  The speedup is reported but
   not gated on smaller hosts, or when the fork-server backend is not
   actually in effect (``REPRO_BENCH_BACKEND`` forcing another backend,
-  or a platform without ``os.fork``);
-* verifies the service entry: ``table1_runner_service`` (the same
-  regeneration submitted to a live ``repro serve`` daemon over its
-  unix socket) must report simulated accesses/sim_cycles *identical*
-  to ``table1_runner_serial`` — the JSON wire round trip must not
-  change simulated behaviour — and the service dispatch overhead vs
-  the serial run is reported (wall clock, machine sensitive, so
-  informational only).
+  or a platform without ``os.fork``).
 
 Usage::
 
@@ -235,35 +228,6 @@ def warmstart_failures(current: dict, baseline: dict) -> list:
     return failures
 
 
-def service_failures(current: dict, baseline: dict) -> list:
-    """Check the daemon-backed runner entry (see module docstring)."""
-    failures = []
-    service_name = perf.RUNNER_SERVICE_WORKLOAD
-    if service_name not in baseline.get("workloads", {}):
-        failures.append(
-            f"{service_name}: missing from the baseline — re-run with "
-            f"--update"
-        )
-    current_workloads = current.get("workloads", {})
-    serial = current_workloads.get(perf.RUNNER_SERIAL_WORKLOAD)
-    service = current_workloads.get(service_name)
-    if not serial or not service:
-        return failures
-    for field in ("accesses", "sim_cycles"):
-        if serial[field] != service[field]:
-            failures.append(
-                f"service runner changed simulated {field} vs serial "
-                f"({serial[field]} vs {service[field]}) — the daemon wire "
-                f"round trip must not change simulated behaviour"
-            )
-    if serial["wall_seconds"] > 0 and service["wall_seconds"] > 0:
-        overhead = service["wall_seconds"] / serial["wall_seconds"] - 1.0
-        print(f"service table1 runner dispatch overhead vs serial: "
-              f"{overhead:+.0%} ({serial['wall_seconds']:.2f}s local -> "
-              f"{service['wall_seconds']:.2f}s via daemon)")
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", default=str(DEFAULT_BASELINE),
@@ -325,7 +289,6 @@ def main(argv=None) -> int:
     failures += warmstart_failures(current, baseline)
     failures += forkserver_failures(current, baseline,
                                     min_speedup=args.min_forkserver_speedup)
-    failures += service_failures(current, baseline)
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:

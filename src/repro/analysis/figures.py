@@ -151,9 +151,8 @@ def merge_figure6(
 ) -> Figure6Result:
     """Fold per-cell payloads into a :class:`Figure6Result`.
 
-    Shared by :func:`run_figure6` and the ``reproctl`` client, so a
-    figure assembled from daemon-streamed payloads is byte-identical to
-    one produced by a local serial run.
+    One cell per system; each application's time is normalized to
+    the native cell's.
     """
     result = Figure6Result()
     for cell, payload in zip(cells, payloads):
@@ -179,7 +178,6 @@ def run_figure6(
     backend: str = "auto",
     enforce_integrity: bool = False,
     waive: tuple = (),
-    shards: int = 2,
 ) -> Figure6Result:
     """Run each application on each system; normalize to native.
 
@@ -197,6 +195,5 @@ def run_figure6(
     payloads = run_cells(
         cells, jobs=jobs, cache=cache, backend=backend,
         integrity="enforce" if enforce_integrity else "ignore", waive=waive,
-        shards=shards,
     )
     return merge_figure6(cells, payloads)

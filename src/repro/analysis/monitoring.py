@@ -168,9 +168,8 @@ def merge_table2(
 ) -> Table2Result:
     """Fold per-cell payloads into a :class:`Table2Result`.
 
-    Shared by :func:`run_table2` and the ``reproctl`` client, so a table
-    assembled from daemon-streamed payloads is byte-identical to one
-    produced by a local serial run.
+    One cell per monitoring granularity, each carrying every
+    application's trap count.
     """
     result = Table2Result(scale=scale)
     for cell, payload in zip(cells, payloads):
@@ -191,7 +190,6 @@ def run_table2(
     backend: str = "auto",
     enforce_integrity: bool = False,
     waive: tuple = (),
-    shards: int = 2,
 ) -> Table2Result:
     """Run the five applications under both monitoring configurations.
 
@@ -210,6 +208,5 @@ def run_table2(
     payloads = run_cells(
         cells, jobs=jobs, cache=cache, backend=backend,
         integrity="enforce" if enforce_integrity else "ignore", waive=waive,
-        shards=shards,
     )
     return merge_table2(cells, payloads, scale)

@@ -140,7 +140,6 @@ def generate_report(
     backend: str = "auto",
     enforce_integrity: bool = False,
     waive: tuple = (),
-    shards: int = 2,
 ) -> str:
     """Run the full evaluation and return it as a markdown document.
 
@@ -156,7 +155,7 @@ def generate_report(
             dram_bytes=192 * 1024 * 1024, secure_bytes=24 * 1024 * 1024
         )
     runner_kwargs = {"jobs": jobs, "cache": cache, "warm_start": warm_start,
-                     "backend": backend, "shards": shards,
+                     "backend": backend,
                      "enforce_integrity": enforce_integrity, "waive": waive}
     lines: List[str] = [
         "# Hypernel reproduction — evaluation report",

@@ -8,7 +8,6 @@ table is byte-identical to a serial run (see DESIGN.md §5b).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -124,12 +123,6 @@ def execute_cell_on(cell: Cell, system) -> Dict[str, Any]:
         engine=MacroOpEngine(system) if memoization_enabled() else None,
     )
     suite.setup()
-    # Fabric subcells carry the ops preceding their slice (the machine's
-    # state evolves op by op); re-executing them unrecorded reproduces
-    # the unsplit run's exact state sequence, so the measured rows merge
-    # byte-identically into the unsplit table (repro.service.fabric).
-    for op in spec.get("context_ops", ()):
-        suite.run_op(op)
     rows = {op: suite.run_op(op).microseconds for op in spec["ops"]}
     return {
         "rows": rows,
@@ -145,41 +138,18 @@ def execute_cell(cell: Cell) -> Dict[str, Any]:
 
 
 def merge_table1(
-    cells: List[Cell], payloads: List[Dict[str, Any]],
-    ops: Optional[List[str]] = None,
+    cells: List[Cell], payloads: List[Dict[str, Any]], ops: List[str],
 ) -> Table1Result:
     """Fold per-cell payloads into a :class:`Table1Result`.
 
-    Shared by :func:`run_table1` and the ``reproctl`` client, so a table
-    assembled from daemon-streamed payloads is byte-identical to one
-    produced by a local serial run.
-
-    Accepts fabric-split subcells (``repro.service.fabric.split_cell``)
-    transparently: each subcell payload carries a subset of the rows,
-    measured after re-executing the preceding ops unrecorded (the
-    worker honours ``context_ops``), so folding the subsets rebuilds
-    the unsplit table byte for byte.  Without an explicit
-    ``ops`` list the row order is the first-seen union across cells,
-    which for subcells reproduces the original op order (splitting is
-    contiguous and order-preserving).  ``health`` keeps the last
-    payload seen per environment; it is advisory (never rendered into
-    the table) and any subcell's metrics block answers the same
-    "did monitoring lose events" question.
+    One cell per system, each carrying a row for every op in ``ops``;
+    the table keeps that op order.  ``health`` holds each system's
+    metrics block; it is advisory and never rendered into the table.
     """
-    if ops is None:
-        seen: List[str] = []
-        for cell in cells:
-            for op in cell.spec.get("ops", []):
-                if op not in seen:
-                    seen.append(op)
-        ops = seen or list(LMBENCH_OPS)
-    else:
-        ops = list(ops)
     result = Table1Result(rows={op: {} for op in ops})
     for cell, payload in zip(cells, payloads):
         for op in ops:
-            if op in payload["rows"]:
-                result.rows[op][cell.environment] = payload["rows"][op]
+            result.rows[op][cell.environment] = payload["rows"][op]
         if "metrics" in payload:
             result.health[cell.environment] = payload["metrics"]
     return result
@@ -196,26 +166,18 @@ def run_table1(
     backend: str = "auto",
     enforce_integrity: bool = False,
     waive: tuple = (),
-    shards: int = 2,
 ) -> Table1Result:
     """Build each system, run the LMbench suite, collect Table 1.
 
     With ``warm_start``, each cell restores a shared post-boot snapshot
     of its system instead of booting (bit-identical by the repro.state
     contract, so the table itself is byte-identical either way).
-    ``backend`` picks the cell execution backend (see ``run_cells``);
-    headed for the fabric, the three system cells are adaptively split
-    into per-op-subset subcells so ``shards`` daemons all get work —
-    :func:`merge_table1` folds the subsets back byte-identically.
+    ``backend`` picks the cell execution backend (see ``run_cells``).
     ``enforce_integrity`` fails the run (IntegrityError) if any cell's
     monitoring pipeline lost events; ``waive`` accepts named checks.
     """
     ops = list(ops or LMBENCH_OPS)
     cells = table1_cells(platform_factory, warmup, iterations, ops)
-    if backend == "fabric" or os.environ.get("REPRO_BENCH_BACKEND"):
-        from repro.service.fabric import maybe_split_for_fabric
-
-        cells = maybe_split_for_fabric(cells, backend, shards, jobs)
     if warm_start:
         attach_boot_snapshots(
             cells, cache_dir=cache.directory if cache is not None else None
@@ -223,6 +185,5 @@ def run_table1(
     payloads = run_cells(
         cells, jobs=jobs, cache=cache, backend=backend,
         integrity="enforce" if enforce_integrity else "ignore", waive=waive,
-        shards=shards,
     )
     return merge_table1(cells, payloads, ops)

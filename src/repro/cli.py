@@ -34,18 +34,6 @@ Commands:
 * ``cache`` — inspect (``cache info``) or garbage-collect
   (``cache prune``) the content-addressed result cache and its
   warm-start boot snapshots.
-* ``serve`` — run the experiment service daemon: a unix-socket job
-  queue dispatching onto warm fork-server pools shared across clients
-  (repro.service; see DESIGN.md §5g).  ``--tcp host:port`` additionally
-  exposes the daemon as a remote fabric shard; ``--shard-id`` names it.
-* ``reproctl`` — client for a running daemon: ``submit`` a
-  table1/figure6/table2 batch and stream its cells, ``status``,
-  ``result``, ``cancel``, ``stats`` (``--json`` for the machine-readable
-  snapshot with per-client breakdown), ``tail-metrics``, ``shutdown``.
-* ``fabric`` — manage a local shard fabric for ``--backend fabric``:
-  ``start`` spawns N daemons and records their endpoints, ``status``
-  handshakes each shard and prints its stats, ``stop`` drains them
-  (repro.service.fabric; see DESIGN.md §5h).
 """
 
 from __future__ import annotations
@@ -100,20 +88,12 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
                         "post-boot snapshot instead of booting it "
                         "(bit-identical results, boot cost paid once)")
     parser.add_argument("--backend", default="auto",
-                        choices=["auto", "fabric", "forkserver", "pool",
-                                 "serial"],
-                        help="cell execution backend: fabric (shard "
-                        "coordinator over N repro daemons — attaches to "
-                        "REPRO_FABRIC_ENDPOINTS or a 'repro fabric "
-                        "start' fabric, else spawns transient local "
-                        "shards), forkserver (warm servers fork "
-                        "copy-on-write workers), pool (process pool), "
-                        "serial, or auto (forkserver when available and "
-                        "--jobs > 1; overridable via "
+                        choices=["auto", "forkserver", "pool", "serial"],
+                        help="cell execution backend: forkserver (warm "
+                        "servers fork copy-on-write workers), pool "
+                        "(process pool), serial, or auto (forkserver when "
+                        "available and --jobs > 1; overridable via "
                         "REPRO_BENCH_BACKEND)")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="shard daemons for --backend fabric "
-                        "(default 2; ignored by other backends)")
     parser.add_argument("--enforce-integrity", action="store_true",
                         help="fail the run if the monitoring pipeline "
                         "lost events in any cell (FIFO overrun, ring "
@@ -131,7 +111,6 @@ def _runner_kwargs(args):
     cache = None if args.no_cache else CellCache(default_cache_dir())
     return {"jobs": args.jobs, "cache": cache,
             "warm_start": args.warm_start, "backend": args.backend,
-            "shards": args.shards,
             "enforce_integrity": args.enforce_integrity,
             "waive": tuple(args.waive)}
 
@@ -675,397 +654,6 @@ def _add_simspeed_args(parser: argparse.ArgumentParser) -> None:
                         help="allowed wall-clock slowdown vs baseline (default 0.20)")
 
 
-def cmd_serve(args) -> int:
-    from repro.service.daemon import DaemonConfig, ReproDaemon
-    from repro.service.protocol import ServiceError
-
-    config = DaemonConfig(
-        socket_path=args.socket,
-        jobs=args.jobs,
-        quota=args.quota,
-        backend=args.backend,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        tcp=args.tcp,
-        shard_id=args.shard_id or None,
-    )
-    try:
-        daemon = ReproDaemon(config)
-    except ValueError as exc:  # bad REPRO_BENCH_BACKEND / --backend
-        print(f"error: {exc}")
-        return 2
-    path = config.resolved_socket_path()
-    extras = ""
-    if args.tcp:
-        extras += f", tcp={args.tcp}"
-    if config.shard_id:
-        extras += f", shard={config.shard_id}"
-    print(f"repro serve: listening on {path} "
-          f"(backend={daemon.backend}, jobs={config.jobs}, "
-          f"quota={config.quota}{extras})")
-    try:
-        daemon.serve()
-    except ServiceError as exc:
-        print(f"error: {exc}")
-        return 1
-    print("repro serve: drained and stopped")
-    return 0
-
-
-def _add_serve_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--socket", default=None, metavar="PATH",
-                        help="unix socket to listen on (default "
-                        "REPRO_SERVICE_SOCKET or a per-user tmp path)")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="concurrent cells per dispatch chunk "
-                        "(default 2)")
-    parser.add_argument("--quota", type=int, default=8,
-                        help="max unfinished jobs per client (default 8)")
-    parser.add_argument("--backend", default="auto",
-                        choices=["auto", "fabric", "forkserver", "pool",
-                                 "serial"],
-                        help="cell execution backend; auto keeps a warm "
-                        "fork-server pool when the platform supports it "
-                        "(overridable via REPRO_BENCH_BACKEND; fabric "
-                        "maps to the warm pool — a daemon IS a shard)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every cell, bypassing the shared "
-                        "content-addressed result cache")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="result cache directory (default "
-                        "REPRO_CACHE_DIR or benchmarks/.cache)")
-    parser.add_argument("--tcp", default=None, metavar="HOST:PORT",
-                        help="additionally listen on TCP as a remote "
-                        "fabric shard (':0' = loopback, ephemeral port). "
-                        "No authentication: bind loopback or a trusted "
-                        "network only")
-    parser.add_argument("--shard-id", default="", metavar="NAME",
-                        help="fabric shard identity reported in the "
-                        "hello handshake and stats")
-
-
-#: reproctl experiment name -> cell builder + result merger.  Kept as
-#: thin lambdas so the analysis modules import lazily.
-def _reproctl_experiments():
-    from repro.analysis import figures, monitoring, tables
-
-    return {
-        "table1": {
-            "cells": lambda args, factory: tables.table1_cells(
-                platform_factory=factory),
-            "merge": lambda cells, payloads, args: tables.merge_table1(
-                cells, payloads),
-        },
-        "figure6": {
-            "cells": lambda args, factory: figures.figure6_cells(
-                scale=args.scale, platform_factory=factory),
-            "merge": lambda cells, payloads, args: figures.merge_figure6(
-                cells, payloads),
-        },
-        "table2": {
-            "cells": lambda args, factory: monitoring.table2_cells(
-                scale=args.scale, platform_factory=factory),
-            "merge": lambda cells, payloads, args: monitoring.merge_table2(
-                cells, payloads, args.scale),
-        },
-    }
-
-
-def cmd_reproctl(args) -> int:
-    from repro.obs.service import ServiceStats
-    from repro.service.client import ReproServiceClient, ServiceError
-
-    client = ReproServiceClient(
-        socket_path=args.socket, client=args.client or None
-    )
-    try:
-        if args.action == "submit":
-            experiments = _reproctl_experiments()
-            spec = experiments[args.experiment]
-            factory = lambda: _platform_config(args)  # noqa: E731
-            cells = spec["cells"](args, factory)
-            label = args.label or args.experiment
-            with client:
-                if args.detach:
-                    reply = client.submit(
-                        cells, priority=args.priority, label=label,
-                        integrity=("ignore" if args.no_enforce
-                                   else "enforce"),
-                        waive=tuple(args.waive), stream=False,
-                    )
-                    print(f"submitted {reply['job']} "
-                          f"({reply['cells']} cells, "
-                          f"priority {reply['priority']}); poll with "
-                          f"'reproctl result {reply['job']}'")
-                    return 0
-                payloads = client.run_cells(
-                    cells, priority=args.priority, label=label,
-                    integrity="ignore" if args.no_enforce else "enforce",
-                    waive=tuple(args.waive),
-                    on_cell=lambda event: print(
-                        f"[{event['completed']}/{event['cells']}] "
-                        f"{event['label']}", file=sys.stderr),
-                )
-            print(spec["merge"](cells, payloads, args).format())
-            return 0
-        if args.action == "status":
-            with client:
-                reply = client.status(args.job)
-            if args.job is not None:
-                for key, value in sorted(reply.items()):
-                    if key != "ok":
-                        print(f"  {key}: {value}")
-                return 0
-            jobs = reply["jobs"]
-            if not jobs:
-                print("no jobs")
-            for info in jobs:
-                print(f"  {info['job']} {info['state']:9s} "
-                      f"client={info['client']} "
-                      f"{info['completed']}/{info['cells']} cells "
-                      f"({info['label'] or 'unlabelled'})")
-            return 0
-        if args.action == "result":
-            with client:
-                reply = client.result(args.job, wait=not args.no_wait)
-            if reply["state"] != "done":
-                print(f"job {args.job}: {reply['state']} "
-                      f"({reply.get('error')})")
-                return 1
-            print(json.dumps(reply["payloads"], indent=2, sort_keys=True))
-            return 0
-        if args.action == "cancel":
-            with client:
-                reply = client.cancel(args.job)
-            print(f"job {args.job}: {reply['state']}"
-                  + (" (cancel requested)" if reply["state"] == "running"
-                     else ""))
-            return 0
-        if args.action == "tail-metrics":
-            with client:
-                for snapshot in client.tail_metrics(
-                        interval=args.interval, count=args.count):
-                    if args.json:
-                        print(json.dumps(snapshot, sort_keys=True),
-                              flush=True)
-                    else:
-                        print(ServiceStats.from_dict(snapshot).format(),
-                              flush=True)
-            return 0
-        if args.action == "stats":
-            with client:
-                stats = client.stats()
-            if args.json:
-                # Machine-readable snapshot: counters/gauges plus the
-                # per-client breakdown and the daemon's shard identity.
-                print(json.dumps(stats, indent=2, sort_keys=True))
-            else:
-                print(ServiceStats.from_dict(stats).format())
-                if stats.get("shard"):
-                    print(f"  shard   {stats['shard']}")
-            return 0
-        if args.action == "shutdown":
-            with client:
-                client.shutdown()
-            print("daemon is draining")
-            return 0
-    except ServiceError as exc:
-        print(f"error: {exc}")
-        return 1
-    except KeyboardInterrupt:
-        return 130
-    raise AssertionError(f"unhandled reproctl action {args.action!r}")
-
-
-def _add_reproctl_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--socket", default=None, metavar="PATH",
-                        help="daemon unix socket (default "
-                        "REPRO_SERVICE_SOCKET or the per-user tmp path)")
-    parser.add_argument("--client", default="", metavar="NAME",
-                        help="client name for quota/metrics attribution")
-    actions = parser.add_subparsers(dest="action", required=True)
-    submit = actions.add_parser(
-        "submit", help="run an experiment through the daemon and print "
-        "the merged result (byte-identical to the local command)")
-    submit.add_argument("experiment",
-                        choices=["table1", "figure6", "table2"])
-    submit.add_argument("--priority", type=int, default=0,
-                        help="higher runs first (FIFO within a priority)")
-    submit.add_argument("--label", default="",
-                        help="job label shown in status/metrics")
-    submit.add_argument("--detach", action="store_true",
-                        help="submit without streaming; print the job id "
-                        "and return immediately")
-    submit.add_argument("--no-enforce", action="store_true",
-                        help="skip integrity enforcement on streamed "
-                        "payloads")
-    submit.add_argument("--waive", action="append", default=[],
-                        metavar="CHECK",
-                        help="accept a named integrity check; repeatable")
-    _add_platform(submit)
-    _add_scale(submit)
-    status = actions.add_parser(
-        "status", help="list jobs, or show one job's state")
-    status.add_argument("job", nargs="?", default=None)
-    result = actions.add_parser(
-        "result", help="fetch a job's raw payloads as JSON")
-    result.add_argument("job")
-    result.add_argument("--no-wait", action="store_true",
-                        help="return the current state instead of "
-                        "blocking until the job finishes")
-    cancel = actions.add_parser("cancel", help="cancel a job")
-    cancel.add_argument("job")
-    tail = actions.add_parser(
-        "tail-metrics", help="stream live daemon metrics")
-    tail.add_argument("--interval", type=float, default=1.0)
-    tail.add_argument("--count", type=int, default=0,
-                      help="snapshots to stream (0 = until interrupted)")
-    tail.add_argument("--json", action="store_true",
-                      help="one JSON object per snapshot instead of the "
-                      "formatted board")
-    stats = actions.add_parser(
-        "stats", help="print one daemon stats snapshot")
-    stats.add_argument("--json", action="store_true",
-                       help="machine-readable JSON (counters, gauges, "
-                       "per-client breakdown, shard identity) instead "
-                       "of the formatted board")
-    actions.add_parser("shutdown", help="ask the daemon to drain and exit")
-
-
-def cmd_fabric(args) -> int:
-    from repro.obs.service import ServiceStats
-    from repro.service import fabric
-    from repro.service.client import ReproServiceClient, ServiceError
-
-    if args.action == "start":
-        if fabric.read_state():
-            print(f"error: a fabric is already recorded in "
-                  f"{fabric.default_state_path()}; run 'python -m repro "
-                  f"fabric stop' first")
-            return 1
-        coordinator = fabric.FabricCoordinator(fabric.FabricConfig(
-            shards=args.shards,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            no_cache=args.no_cache,
-            socket_dir=args.socket_dir,
-        ))
-        try:
-            coordinator.start()
-        except ServiceError as exc:
-            print(f"error: {exc}")
-            return 1
-        rows = coordinator.describe()
-        document = {
-            "version": fabric.STATE_VERSION,
-            "workdir": coordinator._workdir,
-            "shards": [
-                {"name": row["name"], "endpoint": row["endpoint"],
-                 "pid": row["pid"]}
-                for row in rows if row["alive"]
-            ],
-        }
-        path = fabric.write_state(document)
-        for row in rows:
-            marker = "up" if row["alive"] else "FAILED"
-            pid = f" (pid {row['pid']})" if row["pid"] else ""
-            print(f"  {row['name']:8s} {marker:6s} {row['endpoint']}{pid}")
-        print(f"fabric of {len(document['shards'])} shard(s) recorded in "
-              f"{path}; run experiments with --backend fabric, stop with "
-              f"'python -m repro fabric stop'")
-        return 0
-
-    if args.action == "stop":
-        state = fabric.read_state()
-        if not state:
-            print("no fabric is running (no state file)")
-            return 1
-        for shard in state["shards"]:
-            endpoint = shard["endpoint"]
-            try:
-                with ReproServiceClient(socket_path=endpoint, timeout=10,
-                                        client="fabric-stop",
-                                        connect_retry=0.5) as client:
-                    client.shutdown()
-                print(f"  {shard['name']:8s} draining ({endpoint})")
-            except ServiceError as exc:
-                print(f"  {shard['name']:8s} unreachable ({exc})")
-        fabric.clear_state()
-        print("fabric state cleared")
-        return 0
-
-    if args.action == "status":
-        endpoints = fabric.resolve_endpoints()
-        if not endpoints:
-            print("no fabric is running (no REPRO_FABRIC_ENDPOINTS and "
-                  "no state file)")
-            return 1
-        rows = []
-        for index, endpoint in enumerate(endpoints):
-            name = f"shard{index}"
-            try:
-                with ReproServiceClient(socket_path=endpoint, timeout=10,
-                                        client="fabric-status",
-                                        connect_retry=0.5) as client:
-                    hello = client.hello()
-                    stats = client.stats()
-                rows.append({"name": hello.get("shard") or name,
-                             "endpoint": endpoint, "alive": True,
-                             "backend": hello.get("backend"),
-                             "jobs": hello.get("jobs"),
-                             "protocol": hello.get("protocol"),
-                             "stats": stats})
-            except ServiceError as exc:
-                rows.append({"name": name, "endpoint": endpoint,
-                             "alive": False, "error": str(exc)})
-        all_up = all(row["alive"] for row in rows)
-        if args.json:
-            print(json.dumps({"shards": rows}, indent=2, sort_keys=True))
-            return 0 if all_up else 1
-        for row in rows:
-            if row["alive"]:
-                print(f"{row['name']:8s} up     {row['endpoint']} "
-                      f"(backend={row['backend']}, jobs={row['jobs']})")
-                board = ServiceStats.from_dict(row["stats"]).format()
-                print("  " + board.replace("\n", "\n  "))
-            else:
-                print(f"{row['name']:8s} DOWN   {row['endpoint']} "
-                      f"({row['error']})")
-        return 0 if all_up else 1
-    raise AssertionError(f"unhandled fabric action {args.action!r}")
-
-
-def _add_fabric_args(parser: argparse.ArgumentParser) -> None:
-    actions = parser.add_subparsers(dest="action", required=True)
-    start = actions.add_parser(
-        "start", help="spawn N local shard daemons and record their "
-        "endpoints so --backend fabric reuses them (warm pools persist "
-        "across runs)")
-    start.add_argument("--shards", type=int, default=2,
-                       help="daemons to spawn (default 2)")
-    start.add_argument("--jobs", type=int, default=2,
-                       help="concurrent cells per shard dispatch chunk "
-                       "(default 2)")
-    start.add_argument("--socket-dir", default=None, metavar="DIR",
-                       help="where shard sockets and logs live (default "
-                       "a private temp dir)")
-    start.add_argument("--no-cache", action="store_true",
-                       help="shards recompute every cell, bypassing the "
-                       "shared content-addressed result cache")
-    start.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="shard result-cache directory (default "
-                       "REPRO_CACHE_DIR or benchmarks/.cache)")
-    actions.add_parser(
-        "stop", help="drain every recorded shard and clear the state "
-        "file")
-    status = actions.add_parser(
-        "status", help="handshake every shard (REPRO_FABRIC_ENDPOINTS "
-        "or the state file) and print its stats")
-    status.add_argument("--json", action="store_true",
-                        help="machine-readable JSON with each shard's "
-                        "liveness, identity and stats snapshot")
-
-
 #: command name -> (handler, extra-argument installers).
 _COMMANDS = {
     "info": (cmd_info, [_add_platform]),
@@ -1080,9 +668,6 @@ _COMMANDS = {
     "snapshot": (cmd_snapshot, [_add_snapshot_args]),
     "bench-simspeed": (cmd_bench_simspeed, [_add_simspeed_args]),
     "cache": (cmd_cache, [_add_cache_args]),
-    "serve": (cmd_serve, [_add_serve_args]),
-    "reproctl": (cmd_reproctl, [_add_reproctl_args]),
-    "fabric": (cmd_fabric, [_add_fabric_args]),
 }
 
 

@@ -16,9 +16,6 @@ state, so results are byte-identical with or without it):
 * :mod:`repro.obs.export` — machine-readable JSONL export for
   :class:`~repro.tools.trace.BusTracer` traces, MBM detection streams
   and metric reports.
-* :mod:`repro.obs.service` — :class:`ServiceStats`: daemon-level
-  counters and gauges for the ``repro serve`` experiment service
-  (queue depth, warm/cold pool dispatches, per-client accounting).
 """
 
 from repro.obs.export import (
@@ -36,12 +33,9 @@ from repro.obs.metrics import (
     verify_payload_integrity,
 )
 from repro.obs.profiler import CycleAttribution, attribute_cycles
-from repro.obs.service import SERVICE_COUNTERS, ServiceStats
 
 __all__ = [
     "CycleAttribution",
-    "SERVICE_COUNTERS",
-    "ServiceStats",
     "DetectionTrace",
     "INTEGRITY_CHECK_SPECS",
     "IntegrityCheck",

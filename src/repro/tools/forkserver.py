@@ -300,7 +300,6 @@ class _Server:
 
     def __init__(self, key: Tuple, sample_cell):
         self.key = key
-        self.ever_dispatched = False
         cmd_r, cmd_w = os.pipe()
         res_r, res_w = os.pipe()
         pid = os.fork()
@@ -403,12 +402,9 @@ class ForkServerPool:
     every invocation; this class keeps the servers — and therefore the
     fully-constructed machine images they fork children from — alive
     across calls.  The first :meth:`run_indices` call that needs an
-    environment forks its server (a *cold boot*); every later cell for
-    the same environment key lands on the warm server (a *warm
-    dispatch*), so boot cost is amortized indefinitely.  This is the
-    execution substrate of the ``repro serve`` daemon
-    (:mod:`repro.service.daemon`), which shares one pool across every
-    client and job.
+    environment forks its server; every later cell for the same
+    environment key lands on the warm server, so boot cost is amortized
+    across calls.
 
     Failure containment differs from the one-shot path in one way: an
     error confined to a single call (a cell that failed its retry, a
@@ -418,8 +414,7 @@ class ForkServerPool:
     unexpected still closes the whole pool, matching the one-shot
     contract.
 
-    Not thread-safe: callers (the daemon's dispatcher thread, the
-    one-shot wrapper) serialize calls.
+    Not thread-safe: callers serialize calls.
     """
 
     def __init__(self, jobs: int = 1, timeout: Optional[float] = None):
@@ -436,27 +431,8 @@ class ForkServerPool:
         # never reusing sequence numbers makes stale frames drop
         # harmlessly instead of corrupting another cell's slot.
         self._seq = 0
-        self.cold_boots = 0
-        self.warm_dispatches = 0
-        self.cold_dispatches = 0
-        self.serial_demotions = 0
 
     # ------------------------------------------------------------------
-    @property
-    def warm_servers(self) -> int:
-        """Live servers currently holding a warm machine image."""
-        return sum(1 for server in self.servers.values() if server.alive)
-
-    def stats(self) -> Dict[str, int]:
-        """Dispatch accounting (daemon gauges; see repro.obs.service)."""
-        return {
-            "cold_boots": self.cold_boots,
-            "cold_dispatches": self.cold_dispatches,
-            "warm_dispatches": self.warm_dispatches,
-            "serial_demotions": self.serial_demotions,
-            "warm_servers": self.warm_servers,
-        }
-
     def _ensure_server(self, key: Tuple, sample_cell) -> _Server:
         server = self.servers.get(key)
         if server is not None and server.alive:
@@ -470,7 +446,6 @@ class ForkServerPool:
                 f"could not fork a server process: {exc}"
             ) from exc
         self.servers[key] = server
-        self.cold_boots += 1
         return server
 
     def _evict(self, server: _Server) -> None:
@@ -533,7 +508,6 @@ class ForkServerPool:
             server.mark_dead()
             server.reap(deadline=time.monotonic())
             self.servers.pop(server.key, None)
-            self.serial_demotions += 1
             for index in orphans:
                 results[index] = _runner._run_serial(cells[index])
 
@@ -550,11 +524,6 @@ class ForkServerPool:
                 server.queue.appendleft(index)
                 demote_to_serial(server, "fork server hung up")
                 return
-            if server.ever_dispatched:
-                self.warm_dispatches += 1
-            else:
-                self.cold_dispatches += 1
-                server.ever_dispatched = True
             inflight[seq] = _Inflight(index, server, deadline, first_error)
 
         def pump() -> None:

@@ -36,17 +36,6 @@ module measures engine throughput on three representative workloads:
     cell.  Simulated work must be identical to serial; the wall-clock
     ratio vs ``table1_runner_parallel`` is the fork-server speedup the
     gate checks on multi-core hosts.
-``table1_runner_service``
-    The same Table 1 regeneration submitted to a live ``repro serve``
-    daemon (in-process thread, cache disabled) through
-    :class:`repro.service.client.ReproServiceClient`.  The daemon boots
-    untimed during setup; the measured wall clock is the full client
-    round trip — JSON wire encoding, queueing, daemon-side dispatch
-    onto the shared fork-server pool, streamed per-cell payloads — so
-    the gap vs ``table1_runner_serial`` is the service dispatch
-    overhead ``scripts/check_simspeed.py`` reports.  Simulated work
-    must be identical to serial (the byte-identity contract on the
-    wire).
 
 Two kinds of numbers come out:
 
@@ -250,60 +239,6 @@ def _build_table1_runner_warmstart(config: PlatformConfig):
     return None, op
 
 
-def _build_table1_runner_service(config: PlatformConfig):
-    """Table 1 through a live service daemon (the dispatch-overhead probe).
-
-    The daemon is booted untimed in the build step — an in-process
-    thread with the result cache disabled, so every cell is computed on
-    its warm pool.  ``op`` measures the complete client round trip and
-    reports the summed deterministic tallies from the streamed
-    payloads.  The builder attaches ``op.cleanup`` draining the daemon;
-    :func:`run_workload` invokes it in a ``finally`` so a failed
-    measurement never leaks the daemon thread or its pool children.
-    """
-    import copy
-    import os
-    import tempfile
-    import threading
-
-    from repro.analysis.tables import table1_cells
-    from repro.service.client import ReproServiceClient
-    from repro.service.daemon import DaemonConfig, ReproDaemon
-
-    socket_path = os.path.join(
-        tempfile.mkdtemp(prefix="repro-perf-service-"), "perf.sock"
-    )
-    daemon = ReproDaemon(
-        DaemonConfig(socket_path=socket_path, jobs=2, no_cache=True)
-    )
-    ready = threading.Event()
-    thread = threading.Thread(
-        target=daemon.serve, kwargs={"ready": ready},
-        name="perf-service-daemon", daemon=True,
-    )
-    thread.start()
-    if not ready.wait(30):
-        raise RuntimeError("perf service daemon failed to start")
-    factory = lambda: copy.deepcopy(config)  # noqa: E731
-
-    def op() -> Tuple[int, int]:
-        cells = table1_cells(platform_factory=factory)
-        with ReproServiceClient(socket_path=socket_path,
-                                client="bench-simspeed") as client:
-            payloads = client.run_cells(cells, label="table1_runner_service")
-        return (
-            sum(p["accesses"] for p in payloads),
-            sum(p["sim_cycles"] for p in payloads),
-        )
-
-    def cleanup() -> None:
-        daemon.request_shutdown()
-        thread.join(timeout=30)
-
-    op.cleanup = cleanup
-    return None, op
-
-
 #: name -> (builder, default iteration count).  Builders return either
 #: ``(system, op)`` — accesses counted on the system — or ``(None, op)``
 #: with ``op`` returning its own ``(accesses, sim_cycles)`` tallies.
@@ -315,7 +250,6 @@ WORKLOADS: Dict[str, Tuple[Callable, int]] = {
     "table1_runner_parallel": (_build_table1_runner(4, "pool"), 1),
     "table1_runner_warmstart": (_build_table1_runner_warmstart, 1),
     "table1_runner_forkserver": (_build_table1_runner(4, "forkserver"), 1),
-    "table1_runner_service": (_build_table1_runner_service, 1),
 }
 
 #: The workload pair whose wall-clock ratio is the runner speedup.
@@ -330,11 +264,6 @@ RUNNER_WARMSTART_WORKLOAD = "table1_runner_warmstart"
 #: speedup ``scripts/check_simspeed.py`` reports (and gates on hosts
 #: with >= 4 cores when the backend is actually in effect).
 RUNNER_FORKSERVER_WORKLOAD = "table1_runner_forkserver"
-#: Daemon-backed twin of the serial workload: same simulated work, run
-#: through a live ``repro serve`` daemon; its wall-clock gap vs serial
-#: is the service dispatch overhead ``scripts/check_simspeed.py``
-#: reports.
-RUNNER_SERVICE_WORKLOAD = "table1_runner_service"
 
 
 # ----------------------------------------------------------------------
@@ -367,46 +296,37 @@ def run_workload(
     memoize = memoization_enabled() if memoize is None else memoize
     system, op = builder(platform_config or default_platform_config())
     extras: Dict = {}
-    try:
-        if system is None:
-            # Aggregate workload: op reports its own deterministic tallies.
-            accesses = cycles = 0
-            start = time.perf_counter()
-            for _ in range(iterations):
-                op_accesses, op_cycles = op()
-                accesses += op_accesses
-                cycles += op_cycles
-            wall = time.perf_counter() - start
+    if system is None:
+        # Aggregate workload: op reports its own deterministic tallies.
+        accesses = cycles = 0
+        start = time.perf_counter()
+        for _ in range(iterations):
+            op_accesses, op_cycles = op()
+            accesses += op_accesses
+            cycles += op_cycles
+        wall = time.perf_counter() - start
+    else:
+        engine = MacroOpEngine(system, enabled=memoize) if memoize else None
+        accesses_before = count_accesses(system)
+        cycles_before = system.platform.clock.now
+        start = time.perf_counter()
+        if engine is not None:
+            report = engine.run_repeated(name, op, iterations)
+            extras = {
+                "memoized": True,
+                "replayed_ops": report.replayed_ops,
+                "recorded_ops": report.recorded_ops,
+                "raw_ops": report.raw_ops,
+                "cycle_length": report.cycle_length,
+                "bail_reason": report.bail_reason,
+            }
         else:
-            engine = (MacroOpEngine(system, enabled=memoize)
-                      if memoize else None)
-            accesses_before = count_accesses(system)
-            cycles_before = system.platform.clock.now
-            start = time.perf_counter()
-            if engine is not None:
-                report = engine.run_repeated(name, op, iterations)
-                extras = {
-                    "memoized": True,
-                    "replayed_ops": report.replayed_ops,
-                    "recorded_ops": report.recorded_ops,
-                    "raw_ops": report.raw_ops,
-                    "cycle_length": report.cycle_length,
-                    "bail_reason": report.bail_reason,
-                }
-            else:
-                for _ in range(iterations):
-                    op()
-                extras = {"memoized": False}
-            wall = time.perf_counter() - start
-            accesses = count_accesses(system) - accesses_before
-            cycles = system.platform.clock.now - cycles_before
-    finally:
-        # Workloads owning external machinery (the service daemon)
-        # attach a finalizer; it must run even when measurement fails,
-        # or the daemon thread and its pool children leak.
-        finalizer = getattr(op, "cleanup", None)
-        if finalizer is not None:
-            finalizer()
+            for _ in range(iterations):
+                op()
+            extras = {"memoized": False}
+        wall = time.perf_counter() - start
+        accesses = count_accesses(system) - accesses_before
+        cycles = system.platform.clock.now - cycles_before
     return WorkloadSpeed(
         workload=name,
         iterations=iterations,

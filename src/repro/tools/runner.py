@@ -105,7 +105,7 @@ KIND_ON_SYSTEM: Dict[str, str] = {
 }
 
 #: Valid values for ``run_cells(backend=...)`` and ``REPRO_BENCH_BACKEND``.
-BACKENDS = ("auto", "fabric", "forkserver", "pool", "serial")
+BACKENDS = ("auto", "forkserver", "pool", "serial")
 
 
 def validate_backend(value: str, source: str = "backend") -> str:
@@ -484,10 +484,9 @@ def _resolve_backend(backend: str, jobs: int, executor_factory,
 
         choice = ("forkserver"
                   if jobs > 1 and forkserver.fork_available() else "pool")
-    if choice in ("forkserver", "fabric") and executor_factory is not None:
+    if choice == "forkserver" and executor_factory is not None:
         # The factory *is* pool machinery; tests use it to observe
-        # dispatch, which neither the fork server nor a shard daemon
-        # on the far side of a socket can honour.
+        # dispatch, which the fork server cannot honour.
         choice = "pool"
     return choice
 
@@ -518,15 +517,10 @@ def run_cells(
     backend: str = "auto",
     integrity: str = "ignore",
     waive: Tuple[str, ...] = (),
-    shards: int = 2,
 ) -> List[Dict[str, Any]]:
     """Execute every cell and return payloads in cell order.
 
-    * ``backend`` selects how uncached cells run: ``fabric`` (a shard
-      coordinator fanning the batch across ``shards`` repro daemons —
-      see :mod:`repro.service.fabric`; attaches to
-      ``REPRO_FABRIC_ENDPOINTS`` or a running ``repro fabric start``
-      ledger, else spawns transient local shards), ``forkserver``
+    * ``backend`` selects how uncached cells run: ``forkserver``
       (persistent warm server per environment, one copy-on-write child
       per cell — see :mod:`repro.tools.forkserver`), ``pool``
       (``executor_factory(jobs)``, default ``ProcessPoolExecutor``),
@@ -534,11 +528,9 @@ def run_cells(
       :data:`AUTO_MIN_CELLS` uncached cells remain — tiny grids lose
       more to process spin-up than they gain from fan-out — else fork
       server when the platform can fork and ``jobs > 1``, else pool).
-      The
-      ``REPRO_BENCH_BACKEND`` environment variable overrides the
-      argument.  Each step degrades gracefully: no reachable fabric
-      shard → fork server, no ``fork`` → pool, no pool (or ``jobs=1``,
-      or a single pending cell) → serial.
+      The ``REPRO_BENCH_BACKEND`` environment variable overrides the
+      argument.  Each step degrades gracefully: no ``fork`` → pool, no
+      pool (or ``jobs=1``, or a single pending cell) → serial.
       The per-cell workload body is identical on every backend, so
       merged results are byte-identical.
     * A cell whose worker raises (or whose pool breaks) is retried once
@@ -592,24 +584,6 @@ def run_cells(
                                 pending=len(pending))
 
     if pending:
-        if resolved == "fabric":
-            from repro.service import fabric
-
-            try:
-                payloads = fabric.run_pending(
-                    cells, pending, jobs=jobs, timeout=timeout,
-                    shards=shards, integrity=integrity, waive=waive,
-                )
-            except fabric.FabricUnavailable:
-                resolved = "forkserver"  # no shard came up: degrade
-            else:
-                for index in pending:
-                    results[index] = payloads[index]
-                if cache is not None:
-                    for index in pending:
-                        cache.store(cells[index], results[index])
-                return _finish(results)
-
         if resolved == "forkserver":
             from repro.tools import forkserver
 

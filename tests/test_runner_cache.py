@@ -9,6 +9,8 @@ must hit without dispatching any work.
 import dataclasses
 import json
 import os
+import threading
+import time
 
 import pytest
 
@@ -233,3 +235,35 @@ class TestCacheMaintenance:
         assert cache.lookup(cell) is None  # miss, not an error
         [payload] = run_cells([cell], cache=cache)  # recomputed cleanly
         assert payload["value"] == "x"
+
+
+class TestPruneRace:
+    def test_prune_during_dispatch_never_corrupts_results(self, tmp_path):
+        # Content addressing makes pruning always safe: a lookup racing a
+        # delete is a miss and the cell is recomputed, never misread.
+        stop = threading.Event()
+        errors = []
+
+        def pruner():
+            while not stop.is_set():
+                try:
+                    prune_cache(tmp_path, max_age_days=0.0)
+                except Exception as exc:  # noqa: BLE001 - the assertion
+                    errors.append(exc)
+                time.sleep(0.01)
+
+        thread = threading.Thread(target=pruner, daemon=True)
+        thread.start()
+        cache = CellCache(tmp_path)
+        try:
+            for round_no in range(4):
+                values = [f"{round_no}:{i}" for i in range(3)]
+                cells = [echo_cell(value) for value in values]
+                for _ in range(2):  # compute and store, then look up again
+                    payloads = run_cells(cells, cache=cache)
+                    assert [p["value"] for p in payloads] == values
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert errors == []
+        assert cache.stores >= 12

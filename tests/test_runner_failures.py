@@ -3,11 +3,16 @@
 Fault injection uses the runner's test-only ``selftest`` cell kind,
 whose ``fail_until_marker`` mode fails on the first attempt (dropping a
 marker file) and succeeds on the retry — observable across processes.
+Backend names are checked up front: a typo or a retired backend fails
+before any cell runs, naming every valid backend.
 """
+
+import sys
 
 import pytest
 
-from repro.tools.runner import Cell, RunnerError, run_cells
+from repro import cli
+from repro.tools.runner import Cell, RunnerError, run_cells, validate_backend
 
 
 def fail_once_cell(tmp_path, name="flaky"):
@@ -78,3 +83,62 @@ class TestPoolFailures:
     def test_nonpositive_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             run_cells([], jobs=0)
+
+
+class TestBackendValidation:
+    def test_validate_normalizes_case_and_whitespace(self):
+        assert validate_backend(" Pool\n") == "pool"
+        assert validate_backend("FORKSERVER") == "forkserver"
+
+    def test_unknown_value_names_source_and_valid_backends(self):
+        with pytest.raises(ValueError) as excinfo:
+            validate_backend("warpdrive", source="REPRO_BENCH_BACKEND")
+        message = str(excinfo.value)
+        assert "REPRO_BENCH_BACKEND" in message
+        assert "warpdrive" in message
+        for name in ("auto", "forkserver", "pool", "serial"):
+            assert name in message
+
+    def test_run_cells_rejects_bad_env_var(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_BACKEND", "warpdrive")
+        with pytest.raises(ValueError,
+                           match="REPRO_BENCH_BACKEND.*warpdrive"):
+            run_cells([Cell(kind="selftest", environment="a",
+                            workload="echo", spec={"mode": "echo"})],
+                      backend="auto")
+
+    def test_simspeed_script_rejects_bad_env_var(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_BACKEND", "warpdrive")
+        sys.path.insert(0, "scripts")
+        try:
+            import check_simspeed
+        finally:
+            sys.path.pop(0)
+        with pytest.raises(ValueError, match="REPRO_BENCH_BACKEND"):
+            check_simspeed.main(["--iters-scale", "0.01"])
+
+    @pytest.mark.parametrize("source", ["backend", "REPRO_BENCH_BACKEND"])
+    def test_retired_fabric_backend_fails_fast(self, source, monkeypatch):
+        # A shell still exporting the retired value must get an error,
+        # not a silent fallback to another backend.
+        monkeypatch.delenv("REPRO_BENCH_BACKEND", raising=False)
+        with pytest.raises(ValueError) as excinfo:
+            if source == "backend":
+                validate_backend("fabric")
+            else:
+                monkeypatch.setenv("REPRO_BENCH_BACKEND", "fabric")
+                run_cells([], backend="serial")
+        message = str(excinfo.value)
+        assert source in message and "'fabric'" in message
+        assert message.endswith(
+            "valid backends are auto, forkserver, pool, serial")
+
+    def test_cli_rejects_retired_fabric_backend(self, monkeypatch, capsys):
+        ran = []
+        _, installers = cli._COMMANDS["table1"]
+        monkeypatch.setitem(cli._COMMANDS, "table1",
+                            (lambda args: ran.append(args) or 0, installers))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["table1", "--backend", "fabric"])
+        assert excinfo.value.code == 2 and ran == []
+        assert "invalid choice: 'fabric'" in capsys.readouterr().err
