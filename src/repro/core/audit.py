@@ -66,13 +66,13 @@ __all__ = ["AuditFinding", "AuditReport", "HypersecAuditor", "LiveEvidence"]
 class LiveEvidence(Evidence):
     """The running machine as seen by Hypersec itself.
 
-    Raw access goes through the platform's backdoor (``bus.peek``), so
-    the table walk reads real descriptors, but the *topology* inputs
-    (registered tables, monitored pages, recorded registers) come from
-    Hypersec's own bookkeeping.  That makes this channel fast and
-    always available — and blind to bookkeeping desync, which is why
-    ``claimed_tables`` returns ``None`` here and the dissimilar
-    snapshot channel exists.
+    Raw access goes through the platform's backdoor (``bus.peek`` and
+    ``bus.peek_words``), so the table walk reads real descriptors, but
+    the *topology* inputs (registered tables, monitored pages, recorded
+    registers) come from Hypersec's own bookkeeping.  That makes this
+    channel fast and always available — and blind to bookkeeping
+    desync, which is why ``claimed_tables`` returns ``None`` here and
+    the dissimilar snapshot channel exists.
     """
 
     def __init__(self, hypersec):
@@ -89,6 +89,9 @@ class LiveEvidence(Evidence):
     # -- raw access ----------------------------------------------------
     def peek(self, paddr: int) -> int:
         return self.platform.bus.peek(paddr)
+
+    def peek_words(self, paddr: int, nwords: int) -> List[int]:
+        return self.platform.bus.peek_words(paddr, nwords)
 
     def backed(self, paddr: int) -> bool:
         return self.platform.memory.contains(paddr)

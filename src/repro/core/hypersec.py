@@ -35,6 +35,7 @@ from repro.arch.exceptions import EL2, EL2Vector
 from repro.arch.pagetable import (
     DESC_AP_WRITE,
     DESC_NC,
+    DESC_VALID,
     Descriptor,
     LEVEL_SPAN,
 )
@@ -441,10 +442,10 @@ class Hypersec(EL2Vector):
             if table in seen or table not in self.table_pages:
                 continue
             seen.add(table)
-            for off in range(0, PAGE_BYTES, WORD_BYTES):
-                entry = Descriptor(self.platform.bus.peek(table + off))
-                if not entry.valid:
+            for raw in self.platform.bus.peek_words(table, PAGE_WORDS):
+                if not raw & DESC_VALID:
                     continue
+                entry = Descriptor(raw)
                 if tlevel < 3 and entry.is_table:
                     stack.append((entry.address, tlevel + 1))
                 else:
@@ -477,10 +478,9 @@ class Hypersec(EL2Vector):
             self._alert("pgtable_alloc_duplicate", target=table_paddr)
             return hc.HVC_DENIED
         # Verify the kernel really zeroed it (no smuggled mappings).
-        for offset in range(0, PAGE_BYTES, WORD_BYTES):
-            if self.platform.bus.peek(table_paddr + offset) != 0:
-                self._alert("pgtable_alloc_dirty", target=table_paddr)
-                return hc.HVC_DENIED
+        if any(self.platform.bus.peek_words(table_paddr, PAGE_WORDS)):
+            self._alert("pgtable_alloc_dirty", target=table_paddr)
+            return hc.HVC_DENIED
         self.cpu.compute(self.costs.l2_hit * (PAGE_WORDS // 8))  # scan cost
         self._register_table_page(table_paddr, is_root, verify_empty=False)
         return hc.HVC_OK
@@ -520,11 +520,9 @@ class Hypersec(EL2Vector):
         # counts stale and any linked subtree registered but forever
         # unreachable.  (Backdoor scan, uncharged like the other new
         # verdict reads; the kernel teardown path zeroes slots anyway.)
-        bus = self.platform.bus
-        for index in range(PAGE_WORDS):
-            if bus.peek(table_paddr + index * WORD_BYTES):
-                self._alert("pgtable_free_nonempty", target=table_paddr)
-                return hc.HVC_DENIED
+        if any(self.platform.bus.peek_words(table_paddr, PAGE_WORDS)):
+            self._alert("pgtable_free_nonempty", target=table_paddr)
+            return hc.HVC_DENIED
         self.table_pages.discard(table_paddr)
         self.root_tables.discard(table_paddr)
         self._table_levels.pop(table_paddr, None)
@@ -552,8 +550,8 @@ class Hypersec(EL2Vector):
             levels.setdefault(table, level)
             if level >= 3:
                 continue  # entries below are leaves, not pointers
-            for off in range(0, PAGE_BYTES, WORD_BYTES):
-                entry = Descriptor(self.platform.bus.peek(table + off))
+            for raw in self.platform.bus.peek_words(table, PAGE_WORDS):
+                entry = Descriptor(raw)
                 if (entry.valid and entry.is_table
                         and entry.address in self.table_pages):
                     refs[entry.address] = refs.get(entry.address, 0) + 1

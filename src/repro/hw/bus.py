@@ -237,6 +237,11 @@ class MemoryBus:
         """Read memory without timing or snooping (testing/loader use)."""
         return self.memory.read_word(paddr)
 
+    def peek_words(self, paddr: int, nwords: int) -> List[int]:
+        """Read ``nwords`` consecutive words like :meth:`peek`: no
+        timing, no snooping."""
+        return self.memory.read_words(paddr, nwords)
+
     def poke(self, paddr: int, value: int) -> None:
         """Write memory without timing or snooping (testing/loader use)."""
         self.memory.write_word(paddr, value)

@@ -42,6 +42,7 @@ truncation is visibly not a full proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import (
     Callable,
     Dict,
@@ -52,8 +53,8 @@ from typing import (
     Tuple,
 )
 
-from repro.config import PAGE_BYTES, WORD_BYTES
-from repro.arch.pagetable import Descriptor, LEVEL_SPAN
+from repro.config import PAGE_BYTES, PAGE_WORDS, WORD_BYTES
+from repro.arch.pagetable import DESC_VALID, Descriptor, LEVEL_SPAN
 
 #: Invariant name for table-graph well-formedness findings.
 TABLE_TOPOLOGY = "TABLE_TOPOLOGY"
@@ -63,6 +64,10 @@ TABLE_TOPOLOGY = "TABLE_TOPOLOGY"
 _SCAN_CAP = 2 << 20
 
 _PAGE_MASK = PAGE_BYTES - 1
+
+# Words per bulk bitmap read.  A 192 MB machine has a 3 MB bitmap;
+# reading it in 64 KB windows keeps it out of one Python list.
+_BITMAP_WINDOW = 8192
 
 
 @dataclass(frozen=True)
@@ -159,11 +164,6 @@ class LeafInvariant:
             geometry, 0, level, desc, table_pages))
 
 
-def _pages(base: int, end: int) -> Iterator[int]:
-    for page in range(base, min(end, base + _SCAN_CAP), PAGE_BYTES):
-        yield page
-
-
 def _no_secure_mapping(geometry, desc_addr, level, desc, table_pages):
     base = desc.address
     if geometry.in_secure(base, LEVEL_SPAN[level]):
@@ -174,9 +174,18 @@ def _no_writable_table_alias(geometry, desc_addr, level, desc, table_pages):
     if not desc.writable:
         return
     base = desc.address
-    for page in _pages(base, base + LEVEL_SPAN[level]):
-        if page in table_pages:
-            yield desc_addr, f"writable mapping of table page {page:#x}"
+    span = LEVEL_SPAN[level]
+    if span == PAGE_BYTES:
+        if base in table_pages:
+            yield desc_addr, f"writable mapping of table page {base:#x}"
+        return
+    # A block leaf: the table pages among the first _SCAN_CAP bytes of
+    # its span, on the page grid that starts at ``base``.
+    end = base + min(span, _SCAN_CAP)
+    for page in sorted(page for page in table_pages
+                       if base <= page < end
+                       and not (page - base) & _PAGE_MASK):
+        yield desc_addr, f"writable mapping of table page {page:#x}"
 
 
 def _w_xor_x(geometry, desc_addr, level, desc, table_pages):
@@ -235,6 +244,12 @@ class Evidence:
     # -- raw access ----------------------------------------------------
     def peek(self, paddr: int) -> int:
         raise NotImplementedError
+
+    def peek_words(self, paddr: int, nwords: int) -> List[int]:
+        """``nwords`` consecutive words from ``paddr``.  Channels
+        override this with a bulk read of their own memory image."""
+        return [self.peek(paddr + index * WORD_BYTES)
+                for index in range(nwords)]
 
     def backed(self, paddr: int) -> bool:
         """Is ``paddr`` inside backed physical memory?"""
@@ -318,11 +333,11 @@ def walk_tree(evidence: Evidence, root: int,
             report.truncated_walks += 1
             continue
         seen.add(table)
-        for index in range(PAGE_BYTES // WORD_BYTES):
-            desc_addr = table + index * WORD_BYTES
-            desc = Descriptor(evidence.peek(desc_addr))
-            if not desc.valid:
+        for index, raw in enumerate(evidence.peek_words(table, PAGE_WORDS)):
+            if not raw & DESC_VALID:
                 continue
+            desc_addr = table + index * WORD_BYTES
+            desc = Descriptor(raw)
             if level < 3 and desc.is_table:
                 child = desc.address
                 if not (evidence.backed(child)
@@ -424,9 +439,24 @@ def _check_bitmap(evidence: Evidence, report: InvariantReport) -> None:
     if expected is None or storage is None:
         return
     bitmap_base, bitmap_limit = storage
-    for word_addr in range(bitmap_base, bitmap_limit, WORD_BYTES):
-        actual = evidence.peek(word_addr)
-        wanted = expected.get(word_addr, 0)
+    nwords = len(range(bitmap_base, bitmap_limit, WORD_BYTES))
+    # A word that is zero and expected zero can neither differ nor
+    # count: keep only set words and words the regions name.
+    actual_at: Dict[int, int] = {}
+    for start in range(0, nwords, _BITMAP_WINDOW):
+        words = evidence.peek_words(bitmap_base + start * WORD_BYTES,
+                                    min(_BITMAP_WINDOW, nwords - start))
+        for index in compress(range(len(words)), words):
+            actual_at[start + index] = words[index]
+    wanted_at: Dict[int, int] = {}
+    for word_addr, mask in expected.items():
+        offset = word_addr - bitmap_base
+        if 0 <= offset < nwords * WORD_BYTES and not offset % WORD_BYTES:
+            wanted_at[offset // WORD_BYTES] = mask
+    for index in sorted(actual_at.keys() | wanted_at.keys()):
+        word_addr = bitmap_base + index * WORD_BYTES
+        actual = actual_at.get(index, 0)
+        wanted = wanted_at.get(index, 0)
         if actual != wanted:
             report.add(
                 "BITMAP_CONSISTENT", word_addr,

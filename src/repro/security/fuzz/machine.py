@@ -212,10 +212,7 @@ class FuzzContext:
         return self.kernel.cpu.hvc(func, *args)
 
     def table_is_empty(self, table: int) -> bool:
-        return all(
-            self.bus.peek(table + index * WORD_BYTES) == 0
-            for index in range(PAGE_WORDS)
-        )
+        return not any(self.bus.peek_words(table, PAGE_WORDS))
 
     def pick(self, pool, index: int):
         """Deterministic modular pick from a pool (None when empty)."""
@@ -493,11 +490,11 @@ def _op_link(ctx: FuzzContext, op: dict) -> str:
     if child is None:
         return "skip"
     start = op.get("slot", 0) % PAGE_WORDS
+    words = ctx.bus.peek_words(parent, PAGE_WORDS)
     slot = next(
-        (parent + ((start + i) % PAGE_WORDS) * WORD_BYTES
-         for i in range(PAGE_WORDS)
-         if ctx.bus.peek(parent + ((start + i) % PAGE_WORDS) * WORD_BYTES)
-         == 0),
+        (parent + index * WORD_BYTES
+         for index in (*range(start, PAGE_WORDS), *range(start))
+         if words[index] == 0),
         None,
     )
     if slot is None:

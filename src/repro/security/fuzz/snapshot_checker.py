@@ -52,6 +52,10 @@ _PAGE_MASK = PAGE_BYTES - 1
 _BITMAP_OFFSET = 1 << 20
 _WORDS_PER_BITMAP_WORD = 64
 
+#: Words per bulk read of the bitmap (64 KB), so a large machine's
+#: bitmap is never held in one Python list.
+_READ_WINDOW = 8192
+
 
 class SnapshotEvidence(Evidence):
     """A serialized machine image as an invariant-checking evidence
@@ -98,6 +102,9 @@ class SnapshotEvidence(Evidence):
     def peek(self, paddr: int) -> int:
         return self._memory.read_word(paddr)
 
+    def peek_words(self, paddr: int, nwords: int) -> List[int]:
+        return self._memory.read_words(paddr, nwords)
+
     def backed(self, paddr: int) -> bool:
         return self._memory.contains(paddr)
 
@@ -143,10 +150,7 @@ class SnapshotEvidence(Evidence):
         if not (self.backed(table)
                 and self.backed(table + PAGE_BYTES - WORD_BYTES)):
             return False
-        return all(
-            self.peek(table + index * WORD_BYTES) == 0
-            for index in range(PAGE_WORDS)
-        )
+        return not any(self.peek_words(table, PAGE_WORDS))
 
     # -- linear-map view ----------------------------------------------
     def has_linear_view(self) -> bool:
@@ -188,17 +192,19 @@ class SnapshotEvidence(Evidence):
             storage = self.bitmap_storage()
             if storage is not None:
                 base, limit = storage
-                for word_addr in range(base, limit, WORD_BYTES):
-                    raw = self.peek(word_addr)
-                    while raw:
-                        bit = (raw & -raw).bit_length() - 1
-                        raw &= raw - 1
-                        word_index = (
-                            (word_addr - base) // WORD_BYTES
-                        ) * _WORDS_PER_BITMAP_WORD + bit
-                        paddr = (self.geometry.dram_base
-                                 + word_index * WORD_BYTES)
-                        pages.add(paddr & ~_PAGE_MASK)
+                nwords = (limit - base) // WORD_BYTES
+                for start in range(0, nwords, _READ_WINDOW):
+                    words = self.peek_words(base + start * WORD_BYTES,
+                                            min(_READ_WINDOW, nwords - start))
+                    for index, raw in enumerate(words, start):
+                        while raw:
+                            bit = (raw & -raw).bit_length() - 1
+                            raw &= raw - 1
+                            word_index = (index * _WORDS_PER_BITMAP_WORD
+                                          + bit)
+                            paddr = (self.geometry.dram_base
+                                     + word_index * WORD_BYTES)
+                            pages.add(paddr & ~_PAGE_MASK)
             self._monitored = pages
         return set(self._monitored)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import PAGE_BYTES
+from repro.config import PAGE_BYTES, PAGE_WORDS, WORD_BYTES
 from repro.errors import PermissionFault, SecurityViolation
 from repro.core import hypercalls as hc
 from repro.core.hypernel import build_hypernel
@@ -118,6 +118,42 @@ class TestTableLifecyclePolicy:
         result = kernel.cpu.hvc(hc.HVC_PGTABLE_ALLOC, page, 0)
         assert result == hc.HVC_DENIED
         assert hypersec.stats.get("alert.pgtable_alloc_dirty") == 1
+
+    def test_dirty_last_word_rejected(self, kernel, hypersec):
+        """The zero scan covers the page up to its final word."""
+        page = kernel.allocator.alloc("pgtable")
+        kernel.platform.memory.fill(page, PAGE_WORDS, 0)
+        kernel.platform.bus.poke(page + PAGE_BYTES - WORD_BYTES, 0xBAD)
+        result = kernel.cpu.hvc(hc.HVC_PGTABLE_ALLOC, page, 0)
+        assert result == hc.HVC_DENIED
+        assert hypersec.stats.get("alert.pgtable_alloc_dirty") == 1
+        assert page not in hypersec.table_pages
+
+    def test_free_with_only_last_slot_populated_denied(self, kernel,
+                                                       hypersec):
+        """The emptiness scan covers the table up to its final slot."""
+        hvc = kernel.cpu.hvc
+        outer, inner = (kernel.allocator.alloc("pgtable") for _ in range(2))
+        for table in (outer, inner):
+            kernel.platform.memory.fill(table, PAGE_WORDS, 0)
+            assert hvc(hc.HVC_PGTABLE_ALLOC, table, 0) == hc.HVC_OK
+        # Link outer under the process root so its level is known, fill
+        # only its last slot, then unlink it again.
+        pgd = kernel.procs.current.mm.pgd
+        slot = next(pgd + index * WORD_BYTES for index in range(PAGE_WORDS)
+                    if kernel.platform.bus.peek(pgd + index * WORD_BYTES) == 0)
+        assert hvc(hc.HVC_PGTABLE_WRITE, slot,
+                   make_table_desc(outer), 1) == hc.HVC_OK
+        last_slot = outer + PAGE_BYTES - WORD_BYTES
+        assert hvc(hc.HVC_PGTABLE_WRITE, last_slot,
+                   make_table_desc(inner), 2) == hc.HVC_OK
+        assert hvc(hc.HVC_PGTABLE_WRITE, slot, 0, 1) == hc.HVC_OK
+        assert hvc(hc.HVC_PGTABLE_FREE, outer) == hc.HVC_DENIED
+        assert hypersec.stats.get("alert.pgtable_free_nonempty") == 1
+        assert outer in hypersec.table_pages
+        # With the last slot cleared the same free is legitimate.
+        assert hvc(hc.HVC_PGTABLE_WRITE, last_slot, 0, 2) == hc.HVC_OK
+        assert hvc(hc.HVC_PGTABLE_FREE, outer) == hc.HVC_OK
 
     def test_registered_table_becomes_read_only_then_writable(self, kernel, hypersec):
         page = kernel.allocator.alloc("pgtable")

@@ -1,22 +1,44 @@
 """Property tests: vectorized bulk memory paths vs word-at-a-time models.
 
-ISSUE 7's bulk fast paths (``PhysicalMemory.fill``/``copy_words``/
+The bulk fast paths (``PhysicalMemory.fill``/``copy_words``/
 ``read_words``, ``Caches.touch_block``'s batched streaming-store loop,
-``MemoryBus.write_block``'s coalesced bitmap scan) are pure
+``MemoryBus.write_block``'s coalesced bitmap scan, ``MemoryBus.peek_words``
+and the invariant checkers' whole-table and whole-bitmap reads) are pure
 optimizations: each must be observationally identical to the
 word-at-a-time (or line-at-a-time) reference it replaced — same bytes,
-same cycle charges, same bus-snoop events.  These properties drive
-randomized op sequences through both and compare everything, with the
-generators biased toward the edges that historically break such code:
-chunk boundaries, cache-line boundaries, range ends and monitored
-pages.
+same cycle charges, same bus-snoop events, same findings.  These
+properties drive randomized op sequences through both and compare
+everything, with the generators biased toward the edges that
+historically break such code: chunk boundaries, cache-line boundaries,
+range ends and monitored pages.
 """
 
+from collections import Counter
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.arch.pagetable import (
+    DESC_AP_WRITE,
+    DESC_NC,
+    DESC_TABLE,
+    DESC_USER,
+    DESC_VALID,
+    DESC_XN,
+)
+from repro.config import PAGE_BYTES, PAGE_WORDS, SECTION_BYTES, CostModel
+from repro.core.audit import LiveEvidence
+from repro.errors import MemoryRangeError
+from repro.hw.bus import MemoryBus
+from repro.hw.clock import Clock
+from repro.hw.dram import DramModel
 from repro.hw.memory import _CHUNK_BYTES, PhysicalMemory
+from repro.security.fuzz import invariants, snapshot_checker
+from repro.security.fuzz.invariants import Evidence, Geometry, run_invariants
+from repro.security.fuzz.machine import boot_snapshot
+from repro.security.fuzz.snapshot_checker import SnapshotEvidence
+from repro.state import capture_snapshot, restore_from_snapshot
 from tests.helpers import small_platform
 
 WORD = 8
@@ -265,3 +287,404 @@ class TestBlockWritesOverMonitoredPages:
         system.platform.bus.write_block(start, nwords, initiator="cpu")
         after = mbm.decision._checked, mbm.decision._hits
         assert after[1] - before[1] == expected
+
+
+# ----------------------------------------------------------------------
+# MemoryBus.peek_words vs per-word peek
+# ----------------------------------------------------------------------
+def _dual_bus():
+    return MemoryBus(_dual_memory(), DramModel(CostModel()), Clock())
+
+
+class TestBusPeekWords:
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.lists(st.tuples(_edge_offsets, st.integers(1, (1 << 64) - 1)),
+                 max_size=24),
+        _edge_offsets,
+        st.integers(1, 3 * CHUNK_WORDS),
+    )
+    def test_matches_peek_across_chunks_and_ranges(self, writes, off, n):
+        bus = _dual_bus()
+        for word, value in writes:
+            bus.poke(BASE + word * WORD, value)
+        n = min(n, WINDOW_WORDS - off)
+        before = (bus.clock.now, bus.state_dict())
+        span = bus.peek_words(BASE + off * WORD, n)
+        assert span == [bus.peek(BASE + (off + i) * WORD) for i in range(n)]
+        # A backdoor read: no timing, no counters.
+        assert (bus.clock.now, bus.state_dict()) == before
+
+    @pytest.mark.parametrize("start_word, nwords", [
+        (-1, 1),                   # below the first range
+        (-4, 8),                   # starts below, ends inside
+        (WINDOW_WORDS, 1),         # past the second range
+        (WINDOW_WORDS - 3, 4),     # starts inside, runs off the end
+    ])
+    def test_unbacked_raises_like_peek(self, start_word, nwords):
+        bus = _dual_bus()
+        start = BASE + start_word * WORD
+        with pytest.raises(MemoryRangeError):
+            bus.peek_words(start, nwords)
+        with pytest.raises(MemoryRangeError):
+            for i in range(nwords):
+                bus.peek(start + i * WORD)
+
+
+# ----------------------------------------------------------------------
+# Invariant engine: bulk channels vs per-word reads
+# ----------------------------------------------------------------------
+#: The image: IMG_PAGES pages over two adjacent ranges whose boundary
+#: sits mid-page (word- but neither page- nor chunk-aligned), with the
+#: last SECURE_PAGES pages playing the secure region.
+IMG_PAGES = 40
+SECURE_PAGES = 4
+IMG_SPLIT = 18 * PAGE_BYTES + 0x100
+IMG_LIMIT = BASE + IMG_PAGES * PAGE_BYTES
+IMG_SECURE = IMG_LIMIT - SECURE_PAGES * PAGE_BYTES
+#: The bitmap straddles the range boundary.
+IMG_BITMAP = (BASE + IMG_SPLIT - 48 * WORD, BASE + IMG_SPLIT + 80 * WORD)
+_BITMAP_WORDS = (IMG_BITMAP[1] - IMG_BITMAP[0]) // WORD
+
+
+def _page(index):
+    return BASE + index * PAGE_BYTES
+
+
+class _ImageEvidence(Evidence):
+    """A bare channel over a two-range raw image, reading in bulk."""
+
+    geometry = Geometry(dram_base=BASE, dram_limit=IMG_LIMIT,
+                        secure_base=IMG_SECURE, secure_limit=IMG_LIMIT)
+
+    def __init__(self, memory, roots, tables, expected):
+        self.memory = memory
+        self._roots = roots
+        self._tables = tables
+        self._expected = expected
+
+    def peek(self, paddr):
+        return self.memory.read_word(paddr)
+
+    def peek_words(self, paddr, nwords):
+        return self.memory.read_words(paddr, nwords)
+
+    def backed(self, paddr):
+        return self.memory.contains(paddr)
+
+    def roots(self):
+        return list(self._roots)
+
+    def table_pages(self):
+        return set(self._tables)
+
+    def claimed_tables(self):
+        return set(self._tables)
+
+    def expected_bitmap(self):
+        return dict(self._expected)
+
+    def bitmap_storage(self):
+        return IMG_BITMAP
+
+
+class _PerWordImage(_ImageEvidence):
+    peek_words = Evidence.peek_words
+
+
+class _PerWordLive(LiveEvidence):
+    peek_words = Evidence.peek_words
+
+
+class _PerWordSnapshot(SnapshotEvidence):
+    peek_words = Evidence.peek_words
+
+
+def _per_word(check):
+    """Run ``check`` with every bitmap read one word long, as the
+    word-at-a-time reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "_BITMAP_WINDOW", 1)
+        patch.setattr(snapshot_checker, "_READ_WINDOW", 1)
+        return check()
+
+
+def _summary(report):
+    return (report.findings, report.tables_walked, report.leaves_checked,
+            report.bitmap_words_checked, report.truncated_walks)
+
+
+_ATTRS = st.sampled_from(
+    [0, DESC_AP_WRITE, DESC_AP_WRITE | DESC_XN, DESC_AP_WRITE | DESC_NC,
+     DESC_XN | DESC_USER, DESC_AP_WRITE | DESC_USER]
+)
+
+
+def _descriptor(kind, target, attrs):
+    """A raw descriptor of the given hostile or benign ``kind``."""
+    if kind == "table":      # may loop, or point into the secure pages
+        return _page(target) | DESC_VALID | DESC_TABLE
+    if kind == "unbacked":
+        return (IMG_LIMIT + target * PAGE_BYTES) | DESC_VALID | DESC_TABLE
+    if kind == "below":
+        return (BASE - PAGE_BYTES) | DESC_VALID | DESC_TABLE
+    if kind == "page":       # a page leaf at level 3
+        return _page(target) | DESC_VALID | DESC_TABLE | attrs
+    if kind == "block":      # a 2 MB / 1 GB block at level 1-2
+        return _page(target) | DESC_VALID | attrs
+    return target << 12 | attrs | 0x2   # invalid, but non-zero
+
+
+_slots = st.one_of(st.sampled_from([0, 1, PAGE_WORDS - 2, PAGE_WORDS - 1]),
+                   st.integers(0, PAGE_WORDS - 1))
+
+_image = st.fixed_dictionaries({
+    "tables": st.lists(st.integers(0, IMG_PAGES - 1), min_size=1,
+                       max_size=8, unique=True),
+    "writes": st.lists(
+        st.tuples(
+            st.integers(0, 7), _slots,
+            st.sampled_from(["table", "table", "unbacked", "below", "page",
+                             "block", "block", "junk"]),
+            st.integers(0, IMG_PAGES - 1), _ATTRS,
+        ),
+        max_size=40,
+    ),
+    "extra_roots": st.lists(
+        st.sampled_from([_page(3), _page(IMG_PAGES), BASE - PAGE_BYTES,
+                         _page(IMG_PAGES - 1)]),
+        max_size=2,
+    ),
+    "extra_tables": st.lists(
+        st.builds(lambda page, skew: _page(page) + skew,
+                  st.integers(0, IMG_PAGES - 1),
+                  st.sampled_from([0, 0, WORD, PAGE_BYTES // 2])),
+        max_size=4,
+    ),
+    "expected": st.dictionaries(
+        st.integers(-4, _BITMAP_WORDS + 4).map(
+            lambda i: IMG_BITMAP[0] + i * WORD),
+        st.integers(0, (1 << 64) - 1), max_size=12,
+    ),
+    "stray": st.dictionaries(st.integers(0, _BITMAP_WORDS - 1),
+                             st.integers(1, (1 << 64) - 1), max_size=4),
+    "missing": st.lists(st.integers(0, 11), max_size=3),
+})
+
+
+def _build_image(spec):
+    memory = PhysicalMemory()
+    memory.add_range(BASE, IMG_SPLIT)
+    memory.add_range(BASE + IMG_SPLIT, IMG_PAGES * PAGE_BYTES - IMG_SPLIT)
+    tables = [_page(index) for index in spec["tables"]]
+    for which, slot, kind, target, attrs in spec["writes"]:
+        table = tables[which % len(tables)]
+        memory.write_word(table + slot * WORD,
+                          _descriptor(kind, target, attrs))
+    # The bitmap: the regions' words, then stray bits and lost words.
+    expected = spec["expected"]
+    in_storage = sorted(addr for addr in expected
+                        if IMG_BITMAP[0] <= addr < IMG_BITMAP[1])
+    for addr in in_storage:
+        memory.write_word(addr, expected[addr])
+    for index, mask in spec["stray"].items():
+        addr = IMG_BITMAP[0] + index * WORD
+        memory.write_word(addr, memory.read_word(addr) | mask)
+    for pick in spec["missing"]:
+        if in_storage:
+            memory.write_word(in_storage[pick % len(in_storage)], 0)
+    roots = sorted(set(tables[:2]) | set(spec["extra_roots"]))
+    claimed = set(tables) | set(spec["extra_tables"])
+    return memory, roots, claimed, expected
+
+
+def _assert_image_channels_agree(spec):
+    memory, roots, claimed, expected = _build_image(spec)
+    bulk = run_invariants(_ImageEvidence(memory, roots, claimed, expected))
+    ref = _per_word(lambda: run_invariants(
+        _PerWordImage(memory, roots, claimed, expected)))
+    assert _summary(bulk) == _summary(ref)
+    return bulk
+
+
+#: Every hostile shape at once.
+_HOSTILE_IMAGE = {
+    # Table 0 in the first range; tables 19 and 20 in the second
+    # (page 18 straddles the range boundary).
+    "tables": [0, 18, 19, 20],
+    "writes": [
+        (0, 0, "table", 18, 0),                    # -> straddling
+        (0, PAGE_WORDS - 1, "table", 19, 0),
+        (1, PAGE_WORDS - 1, "table", 0, 0),        # loop
+        (2, 5, "unbacked", 2, 0),
+        (2, 6, "below", 0, 0),
+        (2, 7, "table", IMG_PAGES - 1, 0),         # secure
+        (2, PAGE_WORDS - 1, "table", 20, 0),
+        (1, 200, "block", 17, DESC_AP_WRITE),      # covers 18..
+        (0, 10, "block", 0, DESC_AP_WRITE | DESC_XN),  # starts on 0
+        (3, PAGE_WORDS - 1, "page", 0, DESC_AP_WRITE),
+        (3, 9, "junk", 5, 0),
+    ],
+    "extra_roots": [_page(IMG_PAGES)],
+    "extra_tables": [_page(30) + WORD],
+    "expected": {IMG_BITMAP[0]: 0xF0,
+                 IMG_BITMAP[0] + 60 * WORD: 0x1,
+                 IMG_BITMAP[1] - WORD: 0x4,                # last word
+                 IMG_BITMAP[1]: 0x3},                      # past the end
+    "stray": {47: 0x8, 48: 0x10, _BITMAP_WORDS - 1: 0x20},
+    "missing": [1],
+}
+
+
+class TestInvariantEngineBulkVsPerWord:
+    @settings(
+        max_examples=80, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_image)
+    def test_random_images_report_identically(self, spec):
+        _assert_image_channels_agree(spec)
+
+    def test_handcrafted_hostile_image(self):
+        """A fixed image holding every hostile shape, so the comparison
+        is known to cover non-trivial reports."""
+        report = _assert_image_channels_agree(_HOSTILE_IMAGE)
+        # The figures the word-at-a-time engine reported for this image.
+        assert Counter(f.invariant for f in report.findings) == {
+            "TABLE_TOPOLOGY": 4, "NO_WRITABLE_TABLE_ALIAS": 15,
+            "NO_SECURE_MAPPING": 5, "W_XOR_X": 3, "BITMAP_CONSISTENT": 4,
+        }
+        assert _summary(report)[1:] == (7, 9, 5, 6)
+        assert [
+            ((f.location - IMG_BITMAP[0]) // WORD, f.detail)
+            for f in report.findings if f.invariant == "BITMAP_CONSISTENT"
+        ] == [
+            (47, "bitmap word is 0x8, regions imply 0x0"),
+            (48, "bitmap word is 0x10, regions imply 0x0"),
+            (60, "bitmap word is 0x0, regions imply 0x1"),
+            (_BITMAP_WORDS - 1, "bitmap word is 0x24, regions imply 0x4"),
+        ]
+
+
+_WINDOW = invariants._BITMAP_WINDOW
+
+
+@pytest.fixture(scope="module")
+def hostile_base():
+    """A booted, monitored section-mode machine for in-place corruption."""
+    return restore_from_snapshot(boot_snapshot("section"))
+
+
+class TestRealChannelsBulkVsPerWord:
+    """The live and snapshot channels against per-word twins, on a real
+    machine whose tables and bitmap were corrupted in place."""
+
+    @settings(
+        max_examples=6, deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow, HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 1 << 16), _slots,
+                st.sampled_from(["table", "unbacked", "secure", "block",
+                                 "page", "junk"]),
+                st.integers(0, 1 << 16), _ATTRS,
+            ),
+            max_size=6,
+        ),
+        st.lists(
+            st.tuples(
+                # Bitmap word indices, biased toward read-window edges.
+                st.one_of(st.integers(0, 1 << 20), st.sampled_from(
+                    [0, _WINDOW - 1, _WINDOW, 2 * _WINDOW - 1, -1])),
+                st.integers(0, (1 << 64) - 1),
+            ),
+            max_size=4,
+        ),
+    )
+    @example(
+        writes=[(0, PAGE_WORDS - 1, "unbacked", 0, 0),
+                (3, 0, "block", 1, DESC_AP_WRITE)],
+        bitmap_writes=[(_WINDOW - 1, 1 << 63), (_WINDOW, 1), (-1, 1 << 63)],
+    )
+    def test_corrupted_machine_reports_identically(self, hostile_base,
+                                                   writes, bitmap_writes):
+        system = hostile_base
+        h = system.hypersec
+        bus = system.platform.bus
+        tables = sorted(h.table_pages)
+        dram_base = system.platform.config.dram_base
+        secure_base = system.platform.secure_base
+        bitmap_base, bitmap_limit = h.mbm.bitmap_storage
+        bitmap_words = (bitmap_limit - bitmap_base) // WORD
+        pokes = []
+        for which, slot, kind, target, attrs in writes:
+            addr = tables[which % len(tables)] + slot * WORD
+            if kind == "table":
+                value = tables[target % len(tables)] | DESC_VALID | DESC_TABLE
+            elif kind == "unbacked":
+                value = (system.platform.secure_limit
+                         + (target % 64) * PAGE_BYTES
+                         ) | DESC_VALID | DESC_TABLE
+            elif kind == "secure":
+                value = secure_base | DESC_VALID | DESC_TABLE
+            elif kind == "block":
+                # A writable block over the section holding a table page.
+                section = tables[target % len(tables)] & ~(SECTION_BYTES - 1)
+                value = section | DESC_VALID | DESC_AP_WRITE | attrs
+            elif kind == "page":
+                value = (dram_base + (target % 4096) * PAGE_BYTES
+                         ) | DESC_VALID | DESC_TABLE | attrs
+            else:
+                value = target << 12 | attrs | 0x2
+            pokes.append((addr, value))
+        for index, value in bitmap_writes:  # stray and missing bits
+            pokes.append((bitmap_base + (index % bitmap_words) * WORD, value))
+        saved = [(addr, bus.peek(addr)) for addr, _ in pokes]
+        try:
+            for addr, value in pokes:
+                bus.poke(addr, value)
+            assert _summary(run_invariants(LiveEvidence(h))) == _summary(
+                _per_word(lambda: run_invariants(_PerWordLive(h))))
+            snapshot = capture_snapshot(system)
+            bulk = SnapshotEvidence(snapshot)
+            ref = _PerWordSnapshot(snapshot)
+            assert _summary(run_invariants(bulk)) == _summary(
+                _per_word(lambda: run_invariants(ref)))
+            assert bulk.monitored_pages() == _per_word(ref.monitored_pages)
+            assert ([bulk.table_is_empty(t) for t in tables]
+                    == [ref.table_is_empty(t) for t in tables])
+        finally:
+            for addr, value in reversed(saved):
+                bus.poke(addr, value)
+
+    def test_snapshot_decodes_bitmap_edge_words(self, hostile_base):
+        """Bits in the first word, at a read-window edge and in the last
+        word of the bitmap all decode to their monitored pages."""
+        system = hostile_base
+        bus = system.platform.bus
+        dram_base = system.platform.config.dram_base
+        bitmap_base, bitmap_limit = system.hypersec.mbm.bitmap_storage
+        last = (bitmap_limit - bitmap_base) // WORD - 1
+        edges = [(0, 0), (_WINDOW - 1, 63), (_WINDOW, 0), (last, 63)]
+        saved = [(bitmap_base + index * WORD,
+                  bus.peek(bitmap_base + index * WORD))
+                 for index, _ in edges]
+        try:
+            for index, bit in edges:
+                addr = bitmap_base + index * WORD
+                bus.poke(addr, bus.peek(addr) | 1 << bit)
+            snapshot = capture_snapshot(system)
+        finally:
+            for addr, value in saved:
+                bus.poke(addr, value)
+        pages = SnapshotEvidence(snapshot).monitored_pages()
+        for index, bit in edges:
+            covered = dram_base + (index * 64 + bit) * WORD
+            assert covered & ~(PAGE_BYTES - 1) in pages
