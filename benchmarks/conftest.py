@@ -7,14 +7,9 @@ Environment knobs:
 * ``REPRO_BENCH_DRAM_MB`` — simulated DRAM size (default 192 MB; the
   paper's performance platform had 2 GB, which only slows boot here).
 * ``REPRO_BENCH_JOBS`` — worker processes for independent experiment
-  cells (default 1 = serial; the table/figure benchmarks fan their
-  per-system cells out over ``repro.tools.runner``).
-* ``REPRO_BENCH_BACKEND`` — cell execution backend
-  (``auto``/``forkserver``/``pool``/``serial``).  Resolved inside
-  ``run_cells`` itself, overriding whatever backend the caller pinned —
-  including the per-workload pins in ``repro.tools.perf`` — so one
-  variable switches the whole benchmark fleet (CI uses ``pool`` to
-  exercise the fork-server fallback path).
+  cells (default 1 = serial; above 1 the table/figure benchmarks fan
+  their per-system cells out over a process pool in
+  ``repro.tools.runner``).
 
 Each benchmark regenerates one table/figure, writes the formatted
 result to ``benchmarks/results/`` and attaches the headline numbers to

@@ -8,10 +8,11 @@ recorded a write-back hazard.  A lossy monitoring pipeline silently
 undercounts Table 2 and skews the paper's overhead numbers, so CI
 treats loss as a hard failure, not a statistic.
 
-The sweep runs on *both* execution backends (serial in-process and the
-fork-server/pool fan-out) to prove the enforcement point in
-``run_cells`` covers every dispatch path, including cached payloads and
-the fork-server's early-return path.
+The sweep runs twice: in-process (``jobs=1``) and fanned out over a
+process pool (``jobs=2``; both grids have more than one cell, so the
+pool really runs), to prove the enforcement point in ``run_cells``
+covers both dispatch paths, including payloads that came back from a
+worker process.
 
 With ``--jsonl PATH`` the gate instead replays over a file of metrics
 records (one ``{"label": ..., "metrics": {...}}`` object per line, as
@@ -105,9 +106,7 @@ def main(argv=None) -> int:
         return gate_jsonl(args.jsonl, waive=tuple(args.waive))
 
     failures = 0
-    for backend in ("serial", "auto"):
-        label = "serial" if backend == "serial" else "fan-out"
-        jobs = 1 if backend == "serial" else 2
+    for label, jobs in (("serial", 1), ("pool", 2)):
         try:
             table1 = run_table1(
                 platform_factory=small_platform,
@@ -115,7 +114,6 @@ def main(argv=None) -> int:
                 warmup=args.warmup,
                 iterations=args.iterations,
                 jobs=jobs,
-                backend=backend,
                 enforce_integrity=True,
             )
             # Table 1 runs Hypersec-only (no MBM), so its checks are
@@ -125,7 +123,6 @@ def main(argv=None) -> int:
                 scale=args.scale,
                 platform_factory=small_platform,
                 jobs=jobs,
-                backend=backend,
                 enforce_integrity=True,
             )
         except IntegrityError as exc:

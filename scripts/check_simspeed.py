@@ -32,17 +32,7 @@ it against the committed baseline ``BENCH_simspeed.json``:
   ``monitored_write_storm`` leg must actually replay ops
   (``extras.replayed_ops > 0``), otherwise the exactness comparison
   proves nothing.  Skipped entirely when ``REPRO_MACROOPS=0`` disables
-  the memoizer (the twins are redundant then);
-* verifies the fork-server entry: ``table1_runner_forkserver``
-  (persistent warm servers forking copy-on-write workers, see
-  ``repro.tools.forkserver``) must report simulated
-  accesses/sim_cycles *identical* to ``table1_runner_serial``, and on
-  hosts with >= 4 cores must be at least ``--min-forkserver-speedup``
-  (default 1.3x, env ``REPRO_MIN_FORKSERVER_SPEEDUP``) faster than the
-  pool-based ``table1_runner_parallel``.  The speedup is reported but
-  not gated on smaller hosts, or when the fork-server backend is not
-  actually in effect (``REPRO_BENCH_BACKEND`` forcing another backend,
-  or a platform without ``os.fork``).
+  the memoizer (the twins are redundant then).
 
 Usage::
 
@@ -102,53 +92,6 @@ def runner_failures(current: dict, baseline: dict,
             failures.append(
                 f"parallel table1 runner speedup {speedup:.2f}x is below "
                 f"the required {min_speedup:.2f}x on a {cores}-core host"
-            )
-    return failures
-
-
-def forkserver_failures(current: dict, baseline: dict,
-                        min_speedup: float) -> list:
-    """Check the fork-server runner entry (see module docstring)."""
-    from repro.tools import forkserver
-
-    failures = []
-    fork_name = perf.RUNNER_FORKSERVER_WORKLOAD
-    if fork_name not in baseline.get("workloads", {}):
-        failures.append(
-            f"{fork_name}: missing from the baseline — re-run with --update"
-        )
-    current_workloads = current.get("workloads", {})
-    serial = current_workloads.get(perf.RUNNER_SERIAL_WORKLOAD)
-    parallel = current_workloads.get(perf.RUNNER_PARALLEL_WORKLOAD)
-    fork = current_workloads.get(fork_name)
-    if not serial or not fork:
-        return failures
-    for field in ("accesses", "sim_cycles"):
-        if serial[field] != fork[field]:
-            failures.append(
-                f"fork-server runner changed simulated {field} vs serial "
-                f"({serial[field]} vs {fork[field]}) — copy-on-write "
-                f"fan-out must not change simulated behaviour"
-            )
-    # The speedup gate only means something when the workload really ran
-    # on the fork server: REPRO_BENCH_BACKEND overrides the pinned
-    # backend inside run_cells, and fork-less platforms silently degrade
-    # to the pool.
-    forced = os.environ.get("REPRO_BENCH_BACKEND")
-    in_effect = (forkserver.fork_available()
-                 and forced in (None, "", "forkserver", "auto"))
-    cores = os.cpu_count() or 1
-    if parallel and parallel["wall_seconds"] > 0 and fork["wall_seconds"] > 0:
-        speedup = parallel["wall_seconds"] / fork["wall_seconds"]
-        print(f"fork-server table1 runner speedup vs pool: {speedup:.2f}x "
-              f"(jobs=4 on {cores} cores"
-              f"{'' if in_effect else '; backend not in effect'})")
-        if (in_effect and cores >= SPEEDUP_GATE_MIN_CORES
-                and speedup < min_speedup):
-            failures.append(
-                f"fork-server table1 runner speedup {speedup:.2f}x vs the "
-                f"pool is below the required {min_speedup:.2f}x on a "
-                f"{cores}-core host"
             )
     return failures
 
@@ -249,22 +192,7 @@ def main(argv=None) -> int:
                             "REPRO_MIN_PARALLEL_SPEEDUP", "2.0")),
                         help="required table1 runner speedup at jobs=4 "
                         "(gated only on hosts with >= 4 cores)")
-    parser.add_argument("--min-forkserver-speedup", type=float,
-                        default=float(os.environ.get(
-                            "REPRO_MIN_FORKSERVER_SPEEDUP", "1.3")),
-                        help="required fork-server speedup vs the pool at "
-                        "jobs=4 (gated only on hosts with >= 4 cores and "
-                        "when the fork-server backend is in effect)")
     args = parser.parse_args(argv)
-
-    # Fail fast on a mistyped backend override: a bad value used to be
-    # reported as "backend not in effect" (silently skipping the
-    # fork-server gate) instead of stopping the run.
-    forced_backend = os.environ.get("REPRO_BENCH_BACKEND")
-    if forced_backend:
-        from repro.tools.runner import validate_backend
-
-        validate_backend(forced_backend, source="REPRO_BENCH_BACKEND")
 
     results = perf.run_simspeed(iters_scale=args.iters_scale,
                                 repeats=args.repeats)
@@ -287,8 +215,6 @@ def main(argv=None) -> int:
                                 min_speedup=args.min_parallel_speedup)
     failures += macroop_failures(current, baseline)
     failures += warmstart_failures(current, baseline)
-    failures += forkserver_failures(current, baseline,
-                                    min_speedup=args.min_forkserver_speedup)
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:

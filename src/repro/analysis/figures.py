@@ -104,25 +104,18 @@ def cell_build_args(cell: Cell) -> tuple:
     return cell.environment, kwargs
 
 
-def cell_system(cell: Cell):
-    """Boot the cell's system — or restore its warm-start snapshot."""
-    name, kwargs = cell_build_args(cell)
-    if cell.snapshot_path:
-        return build_system(name, from_snapshot=cell.snapshot_path)
-    if cell.platform_config is not None:
-        kwargs["platform_config"] = cell.platform_config
-    return build_system(name, **kwargs)
-
-
-def execute_cell_on(cell: Cell, system) -> Dict[str, Any]:
-    """Run every application on a pristine, pre-built ``system``.
-
-    Shared workload body for all runner backends; the fork-server
-    backend calls it in a copy-on-write child with the server's
-    inherited machine (see :mod:`repro.tools.forkserver`).
-    """
+def execute_cell(cell: Cell) -> Dict[str, Any]:
+    """Worker body: build (or restore) one system, run every application."""
     from repro.obs import collect_metrics
     from repro.tools.perf import count_accesses
+
+    name, kwargs = cell_build_args(cell)
+    if cell.platform_config is not None:
+        kwargs["platform_config"] = cell.platform_config
+    if cell.snapshot_path:
+        system = build_system(name, from_snapshot=cell.snapshot_path)
+    else:
+        system = build_system(name, **kwargs)
 
     apps = cell.spec.get("apps")
     if apps is None:
@@ -139,11 +132,6 @@ def execute_cell_on(cell: Cell, system) -> Dict[str, Any]:
         "sim_cycles": system.platform.clock.now,
         "metrics": collect_metrics(system).to_dict(),
     }
-
-
-def execute_cell(cell: Cell) -> Dict[str, Any]:
-    """Worker body: build one system, run every application on it."""
-    return execute_cell_on(cell, cell_system(cell))
 
 
 def merge_figure6(
@@ -175,15 +163,14 @@ def run_figure6(
     jobs: int = 1,
     cache: Optional[CellCache] = None,
     warm_start: bool = False,
-    backend: str = "auto",
     enforce_integrity: bool = False,
     waive: tuple = (),
 ) -> Figure6Result:
     """Run each application on each system; normalize to native.
 
     ``warm_start`` restores each cell's system from a shared post-boot
-    snapshot instead of booting it (see repro.state); ``backend`` picks
-    the cell execution backend (see ``run_cells``).
+    snapshot instead of booting it (see repro.state); ``jobs > 1`` runs
+    the cells in a process pool (see ``run_cells``).
     ``enforce_integrity`` fails the run (IntegrityError) if any cell's
     monitoring pipeline lost events; ``waive`` accepts named checks.
     """
@@ -193,7 +180,7 @@ def run_figure6(
             cells, cache_dir=cache.directory if cache is not None else None
         )
     payloads = run_cells(
-        cells, jobs=jobs, cache=cache, backend=backend,
+        cells, jobs=jobs, cache=cache,
         integrity="enforce" if enforce_integrity else "ignore", waive=waive,
     )
     return merge_figure6(cells, payloads)

@@ -120,25 +120,18 @@ def cell_build_args(cell: Cell) -> tuple:
     return "hypernel", {"with_mbm": True, "monitors": monitors}
 
 
-def cell_system(cell: Cell):
-    """Boot the cell's monitored system — or restore its snapshot."""
-    name, kwargs = cell_build_args(cell)
-    if cell.snapshot_path:
-        return build_system(name, from_snapshot=cell.snapshot_path)
-    if cell.platform_config is not None:
-        kwargs["platform_config"] = cell.platform_config
-    return build_hypernel(**kwargs)
-
-
-def execute_cell_on(cell: Cell, system) -> Dict[str, Any]:
-    """Run all applications on a pristine, pre-built monitored system.
-
-    Shared workload body for all runner backends; the fork-server
-    backend calls it in a copy-on-write child with the server's
-    inherited machine (see :mod:`repro.tools.forkserver`).
-    """
+def execute_cell(cell: Cell) -> Dict[str, Any]:
+    """Worker body: one monitored Hypernel system, all applications."""
     from repro.obs import collect_metrics
     from repro.tools.perf import count_accesses
+
+    name, kwargs = cell_build_args(cell)
+    if cell.platform_config is not None:
+        kwargs["platform_config"] = cell.platform_config
+    if cell.snapshot_path:
+        system = build_system(name, from_snapshot=cell.snapshot_path)
+    else:
+        system = build_hypernel(**kwargs)
 
     apps = cell.spec.get("apps")
     if apps is None:
@@ -156,11 +149,6 @@ def execute_cell_on(cell: Cell, system) -> Dict[str, Any]:
         "sim_cycles": system.platform.clock.now,
         "metrics": collect_metrics(system).to_dict(),
     }
-
-
-def execute_cell(cell: Cell) -> Dict[str, Any]:
-    """Worker body: one monitored Hypernel system, all applications."""
-    return execute_cell_on(cell, cell_system(cell))
 
 
 def merge_table2(
@@ -187,7 +175,6 @@ def run_table2(
     jobs: int = 1,
     cache: Optional[CellCache] = None,
     warm_start: bool = False,
-    backend: str = "auto",
     enforce_integrity: bool = False,
     waive: tuple = (),
 ) -> Table2Result:
@@ -195,7 +182,7 @@ def run_table2(
 
     ``warm_start`` restores each granularity's monitored system from a
     shared post-boot snapshot instead of booting it (see repro.state);
-    ``backend`` picks the cell execution backend (see ``run_cells``).
+    ``jobs > 1`` runs the cells in a process pool (see ``run_cells``).
     ``enforce_integrity`` fails the run (IntegrityError) if the MBM
     pipeline lost events — for Table 2 that means the trap counts
     themselves would be short; ``waive`` accepts named checks.
@@ -206,7 +193,7 @@ def run_table2(
             cells, cache_dir=cache.directory if cache is not None else None
         )
     payloads = run_cells(
-        cells, jobs=jobs, cache=cache, backend=backend,
+        cells, jobs=jobs, cache=cache,
         integrity="enforce" if enforce_integrity else "ignore", waive=waive,
     )
     return merge_table2(cells, payloads, scale)

@@ -137,15 +137,14 @@ def generate_report(
     jobs: int = 1,
     cache: Optional[CellCache] = None,
     warm_start: bool = False,
-    backend: str = "auto",
     enforce_integrity: bool = False,
     waive: tuple = (),
 ) -> str:
     """Run the full evaluation and return it as a markdown document.
 
-    ``jobs``, ``cache``, ``warm_start`` and ``backend`` are forwarded to
-    the three cell-based experiment runners (the attack matrix stays
-    in-process: its scenarios share mutable victim systems).  The report
+    ``jobs``, ``cache`` and ``warm_start`` are forwarded to the three
+    cell-based experiment runners (the attack matrix stays in-process:
+    its scenarios share mutable victim systems).  The report
     always ends with a run-health section; ``enforce_integrity``
     additionally *fails* generation with an IntegrityError when the
     monitoring pipeline lost events (``waive`` accepts named checks).
@@ -155,7 +154,6 @@ def generate_report(
             dram_bytes=192 * 1024 * 1024, secure_bytes=24 * 1024 * 1024
         )
     runner_kwargs = {"jobs": jobs, "cache": cache, "warm_start": warm_start,
-                     "backend": backend,
                      "enforce_integrity": enforce_integrity, "waive": waive}
     lines: List[str] = [
         "# Hypernel reproduction — evaluation report",

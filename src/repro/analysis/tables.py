@@ -94,28 +94,19 @@ def cell_build_args(cell: Cell) -> tuple:
     return cell.environment, kwargs
 
 
-def cell_system(cell: Cell):
-    """Boot the cell's system — or restore its warm-start snapshot."""
-    name, kwargs = cell_build_args(cell)
-    if cell.snapshot_path:
-        return build_system(name, from_snapshot=cell.snapshot_path)
-    if cell.platform_config is not None:
-        kwargs["platform_config"] = cell.platform_config
-    return build_system(name, **kwargs)
-
-
-def execute_cell_on(cell: Cell, system) -> Dict[str, Any]:
-    """Run the cell's LMbench sweep on a pristine, pre-built ``system``.
-
-    The fork-server backend boots (or restores) one system per
-    environment and forks a copy-on-write child per cell; the child
-    lands here with the inherited machine.  The serial and pool paths
-    reach the same code through :func:`execute_cell`, so every backend
-    runs the identical workload body.
-    """
+def execute_cell(cell: Cell) -> Dict[str, Any]:
+    """Worker body: build (or restore) one system, run its LMbench sweep."""
     from repro.obs import collect_metrics
     from repro.tools.macroops import MacroOpEngine, memoization_enabled
     from repro.tools.perf import count_accesses
+
+    name, kwargs = cell_build_args(cell)
+    if cell.platform_config is not None:
+        kwargs["platform_config"] = cell.platform_config
+    if cell.snapshot_path:
+        system = build_system(name, from_snapshot=cell.snapshot_path)
+    else:
+        system = build_system(name, **kwargs)
 
     spec = cell.spec
     suite = LmbenchSuite(
@@ -130,11 +121,6 @@ def execute_cell_on(cell: Cell, system) -> Dict[str, Any]:
         "sim_cycles": system.platform.clock.now,
         "metrics": collect_metrics(system).to_dict(),
     }
-
-
-def execute_cell(cell: Cell) -> Dict[str, Any]:
-    """Worker body: build one system, run its LMbench sweep."""
-    return execute_cell_on(cell, cell_system(cell))
 
 
 def merge_table1(
@@ -163,7 +149,6 @@ def run_table1(
     jobs: int = 1,
     cache: Optional[CellCache] = None,
     warm_start: bool = False,
-    backend: str = "auto",
     enforce_integrity: bool = False,
     waive: tuple = (),
 ) -> Table1Result:
@@ -172,7 +157,7 @@ def run_table1(
     With ``warm_start``, each cell restores a shared post-boot snapshot
     of its system instead of booting (bit-identical by the repro.state
     contract, so the table itself is byte-identical either way).
-    ``backend`` picks the cell execution backend (see ``run_cells``).
+    ``jobs > 1`` runs the cells in a process pool (see ``run_cells``).
     ``enforce_integrity`` fails the run (IntegrityError) if any cell's
     monitoring pipeline lost events; ``waive`` accepts named checks.
     """
@@ -183,7 +168,7 @@ def run_table1(
             cells, cache_dir=cache.directory if cache is not None else None
         )
     payloads = run_cells(
-        cells, jobs=jobs, cache=cache, backend=backend,
+        cells, jobs=jobs, cache=cache,
         integrity="enforce" if enforce_integrity else "ignore", waive=waive,
     )
     return merge_table1(cells, payloads, ops)

@@ -79,7 +79,8 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
     _add_macroops(parser)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for independent experiment "
-                        "cells (default 1 = serial)")
+                        "cells (default 1 = serial; more runs a process "
+                        "pool)")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every cell, bypassing the "
                         "content-addressed result cache")
@@ -87,13 +88,6 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
                         help="restore each cell's system from a shared "
                         "post-boot snapshot instead of booting it "
                         "(bit-identical results, boot cost paid once)")
-    parser.add_argument("--backend", default="auto",
-                        choices=["auto", "forkserver", "pool", "serial"],
-                        help="cell execution backend: forkserver (warm "
-                        "servers fork copy-on-write workers), pool "
-                        "(process pool), serial, or auto (forkserver when "
-                        "available and --jobs > 1; overridable via "
-                        "REPRO_BENCH_BACKEND)")
     parser.add_argument("--enforce-integrity", action="store_true",
                         help="fail the run if the monitoring pipeline "
                         "lost events in any cell (FIFO overrun, ring "
@@ -110,7 +104,7 @@ def _runner_kwargs(args):
 
     cache = None if args.no_cache else CellCache(default_cache_dir())
     return {"jobs": args.jobs, "cache": cache,
-            "warm_start": args.warm_start, "backend": args.backend,
+            "warm_start": args.warm_start,
             "enforce_integrity": args.enforce_integrity,
             "waive": tuple(args.waive)}
 

@@ -133,9 +133,9 @@ class RunMetrics:
 
     # ------------------------------------------------------------------
     # Serialization (must stay JSON-clean and deterministic: these dicts
-    # travel inside runner payloads into the content-addressed cache and
-    # through fork-server result frames, where byte-identity across
-    # backends is asserted by tests).
+    # travel inside runner payloads through worker processes into the
+    # content-addressed cache, where byte-identity across ``jobs``
+    # settings is asserted by tests).
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         return {

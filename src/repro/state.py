@@ -293,8 +293,8 @@ def restore_from_snapshot(snapshot: Snapshot):
     cycle and counter for counter, from the one that was captured.
 
     This is the in-memory entry point: long-lived processes (the
-    fork-server execution backend, repeated restores in tests) decode a
-    snapshot file once with :func:`load_snapshot` and then materialize
+    fuzzer, repeated restores in tests) decode a snapshot once with
+    :func:`load_snapshot` or build one in memory, and then materialize
     any number of live systems from it without touching disk again.
     The snapshot object itself is not consumed or mutated.
     """

@@ -16,8 +16,8 @@ module measures engine throughput on three representative workloads:
     system — bus, snooper, MBM pipeline and ring-buffer stress.
 ``table1_runner_serial`` / ``table1_runner_parallel``
     A full Table 1 regeneration through :mod:`repro.tools.runner` at
-    ``jobs=1`` vs ``jobs=4`` (cache disabled) — the experiment-level
-    fan-out path.  Both must report identical simulated work; their
+    ``jobs=1`` (in-process) vs ``jobs=4`` (process pool), cache
+    disabled — the experiment-level fan-out path.  Both must report identical simulated work; their
     wall-clock ratio is the parallel speedup ``scripts/check_simspeed.py``
     reports (and gates on hosts with >= 4 cores).
 ``table1_runner_warmstart``
@@ -29,13 +29,6 @@ module measures engine throughput on three representative workloads:
     equals boot-then-run — the bit-identical replay contract), and the
     wall-clock gap vs serial is the boot-time saving
     ``scripts/check_simspeed.py`` reports.
-``table1_runner_forkserver``
-    The same Table 1 regeneration dispatched to the fork-server backend
-    (:mod:`repro.tools.forkserver`) at ``jobs=4``: one persistent warm
-    server per system configuration forks a copy-on-write worker per
-    cell.  Simulated work must be identical to serial; the wall-clock
-    ratio vs ``table1_runner_parallel`` is the fork-server speedup the
-    gate checks on multi-core hosts.
 
 Two kinds of numbers come out:
 
@@ -171,18 +164,13 @@ def _build_monitored_write_storm(
     return system, op
 
 
-def _build_table1_runner(jobs: int, backend: str) -> Callable:
+def _build_table1_runner(jobs: int) -> Callable:
     """Aggregate workload: one full Table 1 regeneration via the runner.
 
     Unlike the single-system workloads above, the work spans several
     simulated machines (some in worker processes), so the builder
     returns ``(None, op)`` where ``op`` itself reports the simulated
     ``(accesses, sim_cycles)`` summed over every cell payload.
-
-    The backend is pinned per workload (serial/pool/forkserver) so each
-    entry keeps measuring the same dispatch path as backends evolve;
-    ``REPRO_BENCH_BACKEND`` still overrides inside ``run_cells`` —
-    that's what lets CI exercise the pool fallback fleet-wide.
     """
 
     def build(config: PlatformConfig) -> Tuple[None, Callable[[], Tuple[int, int]]]:
@@ -195,8 +183,7 @@ def _build_table1_runner(jobs: int, backend: str) -> Callable:
             cells = table1_cells(
                 platform_factory=lambda: copy.deepcopy(config)
             )
-            payloads = run_cells(cells, jobs=jobs, cache=None,
-                                 backend=backend)
+            payloads = run_cells(cells, jobs=jobs, cache=None)
             return (
                 sum(p["accesses"] for p in payloads),
                 sum(p["sim_cycles"] for p in payloads),
@@ -246,10 +233,9 @@ WORKLOADS: Dict[str, Tuple[Callable, int]] = {
     "fork_execv": (_build_fork_execv, 100),
     "mmap_storm": (_build_mmap_storm, 250),
     "monitored_write_storm": (_build_monitored_write_storm, 3000),
-    "table1_runner_serial": (_build_table1_runner(1, "serial"), 1),
-    "table1_runner_parallel": (_build_table1_runner(4, "pool"), 1),
+    "table1_runner_serial": (_build_table1_runner(1), 1),
+    "table1_runner_parallel": (_build_table1_runner(4), 1),
     "table1_runner_warmstart": (_build_table1_runner_warmstart, 1),
-    "table1_runner_forkserver": (_build_table1_runner(4, "forkserver"), 1),
 }
 
 #: The workload pair whose wall-clock ratio is the runner speedup.
@@ -258,12 +244,6 @@ RUNNER_PARALLEL_WORKLOAD = "table1_runner_parallel"
 #: Warm-start twin of the serial runner workload: must report the same
 #: simulated work; its wall-clock gap vs serial is the boot saving.
 RUNNER_WARMSTART_WORKLOAD = "table1_runner_warmstart"
-#: Fork-server twin of the parallel workload: same simulated work, but
-#: dispatched to persistent warm servers that fork copy-on-write
-#: workers.  Its wall-clock ratio vs the pool is the fork-server
-#: speedup ``scripts/check_simspeed.py`` reports (and gates on hosts
-#: with >= 4 cores when the backend is actually in effect).
-RUNNER_FORKSERVER_WORKLOAD = "table1_runner_forkserver"
 
 
 # ----------------------------------------------------------------------

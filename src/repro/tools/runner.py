@@ -16,15 +16,13 @@ machinery:
     picklable; they are shipped whole to worker processes.
 
 :func:`run_cells`
-    Fans cells out over one of three interchangeable backends — the
-    fork server (persistent warm workers, copy-on-write machine
-    images; see :mod:`repro.tools.forkserver`), a
-    ``ProcessPoolExecutor``, or in-process serial execution — with a
-    per-job timeout, one retry on worker failure, and graceful
-    degradation (``forkserver`` → ``pool`` → ``serial``) on platforms
-    that cannot support the faster path.  Results come back in cell
-    order, so merging is deterministic and the merged tables are
-    byte-identical across backends.
+    Runs the cells that miss the cache: over a
+    ``ProcessPoolExecutor`` when ``jobs > 1`` and more than one cell is
+    pending, in-process otherwise — with a per-job timeout, one retry
+    on worker failure, and a serial fallback on platforms that cannot
+    start a pool.  Results come back in cell order, so merging is
+    deterministic and the merged tables are byte-identical at any
+    ``jobs``.
 
 :class:`CellCache`
     A content-addressed on-disk cache (default ``benchmarks/.cache/``).
@@ -84,54 +82,6 @@ KIND_BUILDERS: Dict[str, str] = {
     "figure6": "repro.analysis.figures:cell_build_args",
     "table2": "repro.analysis.monitoring:cell_build_args",
 }
-
-#: cell kind -> "module:function" building the pristine machine for a
-#: cell's environment (``cell_system``).  A fork server constructs this
-#: prototype once and forks a copy-on-write child per cell.
-KIND_PROTOTYPES: Dict[str, str] = {
-    "table1": "repro.analysis.tables:cell_system",
-    "figure6": "repro.analysis.figures:cell_system",
-    "table2": "repro.analysis.monitoring:cell_system",
-}
-
-#: cell kind -> "module:function" running a cell's workload body on an
-#: already-built system (``execute_cell_on``).  The fork-server child
-#: entry point; the serial/pool paths reach the same body through
-#: :data:`KIND_EXECUTORS`.
-KIND_ON_SYSTEM: Dict[str, str] = {
-    "table1": "repro.analysis.tables:execute_cell_on",
-    "figure6": "repro.analysis.figures:execute_cell_on",
-    "table2": "repro.analysis.monitoring:execute_cell_on",
-}
-
-#: Valid values for ``run_cells(backend=...)`` and ``REPRO_BENCH_BACKEND``.
-BACKENDS = ("auto", "forkserver", "pool", "serial")
-
-
-def validate_backend(value: str, source: str = "backend") -> str:
-    """Normalize a backend name, raising a clear error on nonsense.
-
-    Case and surrounding whitespace are forgiven (``"Pool"`` from a CI
-    matrix means ``pool``); anything else raises :class:`ValueError`
-    naming both the offending ``source`` (the argument or the
-    ``REPRO_BENCH_BACKEND`` environment variable) and every valid
-    backend.  An unrecognized value must fail loudly here — silently
-    degrading to a different backend would misattribute every benchmark
-    number produced under the typo.
-    """
-    normalized = str(value).strip().lower()
-    if normalized not in BACKENDS:
-        raise ValueError(
-            f"{source}: unknown backend {value!r}; valid backends are "
-            f"{', '.join(BACKENDS)}"
-        )
-    return normalized
-
-
-def resolve_hook(target: str) -> Callable:
-    """Resolve a ``"module:function"`` registry entry to the callable."""
-    module_name, _, func_name = target.partition(":")
-    return getattr(import_module(module_name), func_name)
 
 
 class RunnerError(RuntimeError):
@@ -208,15 +158,16 @@ def execute_selftest_cell(cell: Cell) -> Dict[str, Any]:
         time.sleep(float(cell.spec.get("seconds", 1.0)))
         return {"value": "slept", "accesses": 0, "sim_cycles": 0}
     if mode == "kill_until_marker":
-        # Process-backend fault injection: SIGKILL the worker mid-cell
-        # on the first attempt (no exception, no cleanup — the worker
-        # just vanishes).  Only meaningful under forkserver/pool; in a
-        # serial run this would kill the caller.
+        # Pool fault injection: SIGKILL the worker mid-cell on the
+        # first attempt (no exception, no cleanup — the worker just
+        # vanishes).  Only meaningful in a pooled run; in a serial run
+        # this would kill the caller.  ``pid`` shows where the retry ran.
         marker = pathlib.Path(cell.spec["marker"])
         if not marker.exists():
             marker.write_text("first attempt killed\n")
             os.kill(os.getpid(), signal.SIGKILL)
-        return {"value": "ok after respawn", "accesses": 0, "sim_cycles": 0}
+        return {"value": "ok after kill", "pid": os.getpid(),
+                "accesses": 0, "sim_cycles": 0}
     raise RunnerError(f"unknown selftest mode {mode!r}", cell)
 
 
@@ -450,45 +401,16 @@ def _default_executor_factory(jobs: int):
     return ProcessPoolExecutor(max_workers=jobs)
 
 
-#: Minimum number of *uncached* cells before ``auto`` considers a
-#: parallel backend.  Below this, process spin-up dominates: the whole
-#: table1 grid is 3 cells and ran *slower* under the 4-job pool (1.53s)
-#: than serial (1.24s).  Explicit ``backend=``/``REPRO_BENCH_BACKEND``
-#: choices are unaffected — the threshold only shapes ``auto``.
-AUTO_MIN_CELLS = 8
-
-
-def _resolve_backend(backend: str, jobs: int, executor_factory,
-                     pending: Optional[int] = None) -> str:
-    """Pick the concrete backend: env override > argument > heuristic.
-
-    ``REPRO_BENCH_BACKEND`` wins over the argument (CI uses it to force
-    the pool fallback fleet-wide without threading a flag through every
-    entry point).  ``auto`` resolves to serial when fewer than
-    :data:`AUTO_MIN_CELLS` cells actually need computing (``pending``,
-    when the caller knows it), else to the fork server when the
-    platform can fork and ``jobs > 1``, else to the pool — which itself
-    degrades to serial below (unchanged legacy behavior).  A caller
-    supplying ``executor_factory`` is handed the pool path: the factory
-    *is* pool machinery, and tests use it to observe dispatch.
-    """
-    forced = os.environ.get("REPRO_BENCH_BACKEND")
-    if forced:
-        choice = validate_backend(forced, source="REPRO_BENCH_BACKEND")
-    else:
-        choice = validate_backend(backend)
-    if choice == "auto":
-        if pending is not None and pending < AUTO_MIN_CELLS:
-            return "serial"
-        from repro.tools import forkserver
-
-        choice = ("forkserver"
-                  if jobs > 1 and forkserver.fork_available() else "pool")
-    if choice == "forkserver" and executor_factory is not None:
-        # The factory *is* pool machinery; tests use it to observe
-        # dispatch, which the fork server cannot honour.
-        choice = "pool"
-    return choice
+def _retry(cell: Cell, first: BaseException) -> Dict[str, Any]:
+    """Second and last attempt, in-process, after ``first`` failed."""
+    try:
+        return execute_cell(cell)
+    except Exception as second:
+        raise RunnerError(
+            f"cell {cell.label()} failed after retry: {second!r} "
+            f"(first attempt: {first!r})",
+            cell,
+        ) from second
 
 
 def _run_serial(cell: Cell) -> Dict[str, Any]:
@@ -498,14 +420,7 @@ def _run_serial(cell: Cell) -> Dict[str, Any]:
     except RunnerError:
         raise
     except Exception as first:
-        try:
-            return execute_cell(cell)
-        except Exception as second:
-            raise RunnerError(
-                f"cell {cell.label()} failed after retry: {second!r} "
-                f"(first attempt: {first!r})",
-                cell,
-            ) from second
+        return _retry(cell, first)
 
 
 def run_cells(
@@ -514,34 +429,26 @@ def run_cells(
     cache: Optional[CellCache] = None,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     executor_factory: Optional[Callable[[int], Any]] = None,
-    backend: str = "auto",
     integrity: str = "ignore",
     waive: Tuple[str, ...] = (),
 ) -> List[Dict[str, Any]]:
     """Execute every cell and return payloads in cell order.
 
-    * ``backend`` selects how uncached cells run: ``forkserver``
-      (persistent warm server per environment, one copy-on-write child
-      per cell — see :mod:`repro.tools.forkserver`), ``pool``
-      (``executor_factory(jobs)``, default ``ProcessPoolExecutor``),
-      ``serial`` (in-process), or ``auto`` (serial when fewer than
-      :data:`AUTO_MIN_CELLS` uncached cells remain — tiny grids lose
-      more to process spin-up than they gain from fan-out — else fork
-      server when the platform can fork and ``jobs > 1``, else pool).
-      The ``REPRO_BENCH_BACKEND`` environment variable overrides the
-      argument.  Each step degrades gracefully: no ``fork`` → pool, no
-      pool (or ``jobs=1``, or a single pending cell) → serial.
-      The per-cell workload body is identical on every backend, so
-      merged results are byte-identical.
+    * ``jobs`` alone picks how uncached cells run.  With ``jobs > 1``
+      and more than one uncached cell, they go to a pool of
+      ``min(jobs, pending)`` workers built by ``executor_factory``
+      (default ``ProcessPoolExecutor``); otherwise — or if the pool
+      cannot be created (sandboxed host, no ``fork``) — they run
+      in-process.  The per-cell workload body is the same either way,
+      so merged results are byte-identical.
     * A cell whose worker raises (or whose pool breaks) is retried once
-      — in-process for the pool, from the pristine parent image for the
-      fork server; a second failure raises :class:`RunnerError` naming
+      in-process; a second failure raises :class:`RunnerError` naming
       the cell.  A job exceeding ``timeout`` seconds raises
       :class:`RunnerError` immediately — a hung worker cannot be
       retried without leaking it.
     * With a ``cache``, cacheable cells are looked up first and
       computed payloads are stored back; a fully warm cache dispatches
-      zero jobs (no backend process is ever started).
+      zero jobs (no worker process is ever started).
     * ``integrity="enforce"`` checks the ``"metrics"`` block every cell
       executor embeds in its payload (repro.obs) and raises
       :class:`~repro.errors.IntegrityError` if the monitoring pipeline
@@ -557,17 +464,6 @@ def run_cells(
             f"integrity must be 'ignore' or 'enforce', got {integrity!r}"
         )
 
-    def _finish(
-        payloads: List[Optional[Dict[str, Any]]]
-    ) -> List[Dict[str, Any]]:
-        if integrity == "enforce":
-            from repro.obs.metrics import verify_payload_integrity
-
-            verify_payload_integrity(
-                [cell.label() for cell in cells], payloads, waive=waive
-            )
-        return payloads  # type: ignore[return-value]
-
     results: List[Optional[Dict[str, Any]]] = [None] * len(cells)
     pending: List[int] = []
     for index, cell in enumerate(cells):
@@ -577,30 +473,9 @@ def run_cells(
         else:
             pending.append(index)
 
-    # Resolve after the cache pass so ``auto`` sees the true amount of
-    # work left (a warm cache or a tiny grid should never pay process
-    # spin-up).  Resolving on the empty list still validates the name.
-    resolved = _resolve_backend(backend, jobs, executor_factory,
-                                pending=len(pending))
-
     if pending:
-        if resolved == "forkserver":
-            from repro.tools import forkserver
-
-            try:
-                payloads = forkserver.run_pending(cells, pending, jobs, timeout)
-            except forkserver.ForkServerUnavailable:
-                resolved = "pool"  # platform cannot fork: degrade
-            else:
-                for index in pending:
-                    results[index] = payloads[index]
-                if cache is not None:
-                    for index in pending:
-                        cache.store(cells[index], results[index])
-                return _finish(results)
-
         pool = None
-        if resolved == "pool" and jobs > 1 and len(pending) > 1:
+        if jobs > 1 and len(pending) > 1:
             factory = executor_factory or _default_executor_factory
             try:
                 pool = factory(min(jobs, len(pending)))
@@ -628,14 +503,7 @@ def run_cells(
                         # One retry, in-process: also covers a crashed
                         # worker (BrokenProcessPool) without re-raising
                         # into a possibly-broken pool.
-                        try:
-                            results[index] = execute_cell(cell)
-                        except Exception as second:
-                            raise RunnerError(
-                                f"cell {cell.label()} failed after retry: "
-                                f"{second!r} (first attempt: {first!r})",
-                                cell,
-                            ) from second
+                        results[index] = _retry(cell, first)
             except BaseException:
                 # Don't wait on stuck/remaining workers; just detach.
                 pool.shutdown(wait=False, cancel_futures=True)
@@ -645,4 +513,10 @@ def run_cells(
             for index in pending:
                 cache.store(cells[index], results[index])
 
-    return _finish(results)
+    if integrity == "enforce":
+        from repro.obs.metrics import verify_payload_integrity
+
+        verify_payload_integrity(
+            [cell.label() for cell in cells], results, waive=waive
+        )
+    return results  # type: ignore[return-value]

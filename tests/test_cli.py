@@ -61,23 +61,26 @@ class TestCli:
         assert "--jobs" in out
         assert "--no-cache" in out
 
-    def test_table1_advertises_backend_flag(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table1", "--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert "--backend" in out
-        assert "forkserver" in out
+    def test_table2_jobs2_runs_on_the_pool(self, capsys, monkeypatch):
+        from repro.tools import runner
 
-    def test_table2_explicit_serial_backend(self, capsys):
-        assert main(["table2", *SCALED, "--no-cache",
-                     "--backend", "serial"]) == 0
+        pools = []
+        real_factory = runner._default_executor_factory
+        monkeypatch.setattr(runner, "_default_executor_factory",
+                            lambda jobs: pools.append(jobs)
+                            or real_factory(jobs))
+        assert main(["table2", *SCALED, "--no-cache", "--jobs", "2"]) == 0
         assert "overall word/page ratio" in capsys.readouterr().out
+        assert pools == [2]
 
-    def test_backend_rejects_unknown_choice(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["table2", *SCALED, "--backend", "warpdrive"])
-        assert "--backend" in capsys.readouterr().err
+    def test_removed_backend_flag_is_a_usage_error(self, capsys):
+        # --jobs alone picks serial or pool; a script still passing the
+        # removed --backend must fail loudly, not be silently accepted.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--backend", "pool"])
+        assert excinfo.value.code == 2
+        assert ("unrecognized arguments: --backend pool"
+                in capsys.readouterr().err)
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

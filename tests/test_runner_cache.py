@@ -109,17 +109,13 @@ class TestCacheBehaviour:
         cache = CellCache(tmp_path)
         cells = [echo_cell(value=i, config=small_config()) for i in range(3)]
 
-        # Explicit pool: ``auto`` would keep a 3-cell grid serial and
-        # this test counts pool submissions.
         first = _CountingExecutor()
-        cold = run_cells(cells, jobs=2, cache=cache, executor_factory=first,
-                         backend="pool")
+        cold = run_cells(cells, jobs=2, cache=cache, executor_factory=first)
         assert first.submissions == 3
         assert cache.stores == 3
 
         second = _CountingExecutor()
-        warm = run_cells(cells, jobs=2, cache=cache, executor_factory=second,
-                         backend="pool")
+        warm = run_cells(cells, jobs=2, cache=cache, executor_factory=second)
         assert second.submissions == 0, "warm cache must dispatch nothing"
         assert cache.hits == 3
         assert warm == cold

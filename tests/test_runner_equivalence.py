@@ -36,10 +36,8 @@ def _table1(**kwargs):
 
 class TestParallelEquivalence:
     def test_table1_jobs4_matches_jobs1_byte_identically(self):
-        # Backends pinned explicitly: ``auto`` keeps tiny grids serial
-        # now, and this test exists to compare the dispatch paths.
-        serial = _table1(jobs=1, backend="serial")
-        parallel = _table1(jobs=4, backend="pool")
+        serial = _table1(jobs=1)
+        parallel = _table1(jobs=4)
         assert parallel.rows == serial.rows
         assert parallel.format() == serial.format()
         assert parallel.format(include_paper=False) == serial.format(
@@ -49,11 +47,9 @@ class TestParallelEquivalence:
     def test_figure6_parallel_matches_serial(self):
         serial = run_figure6(
             scale=0.02, platform_factory=small_platform_config, jobs=1,
-            backend="serial",
         )
         parallel = run_figure6(
             scale=0.02, platform_factory=small_platform_config, jobs=3,
-            backend="pool",
         )
         assert parallel.raw_us == serial.raw_us
         assert parallel.normalized == serial.normalized
@@ -62,71 +58,56 @@ class TestParallelEquivalence:
     def test_table2_parallel_matches_serial(self):
         serial = run_table2(
             scale=0.02, platform_factory=small_platform_config, jobs=1,
-            backend="serial",
         )
         parallel = run_table2(
             scale=0.02, platform_factory=small_platform_config, jobs=2,
-            backend="pool",
         )
         assert parallel.counts == serial.counts
         assert parallel.format() == serial.format()
 
 
-class TestAutoBackendThreshold:
-    """``auto`` keeps tiny grids serial (ISSUE 7: 3-cell table1 ran
-    slower under the 4-job pool than serial, so parallel dispatch must
-    not engage below ``AUTO_MIN_CELLS`` uncached cells)."""
+class TestJobsPicksDispatch:
+    """``jobs`` alone decides: a pool of ``min(jobs, pending)`` workers
+    when ``jobs > 1`` and more than one cell is uncached, else serial."""
 
-    def test_resolve_auto_small_pending_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_BACKEND", raising=False)
-        from repro.tools.runner import AUTO_MIN_CELLS, _resolve_backend
-
-        assert _resolve_backend(
-            "auto", 4, None, pending=AUTO_MIN_CELLS - 1) == "serial"
-        assert _resolve_backend(
-            "auto", 4, None, pending=AUTO_MIN_CELLS) != "serial"
-        # Explicit choices are not subject to the threshold.
-        assert _resolve_backend("pool", 4, None, pending=1) == "pool"
-
-    def test_auto_small_grid_never_builds_a_pool(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_BACKEND", raising=False)
+    def _cells(self):
         from repro.analysis.tables import table1_cells
-        from repro.tools.runner import run_cells
 
-        def exploding_factory(jobs):  # pragma: no cover - must not run
-            raise AssertionError(
-                "auto must stay serial below the min-cells threshold"
-            )
-
-        cells = table1_cells(
+        return table1_cells(
             platform_factory=small_platform_config,
             warmup=2,
             iterations=4,
             ops=REDUCED_OPS,
         )
-        payloads = run_cells(
-            cells, jobs=4, backend="auto",
-            executor_factory=exploding_factory,
-        )
+
+    def test_paper_grid_at_jobs4_builds_one_pool_of_three(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.tools.runner import run_cells
+
+        pools = []
+
+        def spy_factory(jobs):
+            pools.append(jobs)
+            return ProcessPoolExecutor(max_workers=jobs)
+
+        cells = self._cells()
+        payloads = run_cells(cells, jobs=4, executor_factory=spy_factory)
+        assert pools == [3]
         assert len(payloads) == len(cells)
         assert all(p is not None for p in payloads)
 
-    def test_auto_large_pending_engages_parallel_machinery(
-        self, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_BENCH_BACKEND", raising=False)
-        from repro.tools.runner import AUTO_MIN_CELLS, _resolve_backend
+    def test_jobs1_never_builds_a_pool(self):
+        from repro.tools.runner import run_cells
 
-        calls = []
+        def exploding_factory(jobs):  # pragma: no cover - must not run
+            raise AssertionError("jobs=1 must stay serial")
 
-        def spy_factory(jobs):
-            calls.append(jobs)
-            raise ImportError("spy: decline the pool, fall back serial")
-
-        # Resolution alone: with enough pending cells and a factory
-        # (which forces the pool path), auto picks the pool.
-        assert _resolve_backend(
-            "auto", 4, spy_factory, pending=AUTO_MIN_CELLS) == "pool"
+        cells = self._cells()
+        payloads = run_cells(cells, jobs=1,
+                             executor_factory=exploding_factory)
+        assert len(payloads) == len(cells)
+        assert all(p is not None for p in payloads)
 
 
 class TestCacheEquivalence:

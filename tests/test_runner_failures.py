@@ -3,16 +3,14 @@
 Fault injection uses the runner's test-only ``selftest`` cell kind,
 whose ``fail_until_marker`` mode fails on the first attempt (dropping a
 marker file) and succeeds on the retry — observable across processes.
-Backend names are checked up front: a typo or a retired backend fails
-before any cell runs, naming every valid backend.
+Its ``kill_until_marker`` mode SIGKILLs a pool worker mid-cell instead.
 """
 
-import sys
+import os
 
 import pytest
 
-from repro import cli
-from repro.tools.runner import Cell, RunnerError, run_cells, validate_backend
+from repro.tools.runner import Cell, RunnerError, run_cells
 
 
 def fail_once_cell(tmp_path, name="flaky"):
@@ -23,6 +21,33 @@ def fail_once_cell(tmp_path, name="flaky"):
         spec={"mode": "fail_until_marker", "marker": str(tmp_path / f"{name}.marker")},
         cacheable=False,
     )
+
+
+def echo_cell(name, value):
+    return Cell(
+        kind="selftest",
+        environment=name,
+        workload="echo",
+        spec={"mode": "echo", "value": value},
+        cacheable=False,
+    )
+
+
+def live_children():
+    """PIDs of this process's direct children (Linux /proc), or None.
+
+    Unrelated long-lived children (multiprocessing's resource tracker,
+    pytest plumbing) show up too — callers compare before/after sets
+    rather than expecting emptiness.
+    """
+    children = set()
+    try:
+        for tid in os.listdir("/proc/self/task"):
+            with open(f"/proc/self/task/{tid}/children") as handle:
+                children.update(int(pid) for pid in handle.read().split())
+    except OSError:
+        return None
+    return children
 
 
 def always_fail_cell(name="doomed"):
@@ -76,69 +101,39 @@ class TestPoolFailures:
                  spec={"mode": "sleep", "seconds": 2.0}, cacheable=False)
             for i in range(2)
         ]
-        # Explicit pool: ``auto`` would stay serial for a 2-cell grid.
         with pytest.raises(RunnerError, match=r"selftest:sleepy0:nap.*timed out"):
-            run_cells(cells, jobs=2, timeout=0.2, backend="pool")
+            run_cells(cells, jobs=2, timeout=0.2)
+
+    def test_worker_killed_mid_cell_is_retried_in_process(self, tmp_path):
+        # One victim only: its marker exists before the pool breaks, so
+        # the in-process retry cannot kill the test process.  The echo
+        # cell may also see BrokenProcessPool and is retried too.
+        marker = tmp_path / "victim.marker"
+        cells = [
+            Cell(kind="selftest", environment="victim", workload="kill",
+                 spec={"mode": "kill_until_marker", "marker": str(marker)},
+                 cacheable=False),
+            echo_cell("bystander", 7),
+        ]
+        victim, bystander = run_cells(cells, jobs=2)
+        assert marker.exists()
+        assert victim["value"] == "ok after kill"
+        assert victim["pid"] == os.getpid()
+        assert bystander["value"] == 7
+
+    def test_payloads_come_back_in_cell_order(self):
+        cells = [echo_cell(f"c{i}", i * 11) for i in range(7)]
+        payloads = run_cells(cells, jobs=3)
+        assert [p["value"] for p in payloads] == [i * 11 for i in range(7)]
+
+    def test_no_leaked_children_after_run(self):
+        before = live_children()
+        if before is None:
+            pytest.skip("needs /proc children accounting")
+        run_cells([echo_cell(f"c{i}", i) for i in range(4)], jobs=2)
+        # Every pool worker was stopped and reaped.
+        assert live_children() <= before
 
     def test_nonpositive_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             run_cells([], jobs=0)
-
-
-class TestBackendValidation:
-    def test_validate_normalizes_case_and_whitespace(self):
-        assert validate_backend(" Pool\n") == "pool"
-        assert validate_backend("FORKSERVER") == "forkserver"
-
-    def test_unknown_value_names_source_and_valid_backends(self):
-        with pytest.raises(ValueError) as excinfo:
-            validate_backend("warpdrive", source="REPRO_BENCH_BACKEND")
-        message = str(excinfo.value)
-        assert "REPRO_BENCH_BACKEND" in message
-        assert "warpdrive" in message
-        for name in ("auto", "forkserver", "pool", "serial"):
-            assert name in message
-
-    def test_run_cells_rejects_bad_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "warpdrive")
-        with pytest.raises(ValueError,
-                           match="REPRO_BENCH_BACKEND.*warpdrive"):
-            run_cells([Cell(kind="selftest", environment="a",
-                            workload="echo", spec={"mode": "echo"})],
-                      backend="auto")
-
-    def test_simspeed_script_rejects_bad_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "warpdrive")
-        sys.path.insert(0, "scripts")
-        try:
-            import check_simspeed
-        finally:
-            sys.path.pop(0)
-        with pytest.raises(ValueError, match="REPRO_BENCH_BACKEND"):
-            check_simspeed.main(["--iters-scale", "0.01"])
-
-    @pytest.mark.parametrize("source", ["backend", "REPRO_BENCH_BACKEND"])
-    def test_retired_fabric_backend_fails_fast(self, source, monkeypatch):
-        # A shell still exporting the retired value must get an error,
-        # not a silent fallback to another backend.
-        monkeypatch.delenv("REPRO_BENCH_BACKEND", raising=False)
-        with pytest.raises(ValueError) as excinfo:
-            if source == "backend":
-                validate_backend("fabric")
-            else:
-                monkeypatch.setenv("REPRO_BENCH_BACKEND", "fabric")
-                run_cells([], backend="serial")
-        message = str(excinfo.value)
-        assert source in message and "'fabric'" in message
-        assert message.endswith(
-            "valid backends are auto, forkserver, pool, serial")
-
-    def test_cli_rejects_retired_fabric_backend(self, monkeypatch, capsys):
-        ran = []
-        _, installers = cli._COMMANDS["table1"]
-        monkeypatch.setitem(cli._COMMANDS, "table1",
-                            (lambda args: ran.append(args) or 0, installers))
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["table1", "--backend", "fabric"])
-        assert excinfo.value.code == 2 and ran == []
-        assert "invalid choice: 'fabric'" in capsys.readouterr().err

@@ -257,10 +257,10 @@ class TestBitIdenticalReplay:
 class TestInMemoryRestore:
     """``restore_from_snapshot``: decode once, materialize many.
 
-    The fork-server backend leans on this — a server process decodes
-    the boot image a single time and forks any number of children, so
-    restores from one :class:`Snapshot` must be mutually independent
-    and bit-identical to a from-disk restore.
+    The fuzzer leans on this — it builds one boot image per profile
+    and restores a fresh system from it for every example, so restores
+    from one :class:`Snapshot` must be mutually independent and
+    bit-identical to a from-disk restore.
     """
 
     def test_one_decode_materializes_independent_systems(self, tmp_path):
