@@ -73,12 +73,24 @@ class TestCli:
         assert "overall word/page ratio" in capsys.readouterr().out
         assert pools == [2]
 
-    def test_removed_backend_flag_is_a_usage_error(self, capsys):
+    def test_backend_rejects_unknown_choice(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["table2", *SCALED, "--backend", "warpdrive"])
+        assert "--backend" in capsys.readouterr().err
+
+    def test_removed_backend_flag_is_a_usage_error(self, monkeypatch, capsys):
         # --jobs alone picks serial or pool; a script still passing the
-        # removed --backend must fail loudly, not be silently accepted.
+        # removed --backend must fail loudly, not be silently accepted,
+        # and the command itself must never run.
+        from repro import cli
+
+        ran = []
+        _, installers = cli._COMMANDS["table1"]
+        monkeypatch.setitem(cli._COMMANDS, "table1",
+                            (lambda args: ran.append(args) or 0, installers))
         with pytest.raises(SystemExit) as excinfo:
             main(["table1", "--backend", "pool"])
-        assert excinfo.value.code == 2
+        assert excinfo.value.code == 2 and ran == []
         assert ("unrecognized arguments: --backend pool"
                 in capsys.readouterr().err)
 

@@ -65,6 +65,39 @@ class TestParallelEquivalence:
         assert parallel.counts == serial.counts
         assert parallel.format() == serial.format()
 
+    # Fewer workers than cells: one worker process runs two systems in
+    # turn, so no state may leak from one cell into the next.
+    def test_table1_jobs2_reused_worker_matches_serial(self):
+        serial = _table1(jobs=1)
+        parallel = _table1(jobs=2)
+        assert parallel.rows == serial.rows
+        assert parallel.format() == serial.format()
+
+    def test_figure6_jobs2_reused_worker_matches_serial(self):
+        serial = run_figure6(
+            scale=0.02, platform_factory=small_platform_config, jobs=1,
+        )
+        parallel = run_figure6(
+            scale=0.02, platform_factory=small_platform_config, jobs=2,
+        )
+        assert parallel.raw_us == serial.raw_us
+        assert parallel.format() == serial.format()
+
+    def test_table2_pooled_cache_entries_match_serial(self, tmp_path):
+        # Payloads computed on the pool and stored in the cache read
+        # back into the same table as an uncached serial run.
+        cache = CellCache(tmp_path)
+        run_table2(scale=0.02, platform_factory=small_platform_config,
+                   jobs=2, cache=cache)
+        assert cache.stores == 2
+        warm = run_table2(scale=0.02, platform_factory=small_platform_config,
+                          jobs=1, cache=cache)
+        assert cache.hits == 2
+        serial = run_table2(scale=0.02, platform_factory=small_platform_config,
+                            jobs=1)
+        assert warm.counts == serial.counts
+        assert warm.format() == serial.format()
+
 
 class TestJobsPicksDispatch:
     """``jobs`` alone decides: a pool of ``min(jobs, pending)`` workers
@@ -96,6 +129,26 @@ class TestJobsPicksDispatch:
         assert pools == [3]
         assert len(payloads) == len(cells)
         assert all(p is not None for p in payloads)
+
+    def test_factory_pool_is_capped_at_jobs(self):
+        # More uncached cells than jobs: the caller's factory is asked
+        # for ``jobs`` workers, and every cell still comes back in order.
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.tools.runner import Cell, run_cells
+
+        pools = []
+
+        def spy_factory(jobs):
+            pools.append(jobs)
+            return ProcessPoolExecutor(max_workers=jobs)
+
+        cells = [Cell(kind="selftest", environment=f"c{i}", workload="echo",
+                      spec={"mode": "echo", "value": i}, cacheable=False)
+                 for i in range(5)]
+        payloads = run_cells(cells, jobs=2, executor_factory=spy_factory)
+        assert pools == [2]
+        assert [p["value"] for p in payloads] == list(range(5))
 
     def test_jobs1_never_builds_a_pool(self):
         from repro.tools.runner import run_cells

@@ -104,6 +104,36 @@ class TestPoolFailures:
         with pytest.raises(RunnerError, match=r"selftest:sleepy0:nap.*timed out"):
             run_cells(cells, jobs=2, timeout=0.2)
 
+    def test_transient_failures_beside_healthy_cells_keep_cell_order(
+        self, tmp_path
+    ):
+        # Retried cells land back in their own slots; the echo cells
+        # that shared the pool are untouched.
+        cells = [fail_once_cell(tmp_path, "a"), echo_cell("x", 1),
+                 fail_once_cell(tmp_path, "b"), echo_cell("y", 2)]
+        payloads = run_cells(cells, jobs=3)
+        assert [p["value"] for p in payloads] == [
+            "ok after retry", 1, "ok after retry", 2]
+
+    def test_persistent_failure_names_the_lowest_indexed_cell(self):
+        # Cell order, not name order or completion order, picks the
+        # cell the error names.
+        cells = [echo_cell("bystander", 0), always_fail_cell("zeta"),
+                 always_fail_cell("alpha")]
+        with pytest.raises(RunnerError, match=r"selftest:zeta:fault-injection"):
+            run_cells(cells, jobs=3)
+
+    def test_timeout_after_a_finished_cell_names_the_slow_cell(self):
+        cells = [
+            echo_cell("quick", 1),
+            Cell(kind="selftest", environment="sleepy", workload="nap",
+                 spec={"mode": "sleep", "seconds": 2.0}, cacheable=False),
+        ]
+        with pytest.raises(RunnerError,
+                           match=r"selftest:sleepy:nap.*timed out") as excinfo:
+            run_cells(cells, jobs=2, timeout=0.5)
+        assert excinfo.value.cell is cells[1]
+
     def test_worker_killed_mid_cell_is_retried_in_process(self, tmp_path):
         # One victim only: its marker exists before the pool breaks, so
         # the in-process retry cannot kill the test process.  The echo
