@@ -107,7 +107,6 @@ def cell_build_args(cell: Cell) -> tuple:
 def execute_cell(cell: Cell) -> Dict[str, Any]:
     """Worker body: build (or restore) one system, run every application."""
     from repro.obs import collect_metrics
-    from repro.tools.perf import count_accesses
 
     name, kwargs = cell_build_args(cell)
     if cell.platform_config is not None:
@@ -128,7 +127,7 @@ def execute_cell(cell: Cell) -> Dict[str, Any]:
         raw_us[app.name] = run.microseconds
     return {
         "raw_us": raw_us,
-        "accesses": count_accesses(system),
+        "accesses": system.count_accesses(),
         "sim_cycles": system.platform.clock.now,
         "metrics": collect_metrics(system).to_dict(),
     }

@@ -123,7 +123,6 @@ def cell_build_args(cell: Cell) -> tuple:
 def execute_cell(cell: Cell) -> Dict[str, Any]:
     """Worker body: one monitored Hypernel system, all applications."""
     from repro.obs import collect_metrics
-    from repro.tools.perf import count_accesses
 
     name, kwargs = cell_build_args(cell)
     if cell.platform_config is not None:
@@ -145,7 +144,7 @@ def execute_cell(cell: Cell) -> Dict[str, Any]:
         counts[app.name] = system.mbm.events_detected - before
     return {
         "counts": counts,
-        "accesses": count_accesses(system),
+        "accesses": system.count_accesses(),
         "sim_cycles": system.platform.clock.now,
         "metrics": collect_metrics(system).to_dict(),
     }

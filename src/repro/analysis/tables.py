@@ -98,7 +98,6 @@ def execute_cell(cell: Cell) -> Dict[str, Any]:
     """Worker body: build (or restore) one system, run its LMbench sweep."""
     from repro.obs import collect_metrics
     from repro.tools.macroops import MacroOpEngine, memoization_enabled
-    from repro.tools.perf import count_accesses
 
     name, kwargs = cell_build_args(cell)
     if cell.platform_config is not None:
@@ -117,7 +116,7 @@ def execute_cell(cell: Cell) -> Dict[str, Any]:
     rows = {op: suite.run_op(op).microseconds for op in spec["ops"]}
     return {
         "rows": rows,
-        "accesses": count_accesses(system),
+        "accesses": system.count_accesses(),
         "sim_cycles": system.platform.clock.now,
         "metrics": collect_metrics(system).to_dict(),
     }

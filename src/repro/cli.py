@@ -29,8 +29,6 @@ Commands:
 * ``snapshot`` — save/restore/inspect/diff machine checkpoints
   (``repro.state``): ``snapshot save``, ``snapshot restore``,
   ``snapshot info``, ``snapshot diff``.
-* ``bench-simspeed`` — measure simulation wall-clock throughput
-  (simulated accesses per second) and write ``BENCH_simspeed.json``.
 * ``cache`` — inspect (``cache info``) or garbage-collect
   (``cache prune``) the content-addressed result cache and its
   warm-start boot snapshots.
@@ -605,49 +603,6 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
                        "in this many bytes")
 
 
-def cmd_bench_simspeed(args) -> int:
-    from repro.tools import perf
-
-    results = perf.run_simspeed(iters_scale=args.iters_scale,
-                                repeats=args.repeats)
-    print(perf.format_report(results))
-    if args.output:
-        perf.write_report(results, args.output, iters_scale=args.iters_scale)
-        print(f"[saved to {args.output}]")
-    if args.baseline:
-        try:
-            baseline = perf.load_report(args.baseline)
-        except FileNotFoundError:
-            print(f"error: baseline not found: {args.baseline}")
-            return 1
-        failures = perf.compare_to_baseline(
-            perf.report_as_dict(results, iters_scale=args.iters_scale),
-            baseline,
-            tolerance=args.tolerance,
-        )
-        for failure in failures:
-            print(f"REGRESSION: {failure}")
-        if failures:
-            return 1
-        print(f"ok: within {args.tolerance:.0%} of {args.baseline}")
-    return 0
-
-
-def _add_simspeed_args(parser: argparse.ArgumentParser) -> None:
-    _add_macroops(parser)
-    parser.add_argument("--iters-scale", type=float, default=1.0,
-                        help="scale factor on per-workload iteration counts")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="runs per workload; the best is reported "
-                        "(wall clock is noisy, simulation is not)")
-    parser.add_argument("--output", default="BENCH_simspeed.json",
-                        help="JSON report path ('' to skip writing)")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline JSON to gate against (exit 1 on regression)")
-    parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed wall-clock slowdown vs baseline (default 0.20)")
-
-
 #: command name -> (handler, extra-argument installers).
 _COMMANDS = {
     "info": (cmd_info, [_add_platform]),
@@ -660,7 +615,6 @@ _COMMANDS = {
     "metrics": (cmd_metrics, [_add_platform, _add_scale, _add_metrics_args]),
     "report": (cmd_report, [_add_platform, _add_scale, _add_runner]),
     "snapshot": (cmd_snapshot, [_add_snapshot_args]),
-    "bench-simspeed": (cmd_bench_simspeed, [_add_simspeed_args]),
     "cache": (cmd_cache, [_add_cache_args]),
 }
 

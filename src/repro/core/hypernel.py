@@ -111,6 +111,31 @@ class System:
             summary["mbm_events"] = self.mbm.events_detected
         return summary
 
+    def count_accesses(self) -> int:
+        """Simulated memory accesses performed so far on this system.
+
+        Counts CPU word/block accesses plus the DRAM-level traffic the cache
+        hierarchy generated; the exact composition matters less than its
+        determinism — the same workload must always produce the same count.
+
+        Observability reads (:func:`repro.obs.collect_metrics`) never show
+        up here: StatSet reads, gauge derivation and ``bus.peek`` generate
+        no bus transactions, so a payload's access count is byte-identical
+        whether or not metrics were collected alongside it.
+        """
+        cpu = self.cpu.stats
+        bus = self.platform.bus.stats
+        return (
+            cpu.get("reads")
+            + cpu.get("writes")
+            + cpu.get("block_read_words")
+            + cpu.get("block_write_words")
+            + bus.get("reads")
+            + bus.get("writes")
+            + bus.get("line_fills")
+            + bus.get("writebacks")
+        )
+
 
 def build_native(
     platform_config: Optional[PlatformConfig] = None,

@@ -8,14 +8,15 @@ pipeline and all :class:`~repro.utils.stats.StatSet` counters (flushed
 before capture).  The contract is **bit-identical replay**: restoring a
 snapshot and running a workload must produce exactly the same cycles,
 statistics and ring-buffer contents as booting cold and running the same
-workload (guarded by ``tests/test_state.py`` and
-``scripts/check_simspeed.py``).
+workload (guarded by ``tests/test_state.py``, including
+``test_table1_warm_start_is_byte_identical``).
 
 On-disk format (version :data:`SNAPSHOT_SCHEMA`)::
 
     MAGIC | manifest_len (8 bytes BE) | manifest JSON | blob … blob
 
-The manifest records the schema and package versions, the full cost
+The manifest records the schema, the package's source digest
+(:func:`repro.tools.runner.source_digest`), the full cost
 fingerprint (the :class:`~repro.config.PlatformConfig` +
 :class:`~repro.config.CostModel` + :class:`~repro.kernel.kernel.OpCosts`
 recipe shared with the runner's cell cache), the system build recipe,
@@ -40,13 +41,12 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import __version__
 from repro.config import CostModel, PlatformConfig
 from repro.errors import SnapshotError
 from repro.kernel.kernel import KernelConfig, OpCosts
 
 MAGIC = b"REPROSNAP\x00"
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2
 
 #: capture/restore order; restore applies "memory" first so component
 #: loads see the snapshotted image, not skeleton-construction leftovers.
@@ -153,7 +153,7 @@ def capture_snapshot(system) -> Snapshot:
             f"system {system.name!r} carries no build recipe; build it "
             "through repro.core.hypernel to make it snapshottable"
         )
-    from repro.tools.runner import cost_fingerprint
+    from repro.tools.runner import cost_fingerprint, source_digest
 
     sections = _system_sections(system)
     entries = []
@@ -164,15 +164,16 @@ def capture_snapshot(system) -> Snapshot:
         entries.append({"name": name, "raw_len": len(raw),
                         "sha256": _sha256(raw)})
     fingerprint = cost_fingerprint(system.platform.config)
+    source = source_digest()
     manifest = {
         "schema": SNAPSHOT_SCHEMA,
-        "version": __version__,
+        "source": source,
         "fingerprint": fingerprint,
         "recipe": system.recipe,
         "sections": entries,
         "content_hash": _sha256(_json_bytes({
             "schema": SNAPSHOT_SCHEMA,
-            "version": __version__,
+            "source": source,
             "fingerprint": fingerprint,
             "recipe": system.recipe,
             "sections": entries,
@@ -361,11 +362,11 @@ def boot_image_key(
     platform_config: Optional[PlatformConfig],
 ) -> str:
     """Content key for a shared post-boot image of one environment."""
-    from repro.tools.runner import cost_fingerprint
+    from repro.tools.runner import cost_fingerprint, source_digest
 
     document = {
         "schema": SNAPSHOT_SCHEMA,
-        "version": __version__,
+        "source": source_digest(),
         "environment": environment,
         "build_kwargs": {
             key: value for key, value in sorted(build_kwargs.items())
@@ -423,8 +424,8 @@ def snapshot_info(path: os.PathLike | str) -> str:
     platform = manifest["fingerprint"]["platform"]
     lines = [
         f"snapshot {pathlib.Path(path).name}",
-        f"  schema {manifest['schema']}, package version "
-        f"{manifest['version']}",
+        f"  schema {manifest['schema']}, source digest "
+        f"{manifest['source'][:12]}",
         f"  system: {manifest['recipe']['system']} "
         f"(linear map: {manifest['recipe']['kernel_config']['linear_map_mode']})",
         f"  platform: {platform['dram_bytes'] >> 20} MB DRAM, "

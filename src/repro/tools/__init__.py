@@ -1,14 +1,7 @@
-"""Developer tooling: bus tracing, perf measurement, parallel runner."""
+"""Developer tooling: bus tracing, the parallel cell runner and the
+macro-op memoizer (``repro.tools.macroops``)."""
 
 from repro.tools.trace import BusTracer, TraceRecord
-from repro.tools.perf import (
-    WorkloadSpeed,
-    compare_to_baseline,
-    format_report,
-    run_simspeed,
-    run_workload,
-    write_report,
-)
 from repro.tools.runner import (
     Cell,
     CellCache,
@@ -23,12 +16,6 @@ __all__ = [
     "CellCache",
     "RunnerError",
     "TraceRecord",
-    "WorkloadSpeed",
-    "compare_to_baseline",
     "default_cache_dir",
-    "format_report",
     "run_cells",
-    "run_simspeed",
-    "run_workload",
-    "write_report",
 ]

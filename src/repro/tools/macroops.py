@@ -1,7 +1,6 @@
 """Macro-op memoization: collapse periodic interpreter hot loops.
 
-The simulator's throughput workloads (``repro.tools.perf``) and the
-lmbench-style latency drivers (``repro.workloads.lmbench``) all run one
+The lmbench-style latency drivers (``repro.workloads.lmbench``) run one
 *kernel operation* — a monitored write, a fork/execv round trip, an
 mmap/touch/munmap cycle — thousands of times against the same machine.
 After a short warmup the machine state is **periodic**: every component
@@ -598,7 +597,7 @@ class MacroOpEngine:
                 # is an identity) so a later call entering exactly here
                 # replays instantly.  Computing the entry key digests
                 # the full machine state, so skip it for single-use
-                # engines (perf sweeps build one engine per workload).
+                # engines (one engine per one-off loop).
                 if self._calls > 1:
                     self._confirmed.setdefault(
                         key, {})[self._entry_key()] = cycle

@@ -28,9 +28,9 @@ machinery:
     A content-addressed on-disk cache (default ``benchmarks/.cache/``).
     Keys hash the cell parameters together with every
     :class:`~repro.config.CostModel` and
-    :class:`~repro.kernel.kernel.OpCosts` constant and the package
-    version, so edits that can change cycle accounting invalidate
-    cached results automatically.
+    :class:`~repro.kernel.kernel.OpCosts` constant and a digest of the
+    package's source files (:func:`source_digest`), so edits that can
+    change cycle accounting invalidate cached results automatically.
 
 The executor for a cell is resolved from :data:`KIND_EXECUTORS` by
 dotted path at execution time (in the worker process), which keeps this
@@ -41,6 +41,7 @@ methods.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -52,7 +53,6 @@ from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import __version__
 from repro.config import PlatformConfig
 
 #: Cache-key schema version; bump when the key recipe or payload
@@ -179,6 +179,25 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path(os.environ.get("REPRO_CACHE_DIR", "benchmarks/.cache"))
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over the sorted relative paths and bytes of the package's
+    ``*.py`` files.
+
+    Cache keys and boot images carry it instead of a hand-set version
+    string, so any source edit misses the cache.  Computed lazily, once
+    per process.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for relative in sorted(p.relative_to(root).as_posix()
+                           for p in root.rglob("*.py")):
+        data = (root / relative).read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def cost_fingerprint(platform_config: Optional[PlatformConfig]) -> Dict[str, Any]:
     """Every constant that can change cycle accounting.
 
@@ -203,7 +222,7 @@ def cache_key(cell: Cell) -> Optional[str]:
 
     document = {
         "schema": CACHE_SCHEMA,
-        "version": __version__,
+        "source": source_digest(),
         "kind": cell.kind,
         "environment": cell.environment,
         "workload": cell.workload,

@@ -3,16 +3,35 @@
 The hot-path optimisations (flat-memory backing, TLB/cache fast paths,
 snooper short-circuits, batched counters) must not change a single
 simulated event: running the same scenario twice — or before/after any
-perf PR — must produce identical statistics, ring-buffer contents and
-cycle counts.  ``scripts/check_simspeed.py`` enforces the cross-PR half
-of this; these tests enforce the run-to-run half in tier 1.
+perf change — must produce identical statistics, ring-buffer contents
+and cycle counts.  ``TestDeterminism`` enforces the run-to-run half;
+``TestGoldenCells`` enforces the cross-commit half by comparing the
+paper's Table 1 and Table 2 cells with the exact ``accesses`` /
+``sim_cycles`` recorded in ``benchmarks/e2e/expected/cells.json``.
 """
 
+import argparse
+import json
+import pathlib
+
+import pytest
+
+from repro.analysis.monitoring import table2_cells
+from repro.analysis.tables import table1_cells
+from repro.cli import _platform_config as _cli_platform_config
 from repro.config import PlatformConfig
 from repro.core.hypernel import build_hypernel, build_kvm_guest, build_native
 from repro.kernel.objects import CRED
 from repro.security import CredIntegrityMonitor
+from repro.tools.runner import run_cells
 from repro.utils.stats import merge
+
+#: Exact per-cell counts of the paper's commands (read only; rewritten
+#: only by ``benchmarks/e2e/run.py --record``).
+GOLDEN_CELLS = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "benchmarks" / "e2e" / "expected" / "cells.json"
+)
 
 
 def _platform_config():
@@ -116,3 +135,49 @@ class TestDeterminism:
 
         for builder in (build_native, build_kvm_guest, build_hypernel):
             assert run(builder) == run(builder)
+
+
+def _default_platform():
+    """The CLI's default platform (``--dram-mb 192``: 24 MB secure)."""
+    return _cli_platform_config(argparse.Namespace(dram_mb=192))
+
+
+def _cell_counts(cells):
+    payloads = run_cells(cells, jobs=1, cache=None)
+    return {
+        cell.label(): {
+            "accesses": payload["accesses"],
+            "sim_cycles": payload["sim_cycles"],
+        }
+        for cell, payload in zip(cells, payloads)
+    }
+
+
+@pytest.fixture(scope="module")
+def golden_cells():
+    return json.loads(GOLDEN_CELLS.read_text())
+
+
+class TestGoldenCells:
+    """The paper's cells reproduce the committed exact counts.
+
+    Whole-dict equality also pins the label set, so a cell that goes
+    missing cannot make the comparison pass vacuously.
+    """
+
+    @pytest.mark.parametrize("macroops", ["default", "off"])
+    def test_table1_cells_match_golden(self, golden_cells, monkeypatch,
+                                       macroops):
+        # Replay must never change simulated behaviour: both memoizer
+        # modes land on the same committed counts.
+        if macroops == "off":
+            monkeypatch.setenv("REPRO_MACROOPS", "0")
+        else:
+            monkeypatch.delenv("REPRO_MACROOPS", raising=False)
+        cells = table1_cells(platform_factory=_default_platform)
+        assert _cell_counts(cells) == golden_cells["table1"]
+
+    def test_table2_cells_match_golden(self, golden_cells):
+        # Table 2 never calls the memoizer, so one mode suffices.
+        cells = table2_cells(platform_factory=_default_platform)
+        assert _cell_counts(cells) == golden_cells["table2"]

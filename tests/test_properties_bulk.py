@@ -244,7 +244,6 @@ class TestTouchBlockAgainstPerLineReference:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def storm_system():
-    from repro.tools import perf
     from tests.test_tools_macroops import build_storm
 
     system, op = build_storm()

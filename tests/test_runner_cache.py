@@ -1,14 +1,18 @@
 """Cache-key invalidation for the content-addressed result cache.
 
 The key recipe (DESIGN.md §5b) hashes the cell parameters together with
-every ``CostModel``/``OpCosts`` constant and the package version:
-anything that can change cycle accounting must miss; an unchanged rerun
-must hit without dispatching any work.
+every ``CostModel``/``OpCosts`` constant and a digest of the package's
+source files: anything that can change cycle accounting must miss; an
+unchanged rerun must hit without dispatching any work.
 """
 
 import dataclasses
 import json
 import os
+import pathlib
+import shutil
+import subprocess
+import sys
 import threading
 import time
 
@@ -72,6 +76,44 @@ class TestCacheKey:
 
     def test_non_json_spec_has_no_key(self):
         assert cache_key(echo_cell(apps=[object()])) is None
+
+    def test_source_edit_changes_keys_without_version_bump(self, tmp_path):
+        """A one-byte source edit with ``__version__`` untouched must
+        miss both the cell cache and the warm-start boot images."""
+        import repro
+
+        package = pathlib.Path(repro.__file__).resolve().parent
+        roots = [tmp_path / "before", tmp_path / "after"]
+        for root in roots:
+            shutil.copytree(package, root / "repro",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        edited = roots[1] / "repro" / "kernel" / "kernel.py"
+        edited.write_bytes(edited.read_bytes() + b"#")
+        probe = (
+            "import repro\n"
+            "from repro.analysis.tables import cell_build_args, table1_cells\n"
+            "from repro.state import boot_image_key\n"
+            "from repro.tools.runner import cache_key\n"
+            "cell = table1_cells()[0]\n"
+            "name, kwargs = cell_build_args(cell)\n"
+            "print(repro.__file__, repro.__version__, cache_key(cell),\n"
+            "      boot_image_key(name, kwargs, cell.platform_config))\n"
+        )
+        outputs = []
+        for root in roots:
+            env = dict(os.environ, PYTHONPATH=str(root))
+            result = subprocess.run(
+                [sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                capture_output=True, text=True, check=True,
+            )
+            outputs.append(result.stdout.split())
+        (file_a, version_a, cell_a, boot_a), (file_b, version_b, cell_b,
+                                              boot_b) = outputs
+        assert file_a.startswith(str(roots[0]))
+        assert file_b.startswith(str(roots[1]))
+        assert version_a == version_b
+        assert cell_a != cell_b
+        assert boot_a != boot_b
 
 
 class _CountingExecutor:

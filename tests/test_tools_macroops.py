@@ -13,7 +13,6 @@ import pytest
 from repro.config import PlatformConfig
 from repro.obs.metrics import collect_metrics
 from repro.obs.profiler import attribute_cycles
-from repro.tools import perf
 from repro.tools.macroops import (
     _STRIP_KEYS,
     MacroOpEngine,
@@ -30,20 +29,48 @@ def small_config():
 
 
 def build_storm():
-    """A full-Hypernel monitored-write-storm system and its op."""
-    builder, _ = perf.WORKLOADS["monitored_write_storm"]
-    return builder(small_config())
+    """A full-Hypernel system and its op: one uncached write to the
+    monitored ``euid`` word (bus, snooper, MBM pipeline and ring).
+
+    The small MBM ring (16 entries) wraps its free-running head/tail
+    indices quickly, so the loop revisits an identical machine state
+    every few iterations — which is what lets the memoizer collapse it.
+    """
+    from repro.core.hypernel import build_hypernel
+    from repro.kernel.objects import CRED
+    from repro.security import CredIntegrityMonitor
+
+    system = build_hypernel(
+        platform_config=small_config(), monitors=[CredIntegrityMonitor()]
+    )
+    init = system.spawn_init()
+    euid_kva = system.kernel.linear_map.kva(
+        init.cred_pa + CRED.field("euid").byte_offset
+    )
+    write = system.kernel.cpu.write
+
+    def op():
+        write(euid_kva, 0)
+
+    return system, op
 
 
 def build_fork():
-    builder, _ = perf.WORKLOADS["fork_execv"]
-    return builder(small_config())
+    """A Native system and LMbench's fork+execv op (page-table
+    construction, COW, page zeroing)."""
+    from repro.core.hypernel import build_native
+    from repro.workloads.lmbench import LmbenchSuite
+
+    system = build_native(platform_config=small_config())
+    suite = LmbenchSuite(system)
+    suite.setup()
+    return system, suite.op_fork_execv
 
 
 def machine_image(system):
     """Everything the bit-identical contract covers, in one value."""
     return (
-        perf.count_accesses(system),
+        system.count_accesses(),
         system.platform.clock.now,
         dict(system.platform.clock.attribution),
         collect_metrics(system).to_dict(),
@@ -81,7 +108,7 @@ class TestBitIdenticalReplay:
     def test_fork_execv_memoized_equals_raw(self):
         sys_memo, sys_raw, engine, report = run_pair(build_fork, 40)
         assert report.replayed_ops > 0
-        assert perf.count_accesses(sys_memo) == perf.count_accesses(sys_raw)
+        assert sys_memo.count_accesses() == sys_raw.count_accesses()
         assert sys_memo.platform.clock.now == sys_raw.platform.clock.now
 
     def test_integrity_counters_and_profiler_site(self):
@@ -176,17 +203,10 @@ class TestEnvironmentSwitch:
         assert memoization_enabled()
 
     def test_workload_invariants_match_with_and_without(self):
-        on = perf.run_workload(
-            "monitored_write_storm", iterations=200,
-            platform_config=small_config(), memoize=True,
-        )
-        off = perf.run_workload(
-            "monitored_write_storm", iterations=200,
-            platform_config=small_config(), memoize=False,
-        )
-        assert on.accesses == off.accesses
-        assert on.sim_cycles == off.sim_cycles
-        assert on.extras["memoized"] and not off.extras["memoized"]
+        sys_memo, sys_raw, _, report = run_pair(build_storm, 200)
+        assert report.replayed_ops > 0
+        assert sys_memo.count_accesses() == sys_raw.count_accesses()
+        assert sys_memo.platform.clock.now == sys_raw.platform.clock.now
 
 
 class TestContentAddressedInvalidation:
@@ -214,7 +234,7 @@ class TestContentAddressedInvalidation:
         for _ in range(count):
             op_raw()
 
-        assert perf.count_accesses(sys_memo) == perf.count_accesses(sys_raw)
+        assert sys_memo.count_accesses() == sys_raw.count_accesses()
         assert sys_memo.platform.clock.now == sys_raw.platform.clock.now
 
 
