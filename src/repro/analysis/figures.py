@@ -159,7 +159,7 @@ def run_figure6(
     scale: float = 0.25,
     platform_factory: Optional[Callable[[], PlatformConfig]] = None,
     apps: Optional[List[ApplicationWorkload]] = None,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
     warm_start: bool = False,
     enforce_integrity: bool = False,
@@ -168,8 +168,9 @@ def run_figure6(
     """Run each application on each system; normalize to native.
 
     ``warm_start`` restores each cell's system from a shared post-boot
-    snapshot instead of booting it (see repro.state); ``jobs > 1`` runs
-    the cells in a process pool (see ``run_cells``).
+    snapshot instead of booting it (see repro.state); ``jobs`` sizes the
+    process pool (default: every available CPU; ``1`` runs serially
+    in-process — see ``run_cells``).
     ``enforce_integrity`` fails the run (IntegrityError) if any cell's
     monitoring pipeline lost events; ``waive`` accepts named checks.
     """

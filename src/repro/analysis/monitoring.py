@@ -171,7 +171,7 @@ def run_table2(
     scale: float = 0.25,
     platform_factory: Optional[Callable[[], PlatformConfig]] = None,
     apps: Optional[List[ApplicationWorkload]] = None,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
     warm_start: bool = False,
     enforce_integrity: bool = False,
@@ -181,7 +181,8 @@ def run_table2(
 
     ``warm_start`` restores each granularity's monitored system from a
     shared post-boot snapshot instead of booting it (see repro.state);
-    ``jobs > 1`` runs the cells in a process pool (see ``run_cells``).
+    ``jobs`` sizes the process pool (default: every available CPU;
+    ``1`` runs serially in-process — see ``run_cells``).
     ``enforce_integrity`` fails the run (IntegrityError) if the MBM
     pipeline lost events — for Table 2 that means the trap counts
     themselves would be short; ``waive`` accepts named checks.

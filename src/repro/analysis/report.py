@@ -134,7 +134,7 @@ def generate_report(
     scale: float = 0.25,
     platform_factory: Optional[Callable[[], PlatformConfig]] = None,
     include_attacks: bool = True,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
     warm_start: bool = False,
     enforce_integrity: bool = False,

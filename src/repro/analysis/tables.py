@@ -1,9 +1,9 @@
 """Table 1 runner: LMbench kernel operations on the three systems.
 
 Each system configuration is one independent :class:`~repro.tools.runner.Cell`
-(fresh machine, full op sweep), so Table 1 regenerates in parallel with
-``jobs > 1`` and caches per-system results content-addressed; the merged
-table is byte-identical to a serial run (see DESIGN.md §5b).
+(fresh machine, full op sweep), so Table 1 regenerates in parallel on
+every available CPU and caches per-system results content-addressed;
+the merged table is byte-identical to a serial run (see DESIGN.md §5b).
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def run_table1(
     warmup: int = 4,
     iterations: int = 16,
     ops: Optional[List[str]] = None,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
     warm_start: bool = False,
     enforce_integrity: bool = False,
@@ -156,7 +156,8 @@ def run_table1(
     With ``warm_start``, each cell restores a shared post-boot snapshot
     of its system instead of booting (bit-identical by the repro.state
     contract, so the table itself is byte-identical either way).
-    ``jobs > 1`` runs the cells in a process pool (see ``run_cells``).
+    ``jobs`` sizes the process pool (default: every available CPU;
+    ``1`` runs serially in-process — see ``run_cells``).
     ``enforce_integrity`` fails the run (IntegrityError) if any cell's
     monitoring pipeline lost events; ``waive`` accepts named checks.
     """

@@ -73,12 +73,23 @@ def _add_macroops(parser: argparse.ArgumentParser) -> None:
                         "changes — equivalent to REPRO_MACROOPS=0")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_runner(parser: argparse.ArgumentParser) -> None:
     _add_macroops(parser)
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=None,
                         help="worker processes for independent experiment "
-                        "cells (default 1 = serial; more runs a process "
-                        "pool)")
+                        "cells (default: every CPU this process may run "
+                        "on; 1 = serial in-process)")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every cell, bypassing the "
                         "content-addressed result cache")

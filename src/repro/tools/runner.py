@@ -20,9 +20,10 @@ machinery:
     ``ProcessPoolExecutor`` when ``jobs > 1`` and more than one cell is
     pending, in-process otherwise — with a per-job timeout, one retry
     on worker failure, and a serial fallback on platforms that cannot
-    start a pool.  Results come back in cell order, so merging is
-    deterministic and the merged tables are byte-identical at any
-    ``jobs``.
+    start a pool.  ``jobs`` defaults to every CPU this process may run
+    on (:func:`available_cpus`).  Results come back in cell order, so
+    merging is deterministic and the merged tables are byte-identical
+    at any ``jobs``.
 
 :class:`CellCache`
     A content-addressed on-disk cache (default ``benchmarks/.cache/``).
@@ -414,6 +415,14 @@ def attach_boot_snapshots(
 # ----------------------------------------------------------------------
 # Fan-out
 # ----------------------------------------------------------------------
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` narrows it), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _default_executor_factory(jobs: int):
     from concurrent.futures import ProcessPoolExecutor
 
@@ -444,7 +453,7 @@ def _run_serial(cell: Cell) -> Dict[str, Any]:
 
 def run_cells(
     cells: List[Cell],
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     executor_factory: Optional[Callable[[int], Any]] = None,
@@ -453,8 +462,9 @@ def run_cells(
 ) -> List[Dict[str, Any]]:
     """Execute every cell and return payloads in cell order.
 
-    * ``jobs`` alone picks how uncached cells run.  With ``jobs > 1``
-      and more than one uncached cell, they go to a pool of
+    * ``jobs`` alone picks how uncached cells run; ``None`` (the
+      default) means :func:`available_cpus`.  With ``jobs > 1`` and
+      more than one uncached cell, they go to a pool of
       ``min(jobs, pending)`` workers built by ``executor_factory``
       (default ``ProcessPoolExecutor``); otherwise — or if the pool
       cannot be created (sandboxed host, no ``fork``) — they run
@@ -476,6 +486,8 @@ def run_cells(
       (``"mbm_fifo.overrun"``-style) to accept.  The default
       ``"ignore"`` keeps enforcement opt-in.
     """
+    if jobs is None:
+        jobs = available_cpus()
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     if integrity not in ("ignore", "enforce"):

@@ -73,6 +73,72 @@ class TestCli:
         assert "overall word/page ratio" in capsys.readouterr().out
         assert pools == [2]
 
+    @staticmethod
+    def _spy_pools(monkeypatch, cpus):
+        """Pretend the host has ``cpus`` CPUs; record every pool size."""
+        from repro.tools import runner
+
+        pools = []
+        real_factory = runner._default_executor_factory
+        monkeypatch.setattr(runner, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(runner, "_default_executor_factory",
+                            lambda jobs: pools.append(jobs)
+                            or real_factory(jobs))
+        return pools
+
+    def test_default_jobs_pools_table2_on_every_cpu(self, capsys,
+                                                    monkeypatch):
+        pools = self._spy_pools(monkeypatch, cpus=2)
+        assert main(["table2", *SCALED, "--no-cache"]) == 0
+        assert "overall word/page ratio" in capsys.readouterr().out
+        assert pools == [2]
+
+    def test_default_jobs_pools_table1_capped_at_cpus(self, capsys,
+                                                      monkeypatch):
+        # Three cells, two CPUs: one pool of two workers.
+        pools = self._spy_pools(monkeypatch, cpus=2)
+        assert main(["table1", *PLATFORM, "--no-cache"]) == 0
+        assert "fork+exit" in capsys.readouterr().out
+        assert pools == [2]
+
+    def test_default_jobs_on_one_cpu_runs_serially(self, capsys,
+                                                   monkeypatch):
+        pools = self._spy_pools(monkeypatch, cpus=1)
+        assert main(["table2", *SCALED, "--no-cache"]) == 0
+        assert "overall word/page ratio" in capsys.readouterr().out
+        assert pools == []
+
+    def test_default_jobs_on_a_warm_cache_starts_no_pool(
+            self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["table2", *SCALED, "--jobs", "1"]) == 0
+        cold = capsys.readouterr().out
+        pools = self._spy_pools(monkeypatch, cpus=2)
+        assert main(["table2", *SCALED]) == 0
+        assert capsys.readouterr().out == cold
+        assert pools == []
+
+    def test_explicit_jobs1_runs_serially_on_many_cpus(self, capsys,
+                                                       monkeypatch):
+        pools = self._spy_pools(monkeypatch, cpus=2)
+        assert main(["table2", *SCALED, "--no-cache", "--jobs", "1"]) == 0
+        assert "overall word/page ratio" in capsys.readouterr().out
+        assert pools == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_a_usage_error(self, monkeypatch, capsys,
+                                               jobs):
+        from repro import cli
+
+        ran = []
+        _, installers = cli._COMMANDS["table2"]
+        monkeypatch.setitem(cli._COMMANDS, "table2",
+                            (lambda args: ran.append(args) or 0, installers))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table2", "--jobs", jobs])
+        assert excinfo.value.code == 2 and ran == []
+        assert "argument --jobs" in capsys.readouterr().err
+
     def test_backend_rejects_unknown_choice(self, capsys):
         with pytest.raises(SystemExit):
             main(["table2", *SCALED, "--backend", "warpdrive"])

@@ -1,0 +1,68 @@
+"""EXPERIMENTS.md must quote the numbers the CLI actually prints.
+
+Every simulated number in its Table 1 and Table 2 sections — the
+``(sim)`` table columns and the bold averages below each table — has to
+appear in the recorded stdout of ``python -m repro table1`` /
+``table2`` (``benchmarks/e2e/expected/*.txt``, read only).  A model
+change that moves a number fails here until the document is
+regenerated from the CLI.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+EXPERIMENTS = ROOT / "EXPERIMENTS.md"
+EXPECTED = ROOT / "benchmarks" / "e2e" / "expected"
+
+#: A number as either file writes it: optional sign, digits with
+#: optional thousands commas, optional decimals, optional percent.
+NUMBER = re.compile(r"[+-]?\d[\d,]*(?:\.\d+)?%?")
+
+
+def _numbers(text):
+    return [token.replace(",", "") for token in NUMBER.findall(text)]
+
+
+def _section(heading):
+    text = EXPERIMENTS.read_text(encoding="utf-8")
+    start = text.index(f"\n## {heading}")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end != -1 else None]
+
+
+def _simulated_numbers(section):
+    """``(table cells, bold numbers)``: every number in the ``(sim)``
+    columns, one list per row, and every number in bold text."""
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    header = [cell.strip() for cell in rows[0].strip("|").split("|")]
+    sim_columns = [i for i, name in enumerate(header) if "(sim)" in name]
+    table = []
+    for row in rows[2:]:  # skip the header and the |---| separator
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        table.append([number for column in sim_columns
+                      for number in _numbers(cells[column])])
+    bold = [number
+            for text in re.findall(r"\*\*(.+?)\*\*", section, flags=re.S)
+            for number in _numbers(text)]
+    return table, bold
+
+
+@pytest.mark.parametrize("heading, golden, rows", [
+    ("Table 1", "table1.txt", 9),   # LMbench ops x three systems
+    ("Table 2", "table2.txt", 5),   # applications x page/word/ratio
+])
+def test_simulated_numbers_match_cli_golden(heading, golden, rows):
+    printed = set(_numbers((EXPECTED / golden).read_text(encoding="utf-8")))
+    table, bold = _simulated_numbers(_section(heading))
+    # Guard against a vacuous pass: a full table and a bold average.
+    assert [len(row) for row in table] == [3] * rows
+    assert bold, "no bold average found"
+    quoted = [number for row in table for number in row] + bold
+    stale = [number for number in quoted if number not in printed]
+    assert stale == [], (
+        f"EXPERIMENTS.md {heading} quotes numbers the CLI no longer "
+        f"prints: {stale}; regenerate it from `python -m repro "
+        f"{golden[:-4]}`")

@@ -167,3 +167,22 @@ class TestPoolFailures:
     def test_nonpositive_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             run_cells([], jobs=0)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs a CPU affinity mask")
+    def test_default_jobs_on_a_one_cpu_mask_runs_serially(self):
+        # What ``taskset -c 0`` does to a shell; the mask is per thread.
+        from repro.tools.runner import available_cpus
+
+        def exploding_factory(jobs):  # pragma: no cover - must not run
+            raise AssertionError("a 1-CPU mask must stay serial")
+
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            assert available_cpus() == 1
+            payloads = run_cells([echo_cell("a", 1), echo_cell("b", 2)],
+                                 executor_factory=exploding_factory)
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert [p["value"] for p in payloads] == [1, 2]
