@@ -273,12 +273,13 @@ class CacheHierarchy:
         Word values are not tracked — this is the cacheable counterpart
         of :meth:`~repro.hw.bus.MemoryBus.write_block`.
 
-        The write path runs as one batched loop over both cache levels:
+        Both directions run as one batched loop over both cache levels:
         per-line latencies and hit/miss/eviction counters accumulate in
         locals and fold into the clock / StatSets once per burst.  Sums
-        and event order (writebacks, DRAM row transitions) are identical
-        to the per-line reference path ``_install_dirty``, which remains
-        the fallback for non-power-of-two geometries.
+        and event order (fills, writebacks, DRAM row transitions) are
+        identical to the per-line reference paths ``_ensure_resident``
+        (reads, see ``_read_lines``) and ``_install_dirty`` (writes),
+        which remain the fallback for non-power-of-two geometries.
         """
         if nwords <= 0:
             return
@@ -287,35 +288,15 @@ class CacheHierarchy:
         last = (paddr + (nwords - 1) * WORD_BYTES) & self._line_mask
         l1 = self.l1
         l2 = self.l2
-        if not is_write:
-            if l1._line_shift is None:
-                for line in range(first, last + 1, line_bytes):
-                    self._ensure_resident(line, initiator="cpu")
-                return
-            # Inline the L1-hit case; misses take the full path (which
-            # charges its own latency and emits its own bus traffic).
-            l1_sets = l1._sets
-            l1_shift = l1._line_shift
-            l1_mask = l1._set_mask
-            hits = 0
-            hit_cycles = 0
-            l1_hit = self.costs.l1_hit
-            ensure = self._ensure_resident
-            for line in range(first, last + 1, line_bytes):
-                lines = l1_sets.get((line >> l1_shift) & l1_mask)
-                if lines is not None and line in lines:
-                    lines.move_to_end(line)
-                    hits += 1
-                    hit_cycles += l1_hit
-                else:
-                    ensure(line, initiator="cpu")
-            if hits:
-                l1._hits += hits
-                self.bus.clock.advance(hit_cycles)
-            return
         if l1._line_shift is None or l2._line_shift is None:
             for line in range(first, last + 1, line_bytes):
-                self._install_dirty(line)
+                if is_write:
+                    self._install_dirty(line)
+                else:
+                    self._ensure_resident(line, initiator="cpu")
+            return
+        if not is_write:
+            self._read_lines(first, last)
             return
         # ---- batched streaming-store path --------------------------------
         l1_sets = l1._sets
@@ -377,6 +358,106 @@ class CacheHierarchy:
         if l2_dirty_evictions:
             l2.stats.add("dirty_evictions", l2_dirty_evictions)
         self.bus.clock.advance(self.costs.l1_hit * nlines)
+
+    def _read_lines(self, first: int, last: int) -> None:
+        """Batched read stream over the lines ``first..last``.
+
+        Equivalent to ``_ensure_resident`` on each line in turn, for
+        power-of-two geometries of both levels.  Pending latency is
+        charged to the clock before every line fill and writeback, so
+        each bus transaction sees the clock value, and DRAM the request
+        order, of the per-line path.
+        """
+        l1 = self.l1
+        l2 = self.l2
+        l1_sets = l1._sets
+        l1_shift = l1._line_shift
+        l1_mask = l1._set_mask
+        l1_ways = l1.ways
+        l2_sets = l2._sets
+        l2_shift = l2._line_shift
+        l2_mask = l2._set_mask
+        l2_ways = l2.ways
+        clock = self.bus.clock
+        fill = self.bus.fill_line
+        writeback = self.bus.writeback_line
+        l1_hit = self.costs.l1_hit
+        miss_cycles = l1_hit + self.costs.l2_hit
+        pending = 0
+        l1_hits = 0
+        l1_misses = 0
+        l1_evictions = 0
+        l1_dirty_evictions = 0
+        l2_hits = 0
+        l2_misses = 0
+        l2_evictions = 0
+        l2_dirty_evictions = 0
+        for line in range(first, last + 1, l1.line_bytes):
+            lines = l1_sets.get((line >> l1_shift) & l1_mask)
+            if lines is not None and line in lines:
+                lines.move_to_end(line)
+                l1_hits += 1
+                pending += l1_hit
+                continue
+            l1_misses += 1
+            pending += miss_cycles
+            l2_lines = l2_sets.get((line >> l2_shift) & l2_mask)
+            if l2_lines is not None and line in l2_lines:
+                l2_lines.move_to_end(line)
+                l2_hits += 1
+            else:
+                # Full miss: fetch from DRAM, then install clean in L2.
+                l2_misses += 1
+                clock.advance(pending)
+                pending = 0
+                fill(line, initiator="cpu")
+                if l2_lines is None:
+                    l2_lines = l2_sets[(line >> l2_shift) & l2_mask] = OrderedDict()
+                if len(l2_lines) >= l2_ways:
+                    d_addr, d_dirty = l2_lines.popitem(last=False)
+                    l2_evictions += 1
+                    if d_dirty:
+                        l2_dirty_evictions += 1
+                        writeback(d_addr, initiator="cpu")
+                l2_lines[line] = False
+            if lines is None:
+                lines = l1_sets[(line >> l1_shift) & l1_mask] = OrderedDict()
+            if len(lines) >= l1_ways:
+                ev_addr, ev_dirty = lines.popitem(last=False)
+                l1_evictions += 1
+                if ev_dirty:
+                    l1_dirty_evictions += 1
+                # L1 victim folds into L2 (dirty bit merges).
+                v_lines = l2_sets.get((ev_addr >> l2_shift) & l2_mask)
+                if v_lines is None:
+                    v_lines = l2_sets[(ev_addr >> l2_shift) & l2_mask] = OrderedDict()
+                if ev_addr in v_lines:
+                    v_lines[ev_addr] = v_lines[ev_addr] or ev_dirty
+                    v_lines.move_to_end(ev_addr)
+                else:
+                    if len(v_lines) >= l2_ways:
+                        d_addr, d_dirty = v_lines.popitem(last=False)
+                        l2_evictions += 1
+                        if d_dirty:
+                            l2_dirty_evictions += 1
+                            clock.advance(pending)
+                            pending = 0
+                            writeback(d_addr, initiator="cpu")
+                    v_lines[ev_addr] = ev_dirty
+            lines[line] = False
+        clock.advance(pending)
+        l1._hits += l1_hits
+        l1._misses += l1_misses
+        l2._hits += l2_hits
+        l2._misses += l2_misses
+        if l1_evictions:
+            l1.stats.add("evictions", l1_evictions)
+        if l1_dirty_evictions:
+            l1.stats.add("dirty_evictions", l1_dirty_evictions)
+        if l2_evictions:
+            l2.stats.add("evictions", l2_evictions)
+        if l2_dirty_evictions:
+            l2.stats.add("dirty_evictions", l2_dirty_evictions)
 
     def _install_dirty(self, line: int) -> None:
         """Install a whole line dirty without fetching it (streaming)."""

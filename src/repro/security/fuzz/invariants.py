@@ -37,6 +37,17 @@ and truncates that branch instead of crashing the audit; loops likewise
 truncate.  ``InvariantReport.truncated_walks`` counts every branch the
 walker refused to follow, so a report that says "clean" but has nonzero
 truncation is visibly not a full proof.
+
+The engine works one translation table at a time.  ``walk_tables``
+yields each table's 512 raw words as it reads them, and builds no
+``Descriptor`` objects.  For a level-3 table, one pass over the valid
+words *fast-accepts* the whole table when no entry is writable and
+executable at kernel level, maps a page overlapping the secure region,
+or maps a registered table page writable; an accepted table only adds
+its valid-word count to ``leaves_checked``.  That pass is a filter, not
+a second spec: every level-1/2 block leaf, and every leaf of a table it
+does not accept, goes through the ``LEAF_INVARIANTS`` predicate objects,
+so each finding (and its order) still comes from the shared predicates.
 """
 
 from __future__ import annotations
@@ -54,7 +65,16 @@ from typing import (
 )
 
 from repro.config import PAGE_BYTES, PAGE_WORDS, WORD_BYTES
-from repro.arch.pagetable import DESC_VALID, Descriptor, LEVEL_SPAN
+from repro.arch.pagetable import _ADDR_MASK as DESC_ADDR_MASK
+from repro.arch.pagetable import (
+    DESC_AP_WRITE,
+    DESC_TABLE,
+    DESC_USER,
+    DESC_VALID,
+    DESC_XN,
+    Descriptor,
+    LEVEL_SPAN,
+)
 
 #: Invariant name for table-graph well-formedness findings.
 TABLE_TOPOLOGY = "TABLE_TOPOLOGY"
@@ -64,6 +84,13 @@ TABLE_TOPOLOGY = "TABLE_TOPOLOGY"
 _SCAN_CAP = 2 << 20
 
 _PAGE_MASK = PAGE_BYTES - 1
+
+# A valid table pointer at level 1-2 has both bits set; a valid block
+# leaf has only VALID.
+_VALID_TABLE = DESC_VALID | DESC_TABLE
+
+# ``raw & _WXU == DESC_AP_WRITE``: a writable, executable kernel leaf.
+_WXU = DESC_AP_WRITE | DESC_XN | DESC_USER
 
 # Words per bulk bitmap read.  A 192 MB machine has a 3 MB bitmap;
 # reading it in 64 KB windows keeps it out of one Python list.
@@ -307,24 +334,25 @@ class Evidence:
 # ----------------------------------------------------------------------
 # Hardened table walk
 # ----------------------------------------------------------------------
-def walk_tree(evidence: Evidence, root: int,
-              report: InvariantReport) -> Tuple[Set[int], List[Tuple[int, int, Descriptor]]]:
+def walk_tables(evidence: Evidence, root: int,
+                report: InvariantReport) -> Iterator[Tuple[int, int, List[int]]]:
     """Depth-first walk of the translation tree rooted at ``root``.
 
-    Returns ``(tables_visited, leaves)`` where leaves are
-    ``(desc_addr, level, descriptor)`` triples.  Hostile topology —
-    a table pointer off the end of backed RAM or into the secure
-    region, or a loop — is reported/truncated instead of crashing.
+    Yields ``(table, level, words)`` for every table read, in read
+    order, where ``words`` are the table's 512 raw descriptors.
+    Hostile topology — a table pointer off the end of backed RAM or
+    into the secure region, or a loop — is reported/truncated instead
+    of crashing.  A table's pointer findings are added to ``report``
+    before the table is yielded.
     """
     geometry = evidence.geometry
-    seen: Set[int] = set()
-    leaves: List[Tuple[int, int, Descriptor]] = []
     if not (evidence.backed(root)
             and evidence.backed(root + PAGE_BYTES - WORD_BYTES)):
         report.add(TABLE_TOPOLOGY, root,
                    f"root table {root:#x} is not inside backed RAM")
         report.truncated_walks += 1
-        return seen, leaves
+        return
+    seen: Set[int] = set()
     stack = [(root, 1)]
     while stack:
         table, level = stack.pop()
@@ -333,51 +361,86 @@ def walk_tree(evidence: Evidence, root: int,
             report.truncated_walks += 1
             continue
         seen.add(table)
-        for index, raw in enumerate(evidence.peek_words(table, PAGE_WORDS)):
-            if not raw & DESC_VALID:
-                continue
-            desc_addr = table + index * WORD_BYTES
-            desc = Descriptor(raw)
-            if level < 3 and desc.is_table:
-                child = desc.address
+        words = evidence.peek_words(table, PAGE_WORDS)
+        if level < 3:
+            for index, raw in enumerate(words):
+                if raw & _VALID_TABLE != _VALID_TABLE:
+                    continue
+                child = raw & DESC_ADDR_MASK
                 if not (evidence.backed(child)
                         and evidence.backed(child + PAGE_BYTES - WORD_BYTES)):
                     report.add(
-                        TABLE_TOPOLOGY, desc_addr,
+                        TABLE_TOPOLOGY, table + index * WORD_BYTES,
                         f"table pointer to unbacked memory {child:#x}")
                     report.truncated_walks += 1
                 elif geometry.in_secure(child, PAGE_BYTES):
                     report.add(
-                        TABLE_TOPOLOGY, desc_addr,
+                        TABLE_TOPOLOGY, table + index * WORD_BYTES,
                         f"table pointer into the secure region {child:#x}")
                     report.truncated_walks += 1
                 else:
                     stack.append((child, level + 1))
-            else:
-                leaves.append((desc_addr, level, desc))
-    return seen, leaves
+        yield table, level, words
 
 
 # ----------------------------------------------------------------------
 # The checking engine
 # ----------------------------------------------------------------------
+def accepts_page_table(geometry: Geometry, valid: List[int],
+                       table_pages: Set[int]) -> bool:
+    """Fast accept for a level-3 table whose valid words are ``valid``.
+
+    True only when no entry is a kernel W+X leaf, maps a page that
+    overlaps the secure region, or maps a table page writable — that
+    is, when no ``LEAF_INVARIANTS`` predicate can report anything for
+    the table.  A conservative filter in front of the predicates, never
+    a replacement for them.
+    """
+    # A 4 KB page at ``addr`` overlaps the secure region exactly when
+    # ``secure_low < addr < secure_high`` (``Geometry.in_secure``).
+    secure_low = geometry.secure_base - PAGE_BYTES
+    secure_high = geometry.secure_limit
+    return not any([
+        raw & _WXU == DESC_AP_WRITE
+        or secure_low < (raw & DESC_ADDR_MASK) < secure_high
+        or (raw & DESC_AP_WRITE and (raw & DESC_ADDR_MASK) in table_pages)
+        for raw in valid])
+
+
 def run_invariants(evidence: Evidence) -> InvariantReport:
     """Run every invariant check against ``evidence``."""
     report = InvariantReport()
     _check_ttbrs(evidence, report)
+    geometry = evidence.geometry
     table_pages = evidence.table_pages()
     reached: Set[int] = set()
     for root in evidence.roots():
-        seen, leaves = walk_tree(evidence, root, report)
-        for desc_addr, level, desc in leaves:
-            report.leaves_checked += 1
-            for invariant in LEAF_INVARIANTS:
-                for location, detail in invariant.violations(
-                        evidence.geometry, desc_addr, level, desc,
-                        table_pages):
-                    report.add(invariant.name, location, detail)
-        report.tables_walked += len(seen)
-        reached |= seen
+        # Leaf findings wait until the walk is over, so a root's
+        # TABLE_TOPOLOGY findings come first.
+        leaf_findings: List[Finding] = []
+        for table, level, words in walk_tables(evidence, root, report):
+            report.tables_walked += 1
+            reached.add(table)
+            if level == 3:
+                valid = [raw for raw in words if raw & DESC_VALID]
+                report.leaves_checked += len(valid)
+                if accepts_page_table(geometry, valid, table_pages):
+                    continue
+                leaves = [(index, raw) for index, raw in enumerate(words)
+                          if raw & DESC_VALID]
+            else:
+                leaves = [(index, raw) for index, raw in enumerate(words)
+                          if raw & _VALID_TABLE == DESC_VALID]
+                report.leaves_checked += len(leaves)
+            for index, raw in leaves:
+                desc_addr = table + index * WORD_BYTES
+                desc = Descriptor(raw)
+                for invariant in LEAF_INVARIANTS:
+                    for location, detail in invariant.violations(
+                            geometry, desc_addr, level, desc, table_pages):
+                        leaf_findings.append(
+                            Finding(invariant.name, location, detail))
+        report.findings.extend(leaf_findings)
     claimed = evidence.claimed_tables()
     if claimed is not None:
         for table in sorted(reached - claimed):

@@ -45,6 +45,7 @@ policy unchanged.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from typing import Dict, List, Optional, Set, Tuple
@@ -794,6 +795,13 @@ def fuzz_machine(profile: str = "section"):
             super().__init__()
             LAST_TRACE.clear()
             _bump("examples")
+            # The previous example's machine is garbage by now, but its
+            # kernel, Hypersec and platform objects reference each
+            # other, so only the cyclic collector frees them.  Collect
+            # it here rather than whenever allocation volume next
+            # triggers a full collection, so discarded machines do not
+            # pile up and raise peak memory.
+            gc.collect()
             self.ctx = FuzzContext(restore_from_snapshot(boot))
 
         @rule(root=st.booleans(),

@@ -39,7 +39,7 @@ from repro.security.fuzz.invariants import (
     Geometry,
     InvariantReport,
     run_invariants,
-    walk_tree,
+    walk_tables,
 )
 from repro.state import Snapshot
 
@@ -138,11 +138,11 @@ class SnapshotEvidence(Evidence):
         """Every table page reachable from the roots (cached)."""
         if self._reachable is None:
             scratch = InvariantReport()
-            reached: Set[int] = set()
-            for root in self.roots():
-                seen, _leaves = walk_tree(self, root, scratch)
-                reached |= seen
-            self._reachable = reached
+            self._reachable = {
+                table
+                for root in self.roots()
+                for table, _level, _words in walk_tables(self, root, scratch)
+            }
         return set(self._reachable)
 
     def table_is_empty(self, table: int) -> bool:

@@ -5,13 +5,16 @@ Every simulated number in its Table 1 and Table 2 sections — the
 appear in the recorded stdout of ``python -m repro table1`` /
 ``table2`` (``benchmarks/e2e/expected/*.txt``, read only).  A model
 change that moves a number fails here until the document is
-regenerated from the CLI.
+regenerated from the CLI.  The ablation A-D tables must quote the exact
+counts ``tests/test_ablations.py`` pins.
 """
 
 import re
 from pathlib import Path
 
 import pytest
+
+from tests import test_ablations as ablations
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPERIMENTS = ROOT / "EXPERIMENTS.md"
@@ -66,3 +69,40 @@ def test_simulated_numbers_match_cli_golden(heading, golden, rows):
         f"EXPERIMENTS.md {heading} quotes numbers the CLI no longer "
         f"prints: {stale}; regenerate it from `python -m repro "
         f"{golden[:-4]}`")
+
+
+def _pinned_ablation_numbers():
+    """Every count ``tests/test_ablations.py`` pins, as EXPERIMENTS.md
+    writes it; Ablation C also as cycles per access."""
+    values = {
+        "Ablation A": [value for run in ablations.PINNED_A
+                       for value in run.values()],
+        "Ablation B": [value for run in ablations.PINNED_B
+                       for value in run.values()],
+        "Ablation C": [value for cycles, fetches in ablations.PINNED_C.values()
+                       for value in (fetches,
+                                     f"{cycles / ablations.CHASE_ACCESSES:.1f}")],
+        "Ablation D": [value for run in ablations.PINNED_D.values()
+                       for value in run.values()],
+    }
+    return {heading: {str(value) for value in numbers}
+            for heading, numbers in values.items()}
+
+
+@pytest.mark.parametrize("heading", [
+    "Ablation A", "Ablation B", "Ablation C", "Ablation D",
+])
+def test_ablation_tables_match_pinned_counts(heading):
+    """Every number in an ablation table's measured columns is one the
+    ablation test pins."""
+    pinned = _pinned_ablation_numbers()[heading]
+    rows = [line for line in _section(heading).splitlines()
+            if line.startswith("|")]
+    quoted = [number for row in rows[2:]
+              for cell in row.strip("|").split("|")[1:]
+              for number in _numbers(cell)]
+    assert len(quoted) >= 6, "no ablation table found"
+    stale = [number for number in quoted if number not in pinned]
+    assert stale == [], (
+        f"EXPERIMENTS.md {heading} quotes numbers tests/test_ablations.py "
+        f"does not pin: {stale}")

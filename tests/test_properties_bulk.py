@@ -1,9 +1,10 @@
 """Property tests: vectorized bulk memory paths vs word-at-a-time models.
 
 The bulk fast paths (``PhysicalMemory.fill``/``copy_words``/
-``read_words``, ``Caches.touch_block``'s batched streaming-store loop,
-``MemoryBus.write_block``'s coalesced bitmap scan, ``MemoryBus.peek_words``
-and the invariant checkers' whole-table and whole-bitmap reads) are pure
+``read_words``, ``Caches.touch_block``'s batched read-miss and
+streaming-store loops, ``MemoryBus.write_block``'s coalesced bitmap
+scan, ``MemoryBus.peek_words``, the invariant checkers' whole-table and
+whole-bitmap reads, and their per-table fast accept) are pure
 optimizations: each must be observationally identical to the
 word-at-a-time (or line-at-a-time) reference it replaced — same bytes,
 same cycle charges, same bus-snoop events, same findings.  These
@@ -13,6 +14,7 @@ historically break such code: chunk boundaries, cache-line boundaries,
 range ends and monitored pages.
 """
 
+import random
 from collections import Counter
 
 import pytest
@@ -26,6 +28,7 @@ from repro.arch.pagetable import (
     DESC_USER,
     DESC_VALID,
     DESC_XN,
+    Descriptor,
 )
 from repro.config import PAGE_BYTES, PAGE_WORDS, SECTION_BYTES, CostModel
 from repro.core.audit import LiveEvidence
@@ -35,7 +38,17 @@ from repro.hw.clock import Clock
 from repro.hw.dram import DramModel
 from repro.hw.memory import _CHUNK_BYTES, PhysicalMemory
 from repro.security.fuzz import invariants, snapshot_checker
-from repro.security.fuzz.invariants import Evidence, Geometry, run_invariants
+from repro.security.fuzz.invariants import (
+    LEAF_INVARIANTS,
+    TABLE_TOPOLOGY,
+    Evidence,
+    Finding,
+    Geometry,
+    InvariantReport,
+    accepts_page_table,
+    run_invariants,
+    walk_tables,
+)
 from repro.security.fuzz.machine import boot_snapshot
 from repro.security.fuzz.snapshot_checker import SnapshotEvidence
 from repro.state import capture_snapshot, restore_from_snapshot
@@ -234,6 +247,80 @@ class TestTouchBlockAgainstPerLineReference:
                     caches._install_dirty(line)
                 else:
                     caches._ensure_resident(line, initiator="cpu")
+
+        assert _observable(fast_platform) == _observable(ref_platform)
+        assert recorders[0].txns == recorders[1].txns
+
+
+#: Caches of one or two sets, so an 8-line window keeps both levels
+#: full and evicting: dirty L1 victims fold into a full L2 set and push
+#: its dirty lines out while the stream hits in L2.  "odd" has a
+#: non-power-of-two L2 (3 sets), so touch_block takes its per-line
+#: fallback.
+_TINY_CACHES = {
+    "one_set": dict(l1_bytes=128, l1_ways=2, l2_bytes=256, l2_ways=4),
+    "two_sets": dict(l1_bytes=256, l1_ways=2, l2_bytes=512, l2_ways=4),
+    "odd": dict(l1_bytes=256, l1_ways=2, l2_bytes=768, l2_ways=4),
+}
+
+_stream_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, 7), st.just(0),
+                  st.just(1)),
+        st.tuples(st.just("read"), st.integers(0, 7), st.integers(0, 7),
+                  st.integers(1, 32)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class _TimedSnooper(_RecordingSnooper):
+    """Also records the clock each transaction is seen at."""
+
+    def __init__(self, clock):
+        super().__init__()
+        self.clock = clock
+
+    def __call__(self, txn):
+        self.txns.append((self.clock.now, txn.kind, txn.paddr, txn.nwords,
+                          txn.initiator))
+
+
+class TestReadStreamAgainstPerLineReference:
+    """The batched read-miss stream of ``touch_block`` against
+    ``_ensure_resident`` per line: same clock, StatSets, LRU state and
+    DRAM rows, and every fill and writeback at the same clock value."""
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.sampled_from(sorted(_TINY_CACHES)), _stream_ops)
+    @example(geometry="one_set", ops=[    # a dirty L2 victim of an L1
+        ("write", 1, 0, 1), ("read", 5, 0, 8),   # victim, mid-stream
+        ("write", 4, 0, 1), ("read", 3, 0, 16), ("read", 2, 0, 16)])
+    def test_read_stream_matches_reference(self, geometry, ops):
+        fast_platform = small_platform(**_TINY_CACHES[geometry])
+        ref_platform = small_platform(**_TINY_CACHES[geometry])
+        recorders = []
+        for platform in (fast_platform, ref_platform):
+            rec = _TimedSnooper(platform.clock)
+            platform.bus.attach_snooper(rec)
+            recorders.append(rec)
+        line_bytes = fast_platform.caches.l1.line_bytes
+        for kind, line_index, word_off, nwords in ops:
+            paddr = BASE + line_index * line_bytes + word_off * WORD
+            if kind == "write":
+                for platform in (fast_platform, ref_platform):
+                    platform.caches.write(paddr, 0x55, cacheable=True)
+                continue
+            fast_platform.caches.touch_block(paddr, nwords, False)
+            caches = ref_platform.caches
+            first = paddr & caches._line_mask
+            last = (paddr + (nwords - 1) * WORD) & caches._line_mask
+            for line in range(first, last + 1, line_bytes):
+                caches._ensure_resident(line, initiator="cpu")
 
         assert _observable(fast_platform) == _observable(ref_platform)
         assert recorders[0].txns == recorders[1].txns
@@ -566,6 +653,256 @@ class TestInvariantEngineBulkVsPerWord:
             (60, "bitmap word is 0x0, regions imply 0x1"),
             (_BITMAP_WORDS - 1, "bitmap word is 0x24, regions imply 0x4"),
         ]
+
+
+# ----------------------------------------------------------------------
+# Table-at-a-time leaf checking vs the per-leaf reference engine
+# ----------------------------------------------------------------------
+def _reference_walk(evidence, root, report):
+    """The leaf-list walker the table walker replaced: ``(tables
+    visited, [(desc_addr, level, Descriptor)])`` for every valid leaf,
+    with the same hardened handling of hostile pointers and loops."""
+    geometry = evidence.geometry
+    seen = set()
+    leaves = []
+    if not (evidence.backed(root)
+            and evidence.backed(root + PAGE_BYTES - WORD)):
+        report.add(TABLE_TOPOLOGY, root,
+                   f"root table {root:#x} is not inside backed RAM")
+        report.truncated_walks += 1
+        return seen, leaves
+    stack = [(root, 1)]
+    while stack:
+        table, level = stack.pop()
+        if table in seen:
+            report.truncated_walks += 1
+            continue
+        seen.add(table)
+        for index, raw in enumerate(evidence.peek_words(table, PAGE_WORDS)):
+            if not raw & DESC_VALID:
+                continue
+            desc_addr = table + index * WORD
+            desc = Descriptor(raw)
+            if level < 3 and desc.is_table:
+                child = desc.address
+                if not (evidence.backed(child)
+                        and evidence.backed(child + PAGE_BYTES - WORD)):
+                    report.add(
+                        TABLE_TOPOLOGY, desc_addr,
+                        f"table pointer to unbacked memory {child:#x}")
+                    report.truncated_walks += 1
+                elif geometry.in_secure(child, PAGE_BYTES):
+                    report.add(
+                        TABLE_TOPOLOGY, desc_addr,
+                        f"table pointer into the secure region {child:#x}")
+                    report.truncated_walks += 1
+                else:
+                    stack.append((child, level + 1))
+            else:
+                leaves.append((desc_addr, level, desc))
+    return seen, leaves
+
+
+def _leaf_findings(geometry, desc_addr, level, desc, table_pages):
+    return [Finding(invariant.name, location, detail)
+            for invariant in LEAF_INVARIANTS
+            for location, detail in invariant.violations(
+                geometry, desc_addr, level, desc, table_pages)]
+
+
+def _reference_invariants(evidence):
+    """``run_invariants`` as it was before fast accept: every valid
+    leaf through every ``LEAF_INVARIANTS`` predicate."""
+    report = InvariantReport()
+    invariants._check_ttbrs(evidence, report)
+    table_pages = evidence.table_pages()
+    reached = set()
+    for root in evidence.roots():
+        seen, leaves = _reference_walk(evidence, root, report)
+        for desc_addr, level, desc in leaves:
+            report.leaves_checked += 1
+            report.findings.extend(_leaf_findings(
+                evidence.geometry, desc_addr, level, desc, table_pages))
+        report.tables_walked += len(seen)
+        reached |= seen
+    claimed = evidence.claimed_tables()
+    if claimed is not None:
+        for table in sorted(reached - claimed):
+            report.add(
+                TABLE_TOPOLOGY, table,
+                "reachable translation table is not in the registered set")
+    invariants._check_tables_read_only(evidence, report, table_pages)
+    invariants._check_monitored_pages(evidence, report)
+    invariants._check_bitmap(evidence, report)
+    return report
+
+
+def _assert_fast_accept_sound(evidence):
+    """Every level-3 table the filter accepts has no reference finding;
+    returns ``(accepted, rejected)`` table counts."""
+    geometry = evidence.geometry
+    table_pages = evidence.table_pages()
+    accepted = rejected = 0
+    for root in evidence.roots():
+        for table, level, words in walk_tables(evidence, root,
+                                               InvariantReport()):
+            if level != 3:
+                continue
+            valid = [raw for raw in words if raw & DESC_VALID]
+            if not accepts_page_table(geometry, valid, table_pages):
+                rejected += 1
+                continue
+            accepted += 1
+            for index, raw in enumerate(words):
+                if raw & DESC_VALID:
+                    assert _leaf_findings(geometry, table + index * WORD, 3,
+                                          Descriptor(raw), table_pages) == []
+    return accepted, rejected
+
+
+#: Leaf targets on both sides of each secure-region edge.
+_SECURE_EDGES = {
+    "below_secure": IMG_SECURE - PAGE_BYTES,     # last page before it
+    "secure_base": IMG_SECURE,
+    "secure_last": IMG_LIMIT - PAGE_BYTES,
+    "secure_limit": IMG_LIMIT,                   # first page after it
+}
+_VIOLATING = {"secure_base", "secure_last", "wx", "table_alias"}
+
+#: Full tables live at image pages 2..; page 0 is the root, page 1 the
+#: level-2 table.
+_FULL_TABLES = 3
+
+
+def _full_leaf(kind, target, attrs):
+    """One level-3 leaf of the given ``kind``."""
+    leaf = DESC_VALID | DESC_TABLE
+    data = _page(_FULL_TABLES + 2 + target)   # not a table, not secure
+    if kind in _SECURE_EDGES:        # read-only, so only the edge counts
+        return _SECURE_EDGES[kind] | leaf | DESC_XN
+    if kind == "wx":                 # kernel W+X
+        return data | leaf | DESC_AP_WRITE
+    if kind == "wx_user":            # W+X, but a user page
+        return data | leaf | DESC_AP_WRITE | DESC_USER
+    if kind == "table_alias":        # writable alias of the root or L2
+        return _page(target % 2) | leaf | DESC_AP_WRITE | DESC_XN
+    if kind == "table_ro":           # read-only alias of the root or L2
+        return _page(target % 2) | leaf | DESC_XN
+    return data | leaf | attrs       # benign
+
+
+_BENIGN_ATTRS = [DESC_XN, DESC_AP_WRITE | DESC_XN, DESC_AP_WRITE | DESC_USER,
+                 DESC_XN | DESC_USER, DESC_AP_WRITE | DESC_XN | DESC_NC, 0]
+
+_full_image = st.fixed_dictionaries({
+    "tables": st.integers(1, _FULL_TABLES),
+    # Seeds the 512 benign leaves of each table (too many to draw).
+    "benign": st.integers(0, 2**32 - 1),
+    "plants": st.lists(
+        st.tuples(
+            st.integers(0, _FULL_TABLES - 1),
+            st.one_of(st.sampled_from([0, PAGE_WORDS - 1]),
+                      st.integers(1, PAGE_WORDS - 2)),
+            st.sampled_from(sorted(_SECURE_EDGES) + [
+                "wx", "wx_user", "table_alias", "table_ro"]),
+            st.integers(0, 20),
+        ),
+        max_size=3,
+    ),
+})
+
+
+def _build_full_image(spec):
+    """A root -> level-2 -> ``tables`` full level-3 tables image, with
+    512 valid leaves per table and the planted leaves on top."""
+    memory = PhysicalMemory()
+    memory.add_range(BASE, IMG_PAGES * PAGE_BYTES)
+    ntables = spec["tables"]
+    tables = [_page(2 + index) for index in range(ntables)]
+    memory.write_word(_page(0), _page(1) | DESC_VALID | DESC_TABLE)
+    for index, table in enumerate(tables):
+        memory.write_word(_page(1) + index * WORD,
+                          table | DESC_VALID | DESC_TABLE)
+    rng = random.Random(spec["benign"])
+    for table in tables:
+        for slot in range(PAGE_WORDS):
+            memory.write_word(table + slot * WORD, _full_leaf(
+                "benign", rng.randrange(21), rng.choice(_BENIGN_ATTRS)))
+    for which, slot, kind, target in spec["plants"]:
+        memory.write_word(tables[which % ntables] + slot * WORD,
+                          _full_leaf(kind, target, 0))
+    claimed = {_page(0), _page(1), *tables}
+    return _ImageEvidence(memory, [_page(0)], claimed, {})
+
+
+def _planted_violations(spec):
+    """Planted kinds that survive (a later plant may overwrite one)."""
+    final = {}
+    for which, slot, kind, _target in spec["plants"]:
+        final[(which % spec["tables"], slot)] = kind
+    return sorted(kind for kind in final.values() if kind in _VIOLATING)
+
+
+class TestFastAcceptAgainstPerLeafReference:
+    """``run_invariants``' per-table fast accept is a filter in front of
+    the shared predicates: reports match the per-leaf engine exactly,
+    and an accepted table never hides a finding."""
+
+    @settings(
+        max_examples=80, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_image)
+    @example(spec=_HOSTILE_IMAGE)
+    def test_random_images_match_reference(self, spec):
+        memory, roots, claimed, expected = _build_image(spec)
+        evidence = _ImageEvidence(memory, roots, claimed, expected)
+        assert _summary(run_invariants(evidence)) == _summary(
+            _reference_invariants(evidence))
+        _assert_fast_accept_sound(evidence)
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_full_image)
+    @example(spec={"tables": _FULL_TABLES, "benign": 0, "plants": []})
+    def test_full_tables_match_reference(self, spec):
+        evidence = _build_full_image(spec)
+        report = run_invariants(evidence)
+        assert _summary(report) == _summary(_reference_invariants(evidence))
+        accepted, rejected = _assert_fast_accept_sound(evidence)
+        assert accepted + rejected == spec["tables"]
+        assert report.leaves_checked == PAGE_WORDS * spec["tables"]
+        planted = _planted_violations(spec)
+        assert bool(report.findings) == bool(planted)
+        if not planted:
+            assert accepted == spec["tables"]
+
+    @pytest.mark.parametrize("slot", [0, 200, PAGE_WORDS - 1])
+    @pytest.mark.parametrize("kind, invariant", [
+        ("below_secure", None),
+        ("secure_base", "NO_SECURE_MAPPING"),
+        ("secure_last", "NO_SECURE_MAPPING"),
+        ("secure_limit", None),
+        ("wx", "W_XOR_X"),
+        ("wx_user", None),
+        ("table_alias", "NO_WRITABLE_TABLE_ALIAS"),
+        ("table_ro", None),
+    ])
+    def test_planted_leaf_in_full_table(self, kind, invariant, slot):
+        spec = {"tables": 2, "benign": 1, "plants": [(1, slot, kind, 1)]}
+        evidence = _build_full_image(spec)
+        report = run_invariants(evidence)
+        assert _summary(report) == _summary(_reference_invariants(evidence))
+        accepted, rejected = _assert_fast_accept_sound(evidence)
+        if invariant is None:
+            assert report.findings == []
+            assert (accepted, rejected) == (2, 0)
+        else:
+            assert [(f.invariant, f.location) for f in report.findings] == [
+                (invariant, _page(3) + slot * WORD)]
+            assert (accepted, rejected) == (1, 1)
 
 
 _WINDOW = invariants._BITMAP_WINDOW
