@@ -1,1 +1,1 @@
-"""Benchmark package: one module per reproduced table/figure/ablation."""
+"""Benchmark package: the cost-sensitivity sweep and the end-to-end harness."""

@@ -8,14 +8,26 @@ influential ones (hypercall round-trip cost, KVM world-switch cost) by
 that must hold across the whole sweep: **Native < Hypernel < KVM**, and
 Hypernel's overhead stays below KVM's.  If the reproduction's headline
 orderings depended on a lucky constant, this sweep would expose it.
+
+Run it by path (``pytest benchmarks/bench_sensitivity_costs.py``); it
+writes its table to ``benchmarks/results/sensitivity_costs.txt``.
 """
 
 import dataclasses
+import pathlib
 
-from benchmarks.conftest import bench_platform_config, save_result
 from repro.analysis.compare import format_table
+from repro.config import PlatformConfig
 from repro.core.hypernel import build_system
 from repro.workloads.lmbench import LmbenchSuite
+
+RESULTS_PATH = (pathlib.Path(__file__).parent / "results"
+                / "sensitivity_costs.txt")
+
+
+def bench_platform_config() -> PlatformConfig:
+    return PlatformConfig(dram_bytes=192 * 1024 * 1024,
+                          secure_bytes=24 * 1024 * 1024)
 
 
 def _fork_exit_us(system_name: str, mutate) -> float:
@@ -72,9 +84,10 @@ def test_sensitivity_fork_exit_orderings(benchmark):
          "native<HN<KVM"],
         rows,
     )
-    path = save_result("sensitivity_costs", text)
+    RESULTS_PATH.parent.mkdir(exist_ok=True)
+    RESULTS_PATH.write_text(text + "\n")
     print("\n" + text)
-    print(f"[saved to {path}]")
+    print(f"[saved to {RESULTS_PATH}]")
     benchmark.extra_info["ordering_holds_everywhere"] = ordering_holds
     assert ordering_holds, text
 

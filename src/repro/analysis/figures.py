@@ -15,7 +15,7 @@ from repro.config import PlatformConfig
 from repro.core.hypernel import build_system
 from repro.analysis import paper
 from repro.analysis.compare import arithmetic_mean, format_table
-from repro.tools.runner import Cell, CellCache, attach_boot_snapshots, run_cells
+from repro.tools.runner import Cell, CellCache, run_cells
 from repro.workloads.apps import ApplicationWorkload, default_applications
 
 SYSTEMS = ["native", "kvm-guest", "hypernel"]
@@ -105,16 +105,13 @@ def cell_build_args(cell: Cell) -> tuple:
 
 
 def execute_cell(cell: Cell) -> Dict[str, Any]:
-    """Worker body: build (or restore) one system, run every application."""
+    """Worker body: build one system, run every application."""
     from repro.obs import collect_metrics
 
     name, kwargs = cell_build_args(cell)
     if cell.platform_config is not None:
         kwargs["platform_config"] = cell.platform_config
-    if cell.snapshot_path:
-        system = build_system(name, from_snapshot=cell.snapshot_path)
-    else:
-        system = build_system(name, **kwargs)
+    system = build_system(name, **kwargs)
 
     apps = cell.spec.get("apps")
     if apps is None:
@@ -161,24 +158,17 @@ def run_figure6(
     apps: Optional[List[ApplicationWorkload]] = None,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    warm_start: bool = False,
     enforce_integrity: bool = False,
     waive: tuple = (),
 ) -> Figure6Result:
     """Run each application on each system; normalize to native.
 
-    ``warm_start`` restores each cell's system from a shared post-boot
-    snapshot instead of booting it (see repro.state); ``jobs`` sizes the
-    process pool (default: every available CPU; ``1`` runs serially
-    in-process — see ``run_cells``).
+    ``jobs`` sizes the process pool (default: every available CPU;
+    ``1`` runs serially in-process — see ``run_cells``).
     ``enforce_integrity`` fails the run (IntegrityError) if any cell's
     monitoring pipeline lost events; ``waive`` accepts named checks.
     """
     cells = figure6_cells(scale, platform_factory, apps)
-    if warm_start:
-        attach_boot_snapshots(
-            cells, cache_dir=cache.directory if cache is not None else None
-        )
     payloads = run_cells(
         cells, jobs=jobs, cache=cache,
         integrity="enforce" if enforce_integrity else "ignore", waive=waive,

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import PlatformConfig
-from repro.core.hypernel import build_hypernel, build_system
+from repro.core.hypernel import build_system
 from repro.analysis import paper
 from repro.analysis.compare import format_table
 from repro.security.baseline_page import WholeObjectMonitor
 from repro.security.cred_monitor import CredIntegrityMonitor
 from repro.security.dentry_monitor import DentryIntegrityMonitor
-from repro.tools.runner import Cell, CellCache, attach_boot_snapshots, run_cells
+from repro.tools.runner import Cell, CellCache, run_cells
 from repro.workloads.apps import ApplicationWorkload, default_applications
 
 GRANULARITIES = ["page", "word"]
@@ -127,10 +127,7 @@ def execute_cell(cell: Cell) -> Dict[str, Any]:
     name, kwargs = cell_build_args(cell)
     if cell.platform_config is not None:
         kwargs["platform_config"] = cell.platform_config
-    if cell.snapshot_path:
-        system = build_system(name, from_snapshot=cell.snapshot_path)
-    else:
-        system = build_hypernel(**kwargs)
+    system = build_system(name, **kwargs)
 
     apps = cell.spec.get("apps")
     if apps is None:
@@ -173,14 +170,11 @@ def run_table2(
     apps: Optional[List[ApplicationWorkload]] = None,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    warm_start: bool = False,
     enforce_integrity: bool = False,
     waive: tuple = (),
 ) -> Table2Result:
     """Run the five applications under both monitoring configurations.
 
-    ``warm_start`` restores each granularity's monitored system from a
-    shared post-boot snapshot instead of booting it (see repro.state);
     ``jobs`` sizes the process pool (default: every available CPU;
     ``1`` runs serially in-process — see ``run_cells``).
     ``enforce_integrity`` fails the run (IntegrityError) if the MBM
@@ -188,10 +182,6 @@ def run_table2(
     themselves would be short; ``waive`` accepts named checks.
     """
     cells = table2_cells(scale, platform_factory, apps)
-    if warm_start:
-        attach_boot_snapshots(
-            cells, cache_dir=cache.directory if cache is not None else None
-        )
     payloads = run_cells(
         cells, jobs=jobs, cache=cache,
         integrity="enforce" if enforce_integrity else "ignore", waive=waive,

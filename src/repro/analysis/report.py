@@ -136,13 +136,12 @@ def generate_report(
     include_attacks: bool = True,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    warm_start: bool = False,
     enforce_integrity: bool = False,
     waive: tuple = (),
 ) -> str:
     """Run the full evaluation and return it as a markdown document.
 
-    ``jobs``, ``cache`` and ``warm_start`` are forwarded to the three
+    ``jobs`` and ``cache`` are forwarded to the three
     cell-based experiment runners (the attack matrix stays in-process:
     its scenarios share mutable victim systems).  The report
     always ends with a run-health section; ``enforce_integrity``
@@ -153,7 +152,7 @@ def generate_report(
         platform_factory = lambda: PlatformConfig(  # noqa: E731
             dram_bytes=192 * 1024 * 1024, secure_bytes=24 * 1024 * 1024
         )
-    runner_kwargs = {"jobs": jobs, "cache": cache, "warm_start": warm_start,
+    runner_kwargs = {"jobs": jobs, "cache": cache,
                      "enforce_integrity": enforce_integrity, "waive": waive}
     lines: List[str] = [
         "# Hypernel reproduction — evaluation report",

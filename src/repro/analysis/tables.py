@@ -15,7 +15,7 @@ from repro.config import PlatformConfig
 from repro.core.hypernel import build_system
 from repro.analysis import paper
 from repro.analysis.compare import arithmetic_mean, format_table, overhead_percent
-from repro.tools.runner import Cell, CellCache, attach_boot_snapshots, run_cells
+from repro.tools.runner import Cell, CellCache, run_cells
 from repro.workloads.lmbench import LMBENCH_OPS, LmbenchSuite
 
 SYSTEMS = ["native", "kvm-guest", "hypernel"]
@@ -95,17 +95,14 @@ def cell_build_args(cell: Cell) -> tuple:
 
 
 def execute_cell(cell: Cell) -> Dict[str, Any]:
-    """Worker body: build (or restore) one system, run its LMbench sweep."""
+    """Worker body: build one system, run its LMbench sweep."""
     from repro.obs import collect_metrics
     from repro.tools.macroops import MacroOpEngine, memoization_enabled
 
     name, kwargs = cell_build_args(cell)
     if cell.platform_config is not None:
         kwargs["platform_config"] = cell.platform_config
-    if cell.snapshot_path:
-        system = build_system(name, from_snapshot=cell.snapshot_path)
-    else:
-        system = build_system(name, **kwargs)
+    system = build_system(name, **kwargs)
 
     spec = cell.spec
     suite = LmbenchSuite(
@@ -147,15 +144,11 @@ def run_table1(
     ops: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    warm_start: bool = False,
     enforce_integrity: bool = False,
     waive: tuple = (),
 ) -> Table1Result:
     """Build each system, run the LMbench suite, collect Table 1.
 
-    With ``warm_start``, each cell restores a shared post-boot snapshot
-    of its system instead of booting (bit-identical by the repro.state
-    contract, so the table itself is byte-identical either way).
     ``jobs`` sizes the process pool (default: every available CPU;
     ``1`` runs serially in-process — see ``run_cells``).
     ``enforce_integrity`` fails the run (IntegrityError) if any cell's
@@ -163,10 +156,6 @@ def run_table1(
     """
     ops = list(ops or LMBENCH_OPS)
     cells = table1_cells(platform_factory, warmup, iterations, ops)
-    if warm_start:
-        attach_boot_snapshots(
-            cells, cache_dir=cache.directory if cache is not None else None
-        )
     payloads = run_cells(
         cells, jobs=jobs, cache=cache,
         integrity="enforce" if enforce_integrity else "ignore", waive=waive,

@@ -30,8 +30,7 @@ Commands:
   (``repro.state``): ``snapshot save``, ``snapshot restore``,
   ``snapshot info``, ``snapshot diff``.
 * ``cache`` — inspect (``cache info``) or garbage-collect
-  (``cache prune``) the content-addressed result cache and its
-  warm-start boot snapshots.
+  (``cache prune``) the content-addressed result cache.
 """
 
 from __future__ import annotations
@@ -93,10 +92,6 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every cell, bypassing the "
                         "content-addressed result cache")
-    parser.add_argument("--warm-start", action="store_true",
-                        help="restore each cell's system from a shared "
-                        "post-boot snapshot instead of booting it "
-                        "(bit-identical results, boot cost paid once)")
     parser.add_argument("--enforce-integrity", action="store_true",
                         help="fail the run if the monitoring pipeline "
                         "lost events in any cell (FIFO overrun, ring "
@@ -113,7 +108,6 @@ def _runner_kwargs(args):
 
     cache = None if args.no_cache else CellCache(default_cache_dir())
     return {"jobs": args.jobs, "cache": cache,
-            "warm_start": args.warm_start,
             "enforce_integrity": args.enforce_integrity,
             "waive": tuple(args.waive)}
 
@@ -563,19 +557,14 @@ def cmd_cache(args) -> int:
     if args.action == "info":
         inventory = cache_contents(directory)
         entries = inventory["entries"]
-        results = [e for e in entries if e["kind"] == "result"]
-        snapshots = [e for e in entries if e["kind"] == "snapshot"]
         print(f"cache directory: {inventory['directory']}")
-        print(f"  result entries: {len(results)} "
-              f"({sum(e['bytes'] for e in results)} bytes)")
-        print(f"  boot snapshots: {len(snapshots)} "
-              f"({sum(e['bytes'] for e in snapshots)} bytes)")
-        print(f"  total: {len(entries)} files, {inventory['total_bytes']} bytes")
+        print(f"  result entries: {len(entries)} "
+              f"({inventory['total_bytes']} bytes)")
         if args.verbose:
             for entry in sorted(entries, key=lambda e: e["mtime"]):
                 age_days = (time.time() - entry["mtime"]) / 86400.0
-                print(f"  {entry['kind']:8s} {entry['bytes']:>10d} B "
-                      f"{age_days:6.1f} d  {entry['path']}")
+                print(f"  {entry['bytes']:>10d} B {age_days:6.1f} d  "
+                      f"{entry['path']}")
         return 0
     if args.action == "prune":
         removed = prune_cache(
@@ -595,7 +584,7 @@ def cmd_cache(args) -> int:
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     actions = parser.add_subparsers(dest="action", required=True)
     info = actions.add_parser(
-        "info", help="summarize cached results and boot snapshots")
+        "info", help="summarize cached results")
     info.add_argument("--dir", default=None,
                       help="cache directory (default REPRO_CACHE_DIR or "
                       "benchmarks/.cache)")

@@ -244,30 +244,10 @@ _BUILDERS = {
 }
 
 
-def build_system(name: str, from_snapshot=None, **kwargs) -> System:
-    """Build a configuration by name: native / kvm-guest / hypernel.
-
-    With ``from_snapshot`` (a path to a file written by
-    :func:`repro.state.save_snapshot`), the system is *restored* instead
-    of booted; ``name`` must match the snapshotted configuration and no
-    other build arguments are accepted (the snapshot dictates them).
-    """
+def build_system(name: str, **kwargs) -> System:
+    """Build a configuration by name: native / kvm-guest / hypernel."""
     if name not in _BUILDERS:
         raise KeyError(
             f"unknown system {name!r}; choose from {sorted(_BUILDERS)}"
         )
-    if from_snapshot is not None:
-        if kwargs:
-            raise TypeError(
-                "from_snapshot cannot be combined with build arguments: "
-                f"{sorted(kwargs)}"
-            )
-        from repro.state import restore_system
-
-        system = restore_system(from_snapshot)
-        if system.name != name:
-            raise KeyError(
-                f"snapshot holds a {system.name!r} system, not {name!r}"
-            )
-        return system
     return _BUILDERS[name](**kwargs)

@@ -8,8 +8,7 @@ pipeline and all :class:`~repro.utils.stats.StatSet` counters (flushed
 before capture).  The contract is **bit-identical replay**: restoring a
 snapshot and running a workload must produce exactly the same cycles,
 statistics and ring-buffer contents as booting cold and running the same
-workload (guarded by ``tests/test_state.py``, including
-``test_table1_warm_start_is_byte_identical``).
+workload (guarded by ``tests/test_state.py``).
 
 On-disk format (version :data:`SNAPSHOT_SCHEMA`)::
 
@@ -22,8 +21,7 @@ fingerprint (the :class:`~repro.config.PlatformConfig` +
 recipe shared with the runner's cell cache), the system build recipe,
 and one entry per section: name, raw/compressed sizes and a SHA-256
 checksum.  Sections are zlib-compressed JSON; the whole snapshot gets a
-content hash over its checksums, fingerprint and recipe, which the
-warm-start runner folds into its cell cache keys.
+content hash over its checksums, fingerprint and recipe.
 
 Restore rebuilds the system *skeleton* (all wiring, no boot), loads the
 memory image, then loads every component's state dict — see
@@ -39,7 +37,7 @@ import os
 import pathlib
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.config import CostModel, PlatformConfig
 from repro.errors import SnapshotError
@@ -351,68 +349,6 @@ def restore_from_snapshot(snapshot: Snapshot):
     for app, state in zip(system.monitors, monitor_states):
         app.load_state(state)
     return system
-
-
-# ----------------------------------------------------------------------
-# Warm-start boot images (used by repro.tools.runner)
-# ----------------------------------------------------------------------
-def boot_image_key(
-    environment: str,
-    build_kwargs: Dict[str, Any],
-    platform_config: Optional[PlatformConfig],
-) -> str:
-    """Content key for a shared post-boot image of one environment."""
-    from repro.tools.runner import cost_fingerprint, source_digest
-
-    document = {
-        "schema": SNAPSHOT_SCHEMA,
-        "source": source_digest(),
-        "environment": environment,
-        "build_kwargs": {
-            key: value for key, value in sorted(build_kwargs.items())
-            if key != "monitors"
-        },
-        "monitors": [
-            monitor_spec_of(app) for app in build_kwargs.get("monitors", [])
-        ],
-        "costs": cost_fingerprint(platform_config),
-    }
-    return _sha256(_json_bytes(document))
-
-
-def monitor_spec_of(app) -> Dict[str, Any]:
-    from repro.security.registry import monitor_spec
-
-    return monitor_spec(app)
-
-
-def ensure_boot_snapshot(
-    builder,
-    environment: str,
-    build_kwargs: Dict[str, Any],
-    platform_config: Optional[PlatformConfig],
-    cache_dir: os.PathLike | str,
-) -> Tuple[pathlib.Path, str]:
-    """Build-or-reuse a post-boot snapshot; returns (path, content hash).
-
-    Images are content-addressed under ``<cache_dir>/snapshots/`` by
-    environment, build arguments and the full cost fingerprint, so any
-    change that could alter boot-time state makes a fresh image.
-    """
-    directory = pathlib.Path(cache_dir) / "snapshots"
-    key = boot_image_key(environment, build_kwargs, platform_config)
-    path = directory / f"{key}.snap"
-    if path.exists():
-        try:
-            return path, read_manifest(path)["content_hash"]
-        except (SnapshotError, KeyError, OSError):
-            pass  # unreadable image: rebuild it below
-    kwargs = dict(build_kwargs)
-    if platform_config is not None:
-        kwargs["platform_config"] = platform_config
-    system = builder(**kwargs)
-    snapshot = save_snapshot(system, path)
-    return path, snapshot.content_hash
 
 
 # ----------------------------------------------------------------------

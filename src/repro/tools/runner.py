@@ -48,6 +48,7 @@ import json
 import os
 import pathlib
 import signal
+import tempfile
 import time
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
@@ -75,16 +76,6 @@ KIND_EXECUTORS: Dict[str, str] = {
     "selftest": "repro.tools.runner:execute_selftest_cell",
 }
 
-#: cell kind -> "module:function" returning ``(system_name, build_kwargs)``
-#: for the cell's environment.  Used by :func:`attach_boot_snapshots` to
-#: key and build shared post-boot images (repro.state warm starts).
-KIND_BUILDERS: Dict[str, str] = {
-    "table1": "repro.analysis.tables:cell_build_args",
-    "figure6": "repro.analysis.figures:cell_build_args",
-    "table2": "repro.analysis.monitoring:cell_build_args",
-}
-
-
 class RunnerError(RuntimeError):
     """A cell could not be executed (after its retry) or timed out."""
 
@@ -108,12 +99,6 @@ class Cell:
     spec: Dict[str, Any] = field(default_factory=dict)
     platform_config: Optional[PlatformConfig] = None
     cacheable: bool = True
-    #: path to a post-boot snapshot to warm-start from (set by
-    #: :func:`attach_boot_snapshots`).  Deliberately *not* part of the
-    #: cache key — the snapshot's content hash goes into
-    #: ``spec["boot_snapshot"]`` instead, so a cached result is keyed by
-    #: what the image contains, never by where it happens to live.
-    snapshot_path: Optional[str] = None
 
     def label(self) -> str:
         return f"{self.kind}:{self.environment}:{self.workload}"
@@ -185,7 +170,7 @@ def source_digest() -> str:
     """SHA-256 over the sorted relative paths and bytes of the package's
     ``*.py`` files.
 
-    Cache keys and boot images carry it instead of a hand-set version
+    Cache keys and snapshot manifests carry it instead of a hand-set version
     string, so any source edit misses the cache.  Computed lazily, once
     per process.
     """
@@ -282,9 +267,17 @@ class CellCache:
         except (TypeError, ValueError):
             return False  # non-JSON payload: skip caching, don't fail the run
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self._path(key).with_suffix(".tmp")
-        tmp.write_text(blob + "\n")
-        tmp.replace(self._path(key))  # atomic: a reader never sees half a file
+        # A private temp file per store, then an atomic rename: concurrent
+        # writers of one key never share a temp file, and a reader never
+        # sees half a file.
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(blob + "\n")
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            pathlib.Path(tmp).unlink(missing_ok=True)
+            raise
         self.stores += 1
         return True
 
@@ -295,25 +288,21 @@ class CellCache:
 def cache_contents(
     directory: Optional[os.PathLike | str] = None,
 ) -> Dict[str, Any]:
-    """Inventory of the on-disk cache: result entries and boot snapshots.
+    """Inventory of the on-disk cache's result entries (``*.json``).
 
     Returns ``{"directory", "entries", "total_bytes"}`` where each entry
-    is ``{"path", "kind", "bytes", "mtime"}`` (kind is ``result`` for
-    ``*.json`` payloads, ``snapshot`` for ``snapshots/*.snap`` images).
+    is ``{"path", "bytes", "mtime"}``.
     """
     base = (pathlib.Path(directory) if directory is not None
             else default_cache_dir())
     entries: List[Dict[str, Any]] = []
-    for path in sorted(base.glob("*.json")) + sorted(
-        (base / "snapshots").glob("*.snap")
-    ):
+    for path in sorted(base.glob("*.json")):
         try:
             stat = path.stat()
         except OSError:
             continue  # raced with a concurrent prune
         entries.append({
             "path": str(path),
-            "kind": "snapshot" if path.suffix == ".snap" else "result",
             "bytes": stat.st_size,
             "mtime": stat.st_mtime,
         })
@@ -335,7 +324,7 @@ def prune_cache(
     Entries older than ``max_age_days`` go first; then, if the survivors
     still exceed ``max_bytes``, the oldest are evicted until the total
     fits.  Content-addressing makes eviction always safe — a pruned
-    entry is simply recomputed (or the snapshot re-booted) on next use.
+    entry is simply recomputed on next use.
     """
     inventory = cache_contents(directory)
     cutoff = (time.time() if now is None else now)
@@ -360,56 +349,6 @@ def prune_cache(
         except OSError:
             pass
     return [entry["path"] for entry in doomed]
-
-
-# ----------------------------------------------------------------------
-# Warm-start boot snapshots
-# ----------------------------------------------------------------------
-def attach_boot_snapshots(
-    cells: List[Cell],
-    cache_dir: Optional[os.PathLike | str] = None,
-) -> List[Cell]:
-    """Give each cell a shared post-boot snapshot for its environment.
-
-    Cells of the same kind and environment (same build arguments and
-    cost fingerprint) share one content-addressed boot image under
-    ``<cache_dir>/snapshots/``; each is built at most once per call —
-    and at most once *ever* per configuration, since existing images
-    are reused.  The executor then restores instead of booting, and the
-    image's content hash is folded into ``spec["boot_snapshot"]`` so
-    warm results get distinct cache keys from cold ones.
-
-    Restore-then-run is bit-identical to boot-then-run (the repro.state
-    contract), so merged tables stay byte-identical either way.
-    """
-    # Imported lazily: repro.state pulls in the builders, and keeping
-    # this module import-light matters for spawn-start worker processes.
-    from repro import state
-    from repro.core.hypernel import build_system
-
-    directory = (pathlib.Path(cache_dir) if cache_dir is not None
-                 else default_cache_dir())
-    built: Dict[str, Tuple[str, str]] = {}
-    for cell in cells:
-        if cell.kind not in KIND_BUILDERS:
-            continue
-        module_name, _, func_name = KIND_BUILDERS[cell.kind].partition(":")
-        build_args = getattr(import_module(module_name), func_name)
-        name, kwargs = build_args(cell)
-        key = state.boot_image_key(name, kwargs, cell.platform_config)
-        if key not in built:
-            path, content_hash = state.ensure_boot_snapshot(
-                lambda **kw: build_system(name, **kw),
-                name,
-                kwargs,
-                cell.platform_config,
-                directory,
-            )
-            built[key] = (str(path), content_hash)
-        path_str, content_hash = built[key]
-        cell.snapshot_path = path_str
-        cell.spec = dict(cell.spec, boot_snapshot=content_hash)
-    return cells
 
 
 # ----------------------------------------------------------------------

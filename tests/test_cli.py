@@ -160,6 +160,24 @@ class TestCli:
         assert ("unrecognized arguments: --backend pool"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command",
+                             ["table1", "figure6", "table2", "report"])
+    def test_removed_warm_start_flag_is_a_usage_error(self, monkeypatch,
+                                                      capsys, command):
+        # Every cell boots its system; --warm-start is gone and must be
+        # rejected before the command runs.
+        from repro import cli
+
+        ran = []
+        _, installers = cli._COMMANDS[command]
+        monkeypatch.setitem(cli._COMMANDS, command,
+                            (lambda args: ran.append(args) or 0, installers))
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--warm-start"])
+        assert excinfo.value.code == 2 and ran == []
+        assert ("unrecognized arguments: --warm-start"
+                in capsys.readouterr().err)
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -173,9 +191,7 @@ class TestCacheCommand:
     def _seed(self, tmp_path):
         import os
 
-        (tmp_path / "aaaa.json").write_bytes(b"r" * 64)
-        (tmp_path / "snapshots").mkdir()
-        (tmp_path / "snapshots" / "img.snap").write_bytes(b"s" * 256)
+        (tmp_path / "aaaa.json").write_bytes(b"r" * 256)
         stale = tmp_path / "bbbb.json"
         stale.write_bytes(b"r" * 64)
         ancient = 1_000_000_000.0  # 2001: older than any --max-age
@@ -185,22 +201,20 @@ class TestCacheCommand:
         self._seed(tmp_path)
         assert main(["cache", "info", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "result entries: 2 (128 bytes)" in out
-        assert "boot snapshots: 1 (256 bytes)" in out
-        assert "total: 3 files, 384 bytes" in out
+        assert "result entries: 2 (320 bytes)" in out
 
     def test_cache_info_verbose_lists_entries(self, capsys, tmp_path):
         self._seed(tmp_path)
         assert main(["cache", "info", "--dir", str(tmp_path),
                      "--verbose"]) == 0
         out = capsys.readouterr().out
-        assert "img.snap" in out
         assert "aaaa.json" in out
+        assert "bbbb.json" in out
 
     def test_cache_info_empty_directory(self, capsys, tmp_path):
         assert main(["cache", "info", "--dir",
                      str(tmp_path / "missing")]) == 0
-        assert "total: 0 files, 0 bytes" in capsys.readouterr().out
+        assert "result entries: 0 (0 bytes)" in capsys.readouterr().out
 
     def test_cache_prune_by_age(self, capsys, tmp_path):
         self._seed(tmp_path)
@@ -208,20 +222,18 @@ class TestCacheCommand:
                      "--max-age", "365"]) == 0
         out = capsys.readouterr().out
         assert "bbbb.json" in out
-        assert "pruned 1 entries; 2 remain" in out
+        assert "pruned 1 entries; 1 remain" in out
         assert not (tmp_path / "bbbb.json").exists()
         assert (tmp_path / "aaaa.json").exists()
 
     def test_cache_prune_by_bytes(self, capsys, tmp_path):
         self._seed(tmp_path)
-        # 384 bytes on disk, 300 allowed: the two oldest entries go.
+        # 320 bytes on disk, 300 allowed: the oldest entry goes.
         assert main(["cache", "prune", "--dir", str(tmp_path),
                      "--max-bytes", "300"]) == 0
         out = capsys.readouterr().out
-        assert "pruned" in out
-        from repro.tools.runner import cache_contents
-
-        assert cache_contents(tmp_path)["total_bytes"] <= 300
+        assert "pruned 1 entries; 1 remain (256 bytes)" in out
+        assert not (tmp_path / "bbbb.json").exists()
 
     def test_cache_requires_action(self):
         with pytest.raises(SystemExit):

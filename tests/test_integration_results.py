@@ -1,8 +1,8 @@
 """Integration tests asserting the paper's result *shapes* on small runs.
 
 These are the claims DESIGN.md section 5 commits to: orderings and
-rough factors, not absolute numbers.  Full-size regenerations live in
-``benchmarks/``.
+rough factors, not absolute numbers.  Full-size regenerations are
+``python -m repro table1`` / ``figure6`` / ``table2``.
 """
 
 import pytest
@@ -42,7 +42,11 @@ class TestTable1Shape:
     ])
     def test_native_fastest_kvm_slowest(self, table1, op):
         row = table1.rows[op]
-        assert row["native"] <= row["hypernel"] <= row["kvm-guest"]
+        if op in ("fork+exit", "fork+execv"):
+            # The page-table-heavy fork family separates all three.
+            assert row["native"] < row["hypernel"] < row["kvm-guest"]
+        else:
+            assert row["native"] <= row["hypernel"] <= row["kvm-guest"]
 
     def test_hypernel_cheaper_than_kvm_on_average(self, table1):
         assert (table1.average_overhead("hypernel")

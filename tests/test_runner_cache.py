@@ -79,7 +79,7 @@ class TestCacheKey:
 
     def test_source_edit_changes_keys_without_version_bump(self, tmp_path):
         """A one-byte source edit with ``__version__`` untouched must
-        miss both the cell cache and the warm-start boot images."""
+        miss the cell cache."""
         import repro
 
         package = pathlib.Path(repro.__file__).resolve().parent
@@ -91,13 +91,10 @@ class TestCacheKey:
         edited.write_bytes(edited.read_bytes() + b"#")
         probe = (
             "import repro\n"
-            "from repro.analysis.tables import cell_build_args, table1_cells\n"
-            "from repro.state import boot_image_key\n"
+            "from repro.analysis.tables import table1_cells\n"
             "from repro.tools.runner import cache_key\n"
             "cell = table1_cells()[0]\n"
-            "name, kwargs = cell_build_args(cell)\n"
-            "print(repro.__file__, repro.__version__, cache_key(cell),\n"
-            "      boot_image_key(name, kwargs, cell.platform_config))\n"
+            "print(repro.__file__, repro.__version__, cache_key(cell))\n"
         )
         outputs = []
         for root in roots:
@@ -107,13 +104,11 @@ class TestCacheKey:
                 capture_output=True, text=True, check=True,
             )
             outputs.append(result.stdout.split())
-        (file_a, version_a, cell_a, boot_a), (file_b, version_b, cell_b,
-                                              boot_b) = outputs
+        (file_a, version_a, cell_a), (file_b, version_b, cell_b) = outputs
         assert file_a.startswith(str(roots[0]))
         assert file_b.startswith(str(roots[1]))
         assert version_a == version_b
         assert cell_a != cell_b
-        assert boot_a != boot_b
 
 
 class _CountingExecutor:
@@ -208,22 +203,42 @@ class TestCacheBehaviour:
         assert cache.stores == 0
         assert cache.lookup(cell) is None
 
+    def test_concurrent_stores_of_one_key_all_succeed(self, tmp_path,
+                                                      monkeypatch):
+        # Two writers of one key (e.g. two processes sharing a cache
+        # directory), interleaved deterministically: the second store
+        # runs entirely between the first one's write and its rename.
+        cell = echo_cell()
+        outer, inner = CellCache(tmp_path), CellCache(tmp_path)
+        real_replace = os.replace
+        results = []
+        nested = []
+
+        def interleaving_replace(src, dst, *args, **kwargs):
+            if not nested:
+                nested.append(src)
+                results.append(inner.store(cell, {"value": "inner"}))
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", interleaving_replace)
+        results.append(outer.store(cell, {"value": "outer"}))
+        monkeypatch.undo()
+
+        assert results == [True, True]
+        assert CellCache(tmp_path).lookup(cell) == {"value": "outer"}
+        assert list(tmp_path.glob("*.tmp")) == []
+
 
 def seed_cache_dir(tmp_path, ages_days):
-    """Fabricate result entries and one boot snapshot with set mtimes.
+    """Fabricate result entries with set mtimes.
 
-    ``ages_days`` maps filename stem -> age in days; names starting
-    with ``snap`` become ``snapshots/*.snap`` files.  Every file is
+    ``ages_days`` maps filename stem -> age in days.  Every file is
     100 bytes so byte budgets are easy to reason about.  Returns
     ``now`` (the reference timestamp the ages are relative to).
     """
     now = 1_700_000_000.0
-    (tmp_path / "snapshots").mkdir(exist_ok=True)
     for stem, age in ages_days.items():
-        if stem.startswith("snap"):
-            path = tmp_path / "snapshots" / f"{stem}.snap"
-        else:
-            path = tmp_path / f"{stem}.json"
+        path = tmp_path / f"{stem}.json"
         path.write_bytes(b"x" * 100)
         stamp = now - age * 86400.0
         os.utime(path, (stamp, stamp))
@@ -232,11 +247,11 @@ def seed_cache_dir(tmp_path, ages_days):
 
 class TestCacheMaintenance:
     def test_contents_inventories_results_and_snapshots(self, tmp_path):
-        seed_cache_dir(tmp_path, {"aa": 1, "bb": 2, "snap1": 3})
+        seed_cache_dir(tmp_path, {"aa": 1, "bb": 2})
         inventory = cache_contents(tmp_path)
-        kinds = sorted(e["kind"] for e in inventory["entries"])
-        assert kinds == ["result", "result", "snapshot"]
-        assert inventory["total_bytes"] == 300
+        assert [os.path.basename(e["path"]) for e in inventory["entries"]] == [
+            "aa.json", "bb.json"]
+        assert inventory["total_bytes"] == 200
         assert inventory["directory"] == str(tmp_path)
 
     def test_contents_of_missing_directory_is_empty(self, tmp_path):
@@ -245,10 +260,10 @@ class TestCacheMaintenance:
         assert inventory["total_bytes"] == 0
 
     def test_prune_by_age_removes_only_stale_entries(self, tmp_path):
-        now = seed_cache_dir(tmp_path, {"young": 1, "old": 30, "snapold": 40})
+        now = seed_cache_dir(tmp_path, {"young": 1, "old": 30, "older": 40})
         removed = prune_cache(tmp_path, max_age_days=7, now=now)
         assert sorted(os.path.basename(p) for p in removed) == [
-            "old.json", "snapold.snap"]
+            "old.json", "older.json"]
         survivors = [e["path"] for e in cache_contents(tmp_path)["entries"]]
         assert survivors == [str(tmp_path / "young.json")]
 
@@ -260,7 +275,7 @@ class TestCacheMaintenance:
         assert [os.path.basename(p) for p in removed] == ["middle.json"]
 
     def test_prune_without_limits_removes_nothing(self, tmp_path):
-        now = seed_cache_dir(tmp_path, {"aa": 1, "snap1": 400})
+        now = seed_cache_dir(tmp_path, {"aa": 1, "bb": 400})
         assert prune_cache(tmp_path, now=now) == []
         assert len(cache_contents(tmp_path)["entries"]) == 2
 

@@ -7,7 +7,7 @@ Three layers of guarantees:
   reproduces it exactly on a rebuilt skeleton;
 * **bit-identical replay** — restore-then-run produces the same cycles,
   statistics, ring-buffer contents and alerts as cold-boot-then-run
-  (the contract the warm-start experiment cells depend on);
+  (the contract the fuzzer's per-example restores depend on);
 * **format integrity** — corrupt or mismatched snapshot files fail
   loudly with :class:`~repro.errors.SnapshotError`.
 """
@@ -295,57 +295,6 @@ class TestInMemoryRestore:
         assert via_memory == via_disk
 
 
-class TestWarmStartCells:
-    def test_table1_warm_start_is_byte_identical(self, tmp_path, monkeypatch):
-        from repro.analysis.tables import run_table1
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        factory = small_platform_config
-        cold = run_table1(platform_factory=factory, warmup=1, iterations=2,
-                          ops=["fork+execv", "mmap"])
-        warm = run_table1(platform_factory=factory, warmup=1, iterations=2,
-                          ops=["fork+execv", "mmap"], warm_start=True)
-        assert warm.format() == cold.format()
-        snapshots = list((tmp_path / "snapshots").glob("*.snap"))
-        assert len(snapshots) == 3  # one shared boot image per system
-
-    def test_boot_snapshots_are_reused(self, tmp_path):
-        from repro.analysis.tables import table1_cells
-        from repro.tools.runner import attach_boot_snapshots
-
-        factory = small_platform_config
-        first = attach_boot_snapshots(
-            table1_cells(platform_factory=factory), cache_dir=tmp_path
-        )
-        stamps = {
-            cell.snapshot_path: json.dumps(cell.spec, sort_keys=True)
-            for cell in first
-        }
-        second = attach_boot_snapshots(
-            table1_cells(platform_factory=factory), cache_dir=tmp_path
-        )
-        for cell in second:
-            assert cell.snapshot_path in stamps
-            assert json.dumps(cell.spec, sort_keys=True) == stamps[
-                cell.snapshot_path
-            ]
-
-    def test_snapshot_hash_reaches_cache_key(self, tmp_path):
-        from repro.analysis.tables import table1_cells
-        from repro.tools.runner import attach_boot_snapshots, cache_key
-
-        factory = small_platform_config
-        cold_keys = [cache_key(c)
-                     for c in table1_cells(platform_factory=factory)]
-        warm = attach_boot_snapshots(
-            table1_cells(platform_factory=factory), cache_dir=tmp_path
-        )
-        warm_keys = [cache_key(c) for c in warm]
-        assert set(cold_keys).isdisjoint(warm_keys)
-        for cell in warm:
-            assert cell.spec["boot_snapshot"]
-
-
 class TestFormatIntegrity:
     def test_info_names_every_section(self, roundtrip):
         _, snapshot, _, path = roundtrip
@@ -374,22 +323,6 @@ class TestFormatIntegrity:
         _, _, _, path = roundtrip
         with pytest.raises(SnapshotError, match="content hash"):
             restore_system(path, expect_hash="0" * 64)
-
-    def test_build_system_name_mismatch_rejected(self, roundtrip):
-        _, _, _, path = roundtrip
-        with pytest.raises(KeyError, match="hypernel"):
-            build_system("native", from_snapshot=path)
-
-    def test_build_system_rejects_extra_kwargs(self, roundtrip):
-        _, _, _, path = roundtrip
-        with pytest.raises(TypeError, match="from_snapshot"):
-            build_system("hypernel", from_snapshot=path, with_mbm=False)
-
-    def test_build_system_restores_by_name(self, roundtrip):
-        _, snapshot, _, path = roundtrip
-        system = build_system("hypernel", from_snapshot=path)
-        assert system.name == "hypernel"
-        assert system.recipe == snapshot.manifest["recipe"]
 
     def test_unbooted_skeleton_cannot_snapshot(self, tmp_path):
         skeleton = build_native(
