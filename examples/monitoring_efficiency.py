@@ -25,14 +25,13 @@ def main() -> None:
     parser.add_argument("--dram-mb", type=int, default=128)
     args = parser.parse_args()
 
-    def platform_factory() -> PlatformConfig:
-        return PlatformConfig(
-            dram_bytes=args.dram_mb * 1024 * 1024,
-            secure_bytes=max(16, args.dram_mb // 8) * 1024 * 1024,
-        )
+    platform_config = PlatformConfig(
+        dram_bytes=args.dram_mb * 1024 * 1024,
+        secure_bytes=max(16, args.dram_mb // 8) * 1024 * 1024,
+    )
 
     print("=== Table 2: trap counts, page- vs word-granularity ===\n")
-    table2 = run_table2(scale=args.scale, platform_factory=platform_factory)
+    table2 = run_table2(scale=args.scale, platform_config=platform_config)
     print(table2.format())
     print()
     for app in table2.counts:

@@ -25,19 +25,18 @@ def main() -> None:
                         help="run only Table 1 (faster)")
     args = parser.parse_args()
 
-    def platform_factory() -> PlatformConfig:
-        return PlatformConfig(
-            dram_bytes=args.dram_mb * 1024 * 1024,
-            secure_bytes=max(16, args.dram_mb // 8) * 1024 * 1024,
-        )
+    platform_config = PlatformConfig(
+        dram_bytes=args.dram_mb * 1024 * 1024,
+        secure_bytes=max(16, args.dram_mb // 8) * 1024 * 1024,
+    )
 
     print("=== Table 1: LMbench kernel operations (µs) ===\n")
-    table1 = run_table1(platform_factory=platform_factory)
+    table1 = run_table1(platform_config=platform_config)
     print(table1.format())
 
     if not args.skip_apps:
         print("\n\n=== Figure 6: application benchmarks (normalized) ===\n")
-        fig6 = run_figure6(scale=args.scale, platform_factory=platform_factory)
+        fig6 = run_figure6(scale=args.scale, platform_config=platform_config)
         print(fig6.format())
 
 

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Zero-loss integrity gate.
 
-Runs one small Table 1 cell sweep with run-integrity enforcement turned
-on (``repro.obs``): the run fails loudly (exit 1) if any cell's MBM
-pipeline lost events — FIFO overrun, capture drops, ring overflow — or
-recorded a write-back hazard.  A lossy monitoring pipeline silently
-undercounts Table 2 and skews the paper's overhead numbers, so CI
-treats loss as a hard failure, not a statistic.
+Runs one small Table 1 and Table 2 cell sweep through the experiment
+runner, which enforces run integrity on every cell (``repro.obs``): the
+gate fails loudly (exit 1) if any cell's MBM pipeline lost events —
+FIFO overrun, capture drops, ring overflow — or recorded a write-back
+hazard, or if no cell reported integrity checks at all.  A lossy
+monitoring pipeline silently undercounts Table 2 and skews the paper's
+overhead numbers, so CI treats loss as a hard failure, not a statistic.
 
 The sweep runs twice: in-process (``jobs=1``) and fanned out over a
 process pool (``jobs=2``; both grids have more than one cell, so the
@@ -109,21 +110,19 @@ def main(argv=None) -> int:
     for label, jobs in (("serial", 1), ("pool", 2)):
         try:
             table1 = run_table1(
-                platform_factory=small_platform,
+                platform_config=small_platform(),
                 ops=args.ops,
                 warmup=args.warmup,
                 iterations=args.iterations,
                 jobs=jobs,
-                enforce_integrity=True,
             )
             # Table 1 runs Hypersec-only (no MBM), so its checks are
             # vacuous; the table2 leg drives the full MBM pipeline and
             # is the part of the gate that can actually trip.
             table2 = run_table2(
                 scale=args.scale,
-                platform_factory=small_platform,
+                platform_config=small_platform(),
                 jobs=jobs,
-                enforce_integrity=True,
             )
         except IntegrityError as exc:
             print(f"[{label}] INTEGRITY FAILURE: {exc}")

@@ -9,14 +9,14 @@ produce byte-identical results (see DESIGN.md §5b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.config import PlatformConfig
 from repro.core.hypernel import build_system
 from repro.analysis import paper
 from repro.analysis.compare import arithmetic_mean, format_table
 from repro.tools.runner import Cell, CellCache, run_cells
-from repro.workloads.apps import ApplicationWorkload, default_applications
+from repro.workloads.apps import default_applications
 
 SYSTEMS = ["native", "kvm-guest", "hypernel"]
 
@@ -67,58 +67,44 @@ class Figure6Result:
 
 def figure6_cells(
     scale: float = 0.25,
-    platform_factory: Optional[Callable[[], PlatformConfig]] = None,
-    apps: Optional[List[ApplicationWorkload]] = None,
+    platform_config: Optional[PlatformConfig] = None,
+    apps: Optional[List[str]] = None,
 ) -> List[Cell]:
     """One cell per system configuration, in ``SYSTEMS`` order.
 
-    With the default app set, cells carry only the scale (the worker
-    rebuilds the apps) and are cacheable; caller-supplied workload
-    objects travel inside the spec and make the cell uncacheable.
+    ``apps`` names a subset of the paper's applications (default: all
+    five); the worker builds them at ``scale``.
     """
     spec: Dict[str, Any] = {"scale": scale}
     if apps is not None:
-        spec["apps"] = apps
+        spec["apps"] = list(apps)
     return [
         Cell(
             kind="figure6",
             environment=system_name,
             workload="apps",
             spec=dict(spec),
-            platform_config=(
-                platform_factory() if platform_factory is not None else None
-            ),
-            cacheable=apps is None,
+            platform_config=platform_config,
         )
         for system_name in SYSTEMS
     ]
-
-
-def cell_build_args(cell: Cell) -> tuple:
-    """``(system_name, build_kwargs)`` for this cell's environment."""
-    kwargs: Dict[str, Any] = {}
-    if cell.environment == "hypernel":
-        kwargs["with_mbm"] = False  # paper 7.1: only Hypersec active
-    if cell.environment == "kvm-guest":
-        kwargs["prepopulate_stage2"] = True  # steady-state guest
-    return cell.environment, kwargs
 
 
 def execute_cell(cell: Cell) -> Dict[str, Any]:
     """Worker body: build one system, run every application."""
     from repro.obs import collect_metrics
 
-    name, kwargs = cell_build_args(cell)
-    if cell.platform_config is not None:
-        kwargs["platform_config"] = cell.platform_config
-    system = build_system(name, **kwargs)
+    kwargs: Dict[str, Any] = {}
+    if cell.environment == "hypernel":
+        kwargs["with_mbm"] = False  # paper 7.1: only Hypersec active
+    if cell.environment == "kvm-guest":
+        kwargs["prepopulate_stage2"] = True  # steady-state guest
+    system = build_system(cell.environment,
+                          platform_config=cell.platform_config, **kwargs)
 
-    apps = cell.spec.get("apps")
-    if apps is None:
-        apps = default_applications(cell.spec["scale"])
     shell = system.spawn_init()
     raw_us: Dict[str, float] = {}
-    for app in apps:
+    for app in default_applications(cell.spec["scale"], cell.spec.get("apps")):
         app.prepare(system, shell)
         run = app.run(system, shell)
         raw_us[app.name] = run.microseconds
@@ -154,23 +140,19 @@ def merge_figure6(
 
 def run_figure6(
     scale: float = 0.25,
-    platform_factory: Optional[Callable[[], PlatformConfig]] = None,
-    apps: Optional[List[ApplicationWorkload]] = None,
+    platform_config: Optional[PlatformConfig] = None,
+    apps: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    enforce_integrity: bool = False,
     waive: tuple = (),
 ) -> Figure6Result:
     """Run each application on each system; normalize to native.
 
     ``jobs`` sizes the process pool (default: every available CPU;
-    ``1`` runs serially in-process — see ``run_cells``).
-    ``enforce_integrity`` fails the run (IntegrityError) if any cell's
-    monitoring pipeline lost events; ``waive`` accepts named checks.
+    ``1`` runs serially in-process — see ``run_cells``).  The run fails
+    (IntegrityError) if any cell's monitoring pipeline lost events;
+    ``waive`` accepts named checks.
     """
-    cells = figure6_cells(scale, platform_factory, apps)
-    payloads = run_cells(
-        cells, jobs=jobs, cache=cache,
-        integrity="enforce" if enforce_integrity else "ignore", waive=waive,
-    )
+    cells = figure6_cells(scale, platform_config, apps)
+    payloads = run_cells(cells, jobs=jobs, cache=cache, waive=waive)
     return merge_figure6(cells, payloads)

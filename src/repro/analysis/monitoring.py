@@ -13,7 +13,7 @@ Reproduces the paper's section 7.2 methodology exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.config import PlatformConfig
 from repro.core.hypernel import build_system
@@ -23,7 +23,7 @@ from repro.security.baseline_page import WholeObjectMonitor
 from repro.security.cred_monitor import CredIntegrityMonitor
 from repro.security.dentry_monitor import DentryIntegrityMonitor
 from repro.tools.runner import Cell, CellCache, run_cells
-from repro.workloads.apps import ApplicationWorkload, default_applications
+from repro.workloads.apps import default_applications
 
 GRANULARITIES = ["page", "word"]
 
@@ -78,63 +78,45 @@ class Table2Result:
         return table + footer
 
 
-def _word_granularity_monitors():
-    return [CredIntegrityMonitor(), DentryIntegrityMonitor()]
-
-
-def _page_granularity_monitors():
-    return [WholeObjectMonitor(("cred", "dentry"))]
-
-
 def table2_cells(
     scale: float = 0.25,
-    platform_factory: Optional[Callable[[], PlatformConfig]] = None,
-    apps: Optional[List[ApplicationWorkload]] = None,
+    platform_config: Optional[PlatformConfig] = None,
+    apps: Optional[List[str]] = None,
 ) -> List[Cell]:
-    """One cell per monitoring granularity, in ``GRANULARITIES`` order."""
+    """One cell per monitoring granularity, in ``GRANULARITIES`` order.
+
+    ``apps`` names a subset of the paper's applications (default: all
+    five); the worker builds them at ``scale``.
+    """
     spec: Dict[str, Any] = {"scale": scale}
     if apps is not None:
-        spec["apps"] = apps
+        spec["apps"] = list(apps)
     return [
         Cell(
             kind="table2",
             environment=granularity,
             workload="apps",
             spec=dict(spec),
-            platform_config=(
-                platform_factory() if platform_factory is not None else None
-            ),
-            cacheable=apps is None,
+            platform_config=platform_config,
         )
         for granularity in GRANULARITIES
     ]
-
-
-def cell_build_args(cell: Cell) -> tuple:
-    """``(system_name, build_kwargs)`` for this cell's granularity."""
-    monitors = (
-        _page_granularity_monitors()
-        if cell.environment == "page"
-        else _word_granularity_monitors()
-    )
-    return "hypernel", {"with_mbm": True, "monitors": monitors}
 
 
 def execute_cell(cell: Cell) -> Dict[str, Any]:
     """Worker body: one monitored Hypernel system, all applications."""
     from repro.obs import collect_metrics
 
-    name, kwargs = cell_build_args(cell)
-    if cell.platform_config is not None:
-        kwargs["platform_config"] = cell.platform_config
-    system = build_system(name, **kwargs)
+    if cell.environment == "page":
+        monitors = [WholeObjectMonitor(("cred", "dentry"))]
+    else:
+        monitors = [CredIntegrityMonitor(), DentryIntegrityMonitor()]
+    system = build_system("hypernel", platform_config=cell.platform_config,
+                          with_mbm=True, monitors=monitors)
 
-    apps = cell.spec.get("apps")
-    if apps is None:
-        apps = default_applications(cell.spec["scale"])
     shell = system.spawn_init()
     counts: Dict[str, int] = {}
-    for app in apps:
+    for app in default_applications(cell.spec["scale"], cell.spec.get("apps")):
         app.prepare(system, shell)
         before = system.mbm.events_detected
         app.run(system, shell)
@@ -166,24 +148,20 @@ def merge_table2(
 
 def run_table2(
     scale: float = 0.25,
-    platform_factory: Optional[Callable[[], PlatformConfig]] = None,
-    apps: Optional[List[ApplicationWorkload]] = None,
+    platform_config: Optional[PlatformConfig] = None,
+    apps: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    enforce_integrity: bool = False,
     waive: tuple = (),
 ) -> Table2Result:
     """Run the five applications under both monitoring configurations.
 
     ``jobs`` sizes the process pool (default: every available CPU;
-    ``1`` runs serially in-process — see ``run_cells``).
-    ``enforce_integrity`` fails the run (IntegrityError) if the MBM
-    pipeline lost events — for Table 2 that means the trap counts
-    themselves would be short; ``waive`` accepts named checks.
+    ``1`` runs serially in-process — see ``run_cells``).  The run fails
+    (IntegrityError) if the MBM pipeline lost events — for Table 2 that
+    means the trap counts themselves would be short; ``waive`` accepts
+    named checks.
     """
-    cells = table2_cells(scale, platform_factory, apps)
-    payloads = run_cells(
-        cells, jobs=jobs, cache=cache,
-        integrity="enforce" if enforce_integrity else "ignore", waive=waive,
-    )
+    cells = table2_cells(scale, platform_config, apps)
+    payloads = run_cells(cells, jobs=jobs, cache=cache, waive=waive)
     return merge_table2(cells, payloads, scale)

@@ -14,7 +14,7 @@ and want a fresh record.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.config import PlatformConfig
 from repro.analysis import paper
@@ -26,10 +26,7 @@ from repro.tools.runner import CellCache
 from repro.workloads.lmbench import LMBENCH_OPS
 
 
-def _attack_matrix(platform_factory) -> List[str]:
-    from repro.core.hypernel import build_hypernel, build_native
-    from repro.kernel.kernel import KernelConfig
-    from repro.security import CredIntegrityMonitor, DentryIntegrityMonitor
+def _attack_matrix(platform_config: PlatformConfig) -> List[str]:
     from repro.attacks import (
         AtraAttack,
         CredEscalationAttack,
@@ -37,6 +34,7 @@ def _attack_matrix(platform_factory) -> List[str]:
         MmuDisableAttack,
         PageTableTamperAttack,
         TtbrSwitchAttack,
+        run_attack_matrix,
     )
 
     def verdict(outcome) -> str:
@@ -46,41 +44,20 @@ def _attack_matrix(platform_factory) -> List[str]:
             return "detected"
         return "silent success"
 
-    lines = ["| attack | native | hypernel |", "|---|---|---|"]
-    systems = {}
-    victims = {}
-    for name in ("native", "hypernel"):
-        if name == "native":
-            system = build_native(
-                platform_config=platform_factory(),
-                kernel_config=KernelConfig(linear_map_mode="page"),
-            )
-        else:
-            system = build_hypernel(
-                platform_config=platform_factory(),
-                monitors=[CredIntegrityMonitor(), DentryIntegrityMonitor()],
-            )
-        kernel = system.kernel
-        init = system.spawn_init()
-        victim = kernel.sys.fork(init)
-        kernel.procs.context_switch(victim)
-        kernel.sys.setuid(victim, 1000)
-        kernel.vfs.mkdir_p("/etc")
-        kernel.sys.creat(victim, "/etc/passwd")
-        systems[name], victims[name] = system, victim
     scenarios = [
-        ("cred escalation", lambda s, v: CredEscalationAttack().mount(s, v)),
-        ("dentry hijack", lambda s, v: DentryHijackAttack().mount(s, "/etc/passwd")),
-        ("page-table tamper", lambda s, v: PageTableTamperAttack().mount(s)),
-        ("TTBR switch", lambda s, v: TtbrSwitchAttack().mount(s)),
-        ("MMU disable", lambda s, v: MmuDisableAttack().mount(s)),
-        ("ATRA", lambda s, v: AtraAttack().mount(s, v)),
+        ("cred escalation", CredEscalationAttack),
+        ("dentry hijack", DentryHijackAttack),
+        ("page-table tamper", PageTableTamperAttack),
+        ("TTBR switch", TtbrSwitchAttack),
+        ("MMU disable", MmuDisableAttack),
+        ("ATRA", AtraAttack),
     ]
-    for label, mount in scenarios:
-        row = [label]
-        for name in ("native", "hypernel"):
-            row.append(verdict(mount(systems[name], victims[name])))
-        lines.append("| " + " | ".join(row) + " |")
+    outcomes = run_attack_matrix([attack for _, attack in scenarios],
+                                 platform_config)
+    lines = ["| attack | native | hypernel |", "|---|---|---|"]
+    for row, (label, _) in enumerate(scenarios):
+        lines.append(f"| {label} | {verdict(outcomes['native'][row])} "
+                     f"| {verdict(outcomes['hypernel'][row])} |")
     return lines
 
 
@@ -132,11 +109,10 @@ def health_lines(sections: Dict[str, Dict[str, dict]]) -> List[str]:
 
 def generate_report(
     scale: float = 0.25,
-    platform_factory: Optional[Callable[[], PlatformConfig]] = None,
+    platform_config: Optional[PlatformConfig] = None,
     include_attacks: bool = True,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    enforce_integrity: bool = False,
     waive: tuple = (),
 ) -> str:
     """Run the full evaluation and return it as a markdown document.
@@ -144,28 +120,28 @@ def generate_report(
     ``jobs`` and ``cache`` are forwarded to the three
     cell-based experiment runners (the attack matrix stays in-process:
     its scenarios share mutable victim systems).  The report
-    always ends with a run-health section; ``enforce_integrity``
-    additionally *fails* generation with an IntegrityError when the
-    monitoring pipeline lost events (``waive`` accepts named checks).
+    always ends with a run-health section; generation fails with an
+    IntegrityError when the monitoring pipeline lost events
+    (``waive`` accepts named checks).
     """
-    if platform_factory is None:
-        platform_factory = lambda: PlatformConfig(  # noqa: E731
+    if platform_config is None:
+        platform_config = PlatformConfig(
             dram_bytes=192 * 1024 * 1024, secure_bytes=24 * 1024 * 1024
         )
-    runner_kwargs = {"jobs": jobs, "cache": cache,
-                     "enforce_integrity": enforce_integrity, "waive": waive}
+    runner_kwargs = {"platform_config": platform_config, "jobs": jobs,
+                     "cache": cache, "waive": waive}
     lines: List[str] = [
         "# Hypernel reproduction — evaluation report",
         "",
         f"Workload scale: {scale}; platform: "
-        f"{platform_factory().dram_bytes // (1 << 20)} MB DRAM.",
+        f"{platform_config.dram_bytes // (1 << 20)} MB DRAM.",
         "",
         "## Table 1 — LMbench kernel operations (µs)",
         "",
         "| test | native | kvm-guest | hypernel | paper native | paper kvm | paper hypernel |",
         "|---|---|---|---|---|---|---|",
     ]
-    table1 = run_table1(platform_factory=platform_factory, **runner_kwargs)
+    table1 = run_table1(**runner_kwargs)
     for op in LMBENCH_OPS:
         row = table1.rows[op]
         p = paper.TABLE1[op]
@@ -187,8 +163,7 @@ def generate_report(
         "| benchmark | kvm-guest | hypernel |",
         "|---|---|---|",
     ]
-    fig6 = run_figure6(scale=scale, platform_factory=platform_factory,
-                       **runner_kwargs)
+    fig6 = run_figure6(scale=scale, **runner_kwargs)
     for app, row in fig6.normalized.items():
         lines.append(
             f"| {app} | {row['kvm-guest']:.3f} | {row['hypernel']:.3f} |"
@@ -206,8 +181,7 @@ def generate_report(
         "| benchmark | page | word | ratio | paper ratio |",
         "|---|---|---|---|---|",
     ]
-    table2 = run_table2(scale=scale, platform_factory=platform_factory,
-                        **runner_kwargs)
+    table2 = run_table2(scale=scale, **runner_kwargs)
     for app, row in table2.counts.items():
         p = paper.TABLE2.get(app)
         paper_ratio = (
@@ -224,7 +198,7 @@ def generate_report(
     ]
     if include_attacks:
         lines += ["", "## Attack matrix", ""]
-        lines += _attack_matrix(platform_factory)
+        lines += _attack_matrix(platform_config)
     lines += ["", "## Run health", ""]
     lines += health_lines(
         {

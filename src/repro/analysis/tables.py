@@ -9,7 +9,7 @@ the merged table is byte-identical to a serial run (see DESIGN.md §5b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.config import PlatformConfig
 from repro.core.hypernel import build_system
@@ -61,7 +61,7 @@ class Table1Result:
 
 
 def table1_cells(
-    platform_factory: Optional[Callable[[], PlatformConfig]] = None,
+    platform_config: Optional[PlatformConfig] = None,
     warmup: int = 4,
     iterations: int = 16,
     ops: Optional[List[str]] = None,
@@ -74,24 +74,10 @@ def table1_cells(
             environment=system_name,
             workload="lmbench",
             spec={"ops": ops, "warmup": warmup, "iterations": iterations},
-            platform_config=(
-                platform_factory() if platform_factory is not None else None
-            ),
+            platform_config=platform_config,
         )
         for system_name in SYSTEMS
     ]
-
-
-def cell_build_args(cell: Cell) -> tuple:
-    """``(system_name, build_kwargs)`` for this cell's environment."""
-    kwargs: Dict[str, Any] = {}
-    if cell.environment == "hypernel":
-        kwargs["with_mbm"] = False  # paper 7.1: only Hypersec active
-    if cell.environment == "kvm-guest":
-        # Steady-state measurement: a long-running guest has its
-        # memory stage-2-mapped already (cold faults are boot noise).
-        kwargs["prepopulate_stage2"] = True
-    return cell.environment, kwargs
 
 
 def execute_cell(cell: Cell) -> Dict[str, Any]:
@@ -99,10 +85,15 @@ def execute_cell(cell: Cell) -> Dict[str, Any]:
     from repro.obs import collect_metrics
     from repro.tools.macroops import MacroOpEngine, memoization_enabled
 
-    name, kwargs = cell_build_args(cell)
-    if cell.platform_config is not None:
-        kwargs["platform_config"] = cell.platform_config
-    system = build_system(name, **kwargs)
+    kwargs: Dict[str, Any] = {}
+    if cell.environment == "hypernel":
+        kwargs["with_mbm"] = False  # paper 7.1: only Hypersec active
+    if cell.environment == "kvm-guest":
+        # Steady-state measurement: a long-running guest has its
+        # memory stage-2-mapped already (cold faults are boot noise).
+        kwargs["prepopulate_stage2"] = True
+    system = build_system(cell.environment,
+                          platform_config=cell.platform_config, **kwargs)
 
     spec = cell.spec
     suite = LmbenchSuite(
@@ -138,26 +129,22 @@ def merge_table1(
 
 
 def run_table1(
-    platform_factory: Optional[Callable[[], PlatformConfig]] = None,
+    platform_config: Optional[PlatformConfig] = None,
     warmup: int = 4,
     iterations: int = 16,
     ops: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    enforce_integrity: bool = False,
     waive: tuple = (),
 ) -> Table1Result:
     """Build each system, run the LMbench suite, collect Table 1.
 
     ``jobs`` sizes the process pool (default: every available CPU;
-    ``1`` runs serially in-process — see ``run_cells``).
-    ``enforce_integrity`` fails the run (IntegrityError) if any cell's
-    monitoring pipeline lost events; ``waive`` accepts named checks.
+    ``1`` runs serially in-process — see ``run_cells``).  The run fails
+    (IntegrityError) if any cell's monitoring pipeline lost events;
+    ``waive`` accepts named checks.
     """
     ops = list(ops or LMBENCH_OPS)
-    cells = table1_cells(platform_factory, warmup, iterations, ops)
-    payloads = run_cells(
-        cells, jobs=jobs, cache=cache,
-        integrity="enforce" if enforce_integrity else "ignore", waive=waive,
-    )
+    cells = table1_cells(platform_config, warmup, iterations, ops)
+    payloads = run_cells(cells, jobs=jobs, cache=cache, waive=waive)
     return merge_table1(cells, payloads, ops)

@@ -25,7 +25,13 @@ DMA into secure region     success   detected*   n/a
 
 (*) via the MBM's bus-level tamper watch; fully *prevented* when the
 IOMMU extension is enabled (paper Discussion section).
+
+:func:`run_attack_matrix` mounts a list of scenarios on a native and a
+Hypernel system; ``python -m repro attacks`` and the evaluation report
+both run their matrices through it.
 """
+
+from typing import Dict, List, Optional, Sequence
 
 from repro.attacks.atra import AtraAttack
 from repro.attacks.base import AttackOutcome
@@ -37,6 +43,9 @@ from repro.attacks.pgtable import (
     TtbrSwitchAttack,
 )
 from repro.attacks.rootkit import CredEscalationAttack, DentryHijackAttack
+from repro.config import PlatformConfig
+from repro.core.hypernel import build_hypernel, build_native
+from repro.kernel.kernel import KernelConfig
 
 #: Translation-machinery attacks the hypercall fuzzer mounts as rules:
 #: safe to repeat any number of times against a protected system (each
@@ -52,6 +61,55 @@ FUZZABLE_ATTACKS = {
     )
 }
 
+#: The file the matrix's victim creates and the dentry hijack retargets.
+VICTIM_PATH = "/etc/passwd"
+
+
+def run_attack_matrix(
+    attacks: Sequence[type],
+    platform_config: Optional[PlatformConfig] = None,
+) -> Dict[str, List[AttackOutcome]]:
+    """Mount each attack class, in order, on one native system (4 KB
+    linear map), then on one monitored Hypernel system.
+
+    Each system gets an unprivileged (uid 1000) victim task that owns
+    ``VICTIM_PATH``.  The attacks on a system share it, so order
+    matters.  Returns ``{"native": [...], "hypernel": [...]}``.
+    """
+    from repro.security import CredIntegrityMonitor, DentryIntegrityMonitor
+
+    builders = {
+        "native": lambda: build_native(
+            platform_config=platform_config,
+            kernel_config=KernelConfig(linear_map_mode="page"),
+        ),
+        "hypernel": lambda: build_hypernel(
+            platform_config=platform_config,
+            monitors=[CredIntegrityMonitor(), DentryIntegrityMonitor()],
+        ),
+    }
+    outcomes: Dict[str, List[AttackOutcome]] = {}
+    for name, build in builders.items():
+        system = build()
+        kernel = system.kernel
+        victim = kernel.sys.fork(system.spawn_init())
+        kernel.procs.context_switch(victim)
+        kernel.sys.setuid(victim, 1000)
+        kernel.vfs.mkdir_p("/etc")
+        kernel.sys.creat(victim, VICTIM_PATH)
+        outcomes[name] = []
+        for attack_class in attacks:
+            attack = attack_class()
+            if isinstance(attack, (CredEscalationAttack, AtraAttack)):
+                outcome = attack.mount(system, victim)
+            elif isinstance(attack, DentryHijackAttack):
+                outcome = attack.mount(system, VICTIM_PATH)
+            else:
+                outcome = attack.mount(system)
+            outcomes[name].append(outcome)
+    return outcomes
+
+
 __all__ = [
     "AtraAttack",
     "AttackOutcome",
@@ -63,4 +121,5 @@ __all__ = [
     "MmuDisableAttack",
     "PageTableTamperAttack",
     "TtbrSwitchAttack",
+    "run_attack_matrix",
 ]

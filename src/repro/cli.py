@@ -7,6 +7,10 @@ Commands:
 * ``table1`` — regenerate Table 1 (LMbench kernel operations).
 * ``figure6`` — regenerate Figure 6 (application benchmarks).
 * ``table2`` — regenerate Table 2 (monitoring granularity).
+
+  These three and ``report`` exit non-zero when the monitoring pipeline
+  lost events in any cell, cached or computed, unless the check is
+  ``--waive``d.
 * ``attacks`` — run the attack/protection matrix and print verdicts.
 * ``audit`` — build a monitored Hypernel system, run a workload and
   verify every security invariant against live machine state; with
@@ -15,8 +19,8 @@ Commands:
   ``--snapshot``) and print the full observability report: component
   counters, gauges, cycle attribution and the run-integrity checks
   (repro.obs).  Exits non-zero when the monitoring pipeline lost
-  events, unless ``--no-enforce`` or the check is ``--waive``d;
-  ``--json PATH`` exports the report as JSONL.
+  events, unless the check is ``--waive``d; ``--json PATH`` exports
+  the report as JSONL.
 * ``fuzz`` — adversarial hypercall fuzzing of Hypersec
   (repro.security.fuzz): a Hypothesis state machine drives random
   hypercall/trapped-register/attack sequences against a booted
@@ -92,24 +96,24 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every cell, bypassing the "
                         "content-addressed result cache")
-    parser.add_argument("--enforce-integrity", action="store_true",
-                        help="fail the run if the monitoring pipeline "
-                        "lost events in any cell (FIFO overrun, ring "
-                        "overflow — see repro.obs); cached results are "
-                        "checked too")
+    _add_waive(parser)
+
+
+def _add_waive(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--waive", action="append", default=[],
                         metavar="CHECK",
                         help="accept a named integrity check (e.g. "
-                        "mbm_fifo.overrun); repeatable")
+                        "mbm_fifo.overrun) instead of failing the run "
+                        "when the monitoring pipeline lost events; "
+                        "repeatable")
 
 
 def _runner_kwargs(args):
     from repro.tools.runner import CellCache, default_cache_dir
 
     cache = None if args.no_cache else CellCache(default_cache_dir())
-    return {"jobs": args.jobs, "cache": cache,
-            "enforce_integrity": args.enforce_integrity,
-            "waive": tuple(args.waive)}
+    return {"platform_config": _platform_config(args), "jobs": args.jobs,
+            "cache": cache, "waive": tuple(args.waive)}
 
 
 def cmd_info(args) -> int:
@@ -137,39 +141,25 @@ def cmd_info(args) -> int:
 def cmd_table1(args) -> int:
     from repro.analysis.tables import run_table1
 
-    result = run_table1(
-        platform_factory=lambda: _platform_config(args), **_runner_kwargs(args)
-    )
-    print(result.format())
+    print(run_table1(**_runner_kwargs(args)).format())
     return 0
 
 
 def cmd_figure6(args) -> int:
     from repro.analysis.figures import run_figure6
 
-    result = run_figure6(
-        scale=args.scale, platform_factory=lambda: _platform_config(args),
-        **_runner_kwargs(args)
-    )
-    print(result.format())
+    print(run_figure6(scale=args.scale, **_runner_kwargs(args)).format())
     return 0
 
 
 def cmd_table2(args) -> int:
     from repro.analysis.monitoring import run_table2
 
-    result = run_table2(
-        scale=args.scale, platform_factory=lambda: _platform_config(args),
-        **_runner_kwargs(args)
-    )
-    print(result.format())
+    print(run_table2(scale=args.scale, **_runner_kwargs(args)).format())
     return 0
 
 
 def cmd_attacks(args) -> int:
-    from repro.core.hypernel import build_hypernel, build_native
-    from repro.kernel.kernel import KernelConfig
-    from repro.security import CredIntegrityMonitor, DentryIntegrityMonitor
     from repro.attacks import (
         AtraAttack,
         CredEscalationAttack,
@@ -179,43 +169,18 @@ def cmd_attacks(args) -> int:
         MmuDisableAttack,
         PageTableTamperAttack,
         TtbrSwitchAttack,
+        run_attack_matrix,
     )
 
-    def victim_on(system):
-        kernel = system.kernel
-        init = system.spawn_init()
-        target = kernel.sys.fork(init)
-        kernel.procs.context_switch(target)
-        kernel.sys.setuid(target, 1000)
-        kernel.vfs.mkdir_p("/etc")
-        kernel.sys.creat(target, "/etc/passwd")
-        return target
-
-    builders = {
-        "native": lambda: build_native(
-            platform_config=_platform_config(args),
-            kernel_config=KernelConfig(linear_map_mode="page"),
-        ),
-        "hypernel": lambda: build_hypernel(
-            platform_config=_platform_config(args),
-            monitors=[CredIntegrityMonitor(), DentryIntegrityMonitor()],
-        ),
-    }
-    for system_name, builder in builders.items():
-        system = builder()
-        victim = victim_on(system)
+    matrix = run_attack_matrix(
+        [CredEscalationAttack, DentryHijackAttack, PageTableTamperAttack,
+         TtbrSwitchAttack, MmuDisableAttack, HypercallAbuseAttack,
+         AtraAttack, DmaAttack],
+        _platform_config(args),
+    )
+    for system_name, outcomes in matrix.items():
         print(f"\n=== {system_name} ===")
-        scenarios = [
-            CredEscalationAttack().mount(system, victim),
-            DentryHijackAttack().mount(system, "/etc/passwd"),
-            PageTableTamperAttack().mount(system),
-            TtbrSwitchAttack().mount(system),
-            MmuDisableAttack().mount(system),
-            HypercallAbuseAttack().mount(system),
-            AtraAttack().mount(system, victim),
-            DmaAttack().mount(system),
-        ]
-        for outcome in scenarios:
+        for outcome in outcomes:
             verdict = ("BLOCKED" if outcome.blocked
                        else "detected" if outcome.detected
                        else "SILENT SUCCESS")
@@ -226,40 +191,30 @@ def cmd_attacks(args) -> int:
 def cmd_report(args) -> int:
     from repro.analysis.report import generate_report
 
-    print(generate_report(
-        scale=args.scale,
-        platform_factory=lambda: _platform_config(args),
-        **_runner_kwargs(args),
-    ))
+    print(generate_report(scale=args.scale, **_runner_kwargs(args)))
     return 0
 
 
-def cmd_audit(args) -> int:
-    from repro.core.hypernel import build_hypernel
-    from repro.security import CredIntegrityMonitor, DentryIntegrityMonitor
-    from repro.workloads.apps import UntarWorkload
+def _system_under_test(args):
+    """The machine ``audit`` and ``metrics`` examine: the ``--snapshot``
+    image, or a fresh monitored Hypernel system after an untar run.
 
+    Returns ``None``, having printed the error, when the snapshot cannot
+    be restored.
+    """
     if args.snapshot:
         from repro.errors import SnapshotError
         from repro.state import restore_system
 
         try:
-            system = restore_system(args.snapshot)
+            return restore_system(args.snapshot)
         except (SnapshotError, FileNotFoundError) as exc:
             print(f"error: {exc}")
-            return 1
-        if system.hypersec is None:
-            print(f"error: snapshot holds a {system.name!r} system; only "
-                  "hypernel images can be audited")
-            return 1
-        print(f"auditing restored {system.name} image "
-              f"({args.snapshot}) ...")
-        if system.mbm is not None:
-            print(f"  MBM events: {system.mbm.events_detected}, alerts: "
-                  f"{sum(len(m.alerts) for m in system.monitors)}")
-        report = system.hypersec.audit()
-        print(report)
-        return 0 if report.clean else 1
+            return None
+
+    from repro.core.hypernel import build_hypernel
+    from repro.security import CredIntegrityMonitor, DentryIntegrityMonitor
+    from repro.workloads.apps import UntarWorkload
 
     system = build_hypernel(
         platform_config=_platform_config(args),
@@ -270,8 +225,23 @@ def cmd_audit(args) -> int:
     app = UntarWorkload(args.scale)
     app.prepare(system, shell)
     app.run(system, shell)
-    print(f"  MBM events: {system.mbm.events_detected}, alerts: "
-          f"{sum(len(m.alerts) for m in system.monitors)}")
+    return system
+
+
+def cmd_audit(args) -> int:
+    system = _system_under_test(args)
+    if system is None:
+        return 1
+    if args.snapshot:
+        if system.hypersec is None:
+            print(f"error: snapshot holds a {system.name!r} system; only "
+                  "hypernel images can be audited")
+            return 1
+        print(f"auditing restored {system.name} image "
+              f"({args.snapshot}) ...")
+    if system.mbm is not None:
+        print(f"  MBM events: {system.mbm.events_detected}, alerts: "
+              f"{sum(len(m.alerts) for m in system.monitors)}")
     report = system.hypersec.audit()
     print(report)
     return 0 if report.clean else 1
@@ -286,51 +256,20 @@ def _add_audit_args(parser: argparse.ArgumentParser) -> None:
 def cmd_metrics(args) -> int:
     from repro.obs import collect_metrics, metrics_records, write_jsonl
 
-    waive = tuple(args.waive)
+    system = _system_under_test(args)
+    if system is None:
+        return 1
     if args.snapshot:
-        from repro.errors import IntegrityError, SnapshotError
-        from repro.state import restore_system
-
-        try:
-            system = restore_system(args.snapshot)
-        except (SnapshotError, FileNotFoundError) as exc:
-            print(f"error: {exc}")
-            return 1
         print(f"metrics for restored {system.name} image ({args.snapshot})")
-        try:
-            metrics = collect_metrics(system, waive=waive)
-        except IntegrityError as exc:  # unknown waiver name
-            print(f"error: {exc}")
-            return 1
-    else:
-        from repro.core.hypernel import build_hypernel
-        from repro.errors import IntegrityError
-        from repro.security import (
-            CredIntegrityMonitor,
-            DentryIntegrityMonitor,
-        )
-        from repro.workloads.apps import UntarWorkload
-
-        system = build_hypernel(
-            platform_config=_platform_config(args),
-            monitors=[CredIntegrityMonitor(), DentryIntegrityMonitor()],
-        )
-        shell = system.spawn_init()
-        print("running a workload under full monitoring ...")
-        app = UntarWorkload(args.scale)
-        app.prepare(system, shell)
-        app.run(system, shell)
-        try:
-            metrics = collect_metrics(system, waive=waive)
-        except IntegrityError as exc:
-            print(f"error: {exc}")
-            return 1
+    try:
+        metrics = collect_metrics(system, waive=tuple(args.waive))
+    except IntegrityError as exc:  # unknown waiver name
+        print(f"error: {exc}")
+        return 1
     print(metrics.format())
     if args.json:
         count = write_jsonl(args.json, metrics_records(metrics))
         print(f"\n[{count} records written to {args.json}]")
-    if args.no_enforce:
-        return 0
     failures = metrics.failures
     if failures:
         detail = ", ".join(f"{c.name} = {c.value}" for c in failures)
@@ -345,13 +284,7 @@ def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
                         "image instead of running a fresh workload")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write the report as JSONL records")
-    parser.add_argument("--waive", action="append", default=[],
-                        metavar="CHECK",
-                        help="accept a named integrity check (e.g. "
-                        "mbm_fifo.overrun); repeatable")
-    parser.add_argument("--no-enforce", action="store_true",
-                        help="report integrity failures without failing "
-                        "the exit status")
+    _add_waive(parser)
 
 
 def cmd_fuzz(args) -> int:

@@ -11,9 +11,10 @@ machinery:
 :class:`Cell`
     One independent unit of experiment work: an executor ``kind``, the
     ``environment`` it builds (system name or granularity), a workload
-    label, a JSON-ish ``spec`` (op list, scale, warmup/iterations) and
-    an optional :class:`~repro.config.PlatformConfig`.  Cells must be
-    picklable; they are shipped whole to worker processes.
+    label, a JSON ``spec`` (op list, scale, warmup/iterations, app
+    names) and an optional :class:`~repro.config.PlatformConfig`.
+    Cells are plain data: every one has a cache key, and they are
+    shipped whole to worker processes.
 
 :func:`run_cells`
     Runs the cells that miss the cache: over a
@@ -23,7 +24,8 @@ machinery:
     start a pool.  ``jobs`` defaults to every CPU this process may run
     on (:func:`available_cpus`).  Results come back in cell order, so
     merging is deterministic and the merged tables are byte-identical
-    at any ``jobs``.
+    at any ``jobs``.  Every payload, cached or computed, must pass the
+    run-integrity checks (:mod:`repro.obs`) unless they are waived.
 
 :class:`CellCache`
     A content-addressed on-disk cache (default ``benchmarks/.cache/``).
@@ -48,6 +50,7 @@ import json
 import os
 import pathlib
 import signal
+import sys
 import tempfile
 import time
 from concurrent.futures import TimeoutError as _FutureTimeout
@@ -88,9 +91,8 @@ class RunnerError(RuntimeError):
 class Cell:
     """One independent experiment job.
 
-    ``spec`` should stay JSON-serializable for the cell to be cacheable;
-    non-JSON values (e.g. caller-supplied workload objects) are allowed
-    but silently make the cell uncacheable.
+    ``spec`` holds JSON values only (workloads travel by name), so every
+    cell has a cache key.
     """
 
     kind: str
@@ -98,7 +100,6 @@ class Cell:
     workload: str
     spec: Dict[str, Any] = field(default_factory=dict)
     platform_config: Optional[PlatformConfig] = None
-    cacheable: bool = True
 
     def label(self) -> str:
         return f"{self.kind}:{self.environment}:{self.workload}"
@@ -200,10 +201,8 @@ def cost_fingerprint(platform_config: Optional[PlatformConfig]) -> Dict[str, Any
     }
 
 
-def cache_key(cell: Cell) -> Optional[str]:
-    """Content hash for a cell, or ``None`` if it cannot be cached."""
-    if not cell.cacheable:
-        return None
+def cache_key(cell: Cell) -> str:
+    """Content hash for a cell."""
     from repro.tools.macroops import memoization_enabled
 
     document = {
@@ -219,34 +218,34 @@ def cache_key(cell: Cell) -> Optional[str]:
         # two modes must not share cache entries.
         "macroops": memoization_enabled(),
     }
-    try:
-        blob = json.dumps(document, sort_keys=True)
-    except (TypeError, ValueError):
-        return None  # non-JSON spec (e.g. injected workload objects)
+    blob = json.dumps(document, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class CellCache:
-    """On-disk JSON store of cell payloads, one file per content hash."""
+    """On-disk JSON store of cell payloads, one file per content hash.
+
+    The cache never costs a run its results: an unreadable entry is a
+    miss, and a store that fails (e.g. the directory is a file or not
+    writable) is skipped with one warning on stderr per cache.
+    """
 
     def __init__(self, directory: os.PathLike | str):
         self.directory = pathlib.Path(directory)
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self.failed_stores = 0
 
     def _path(self, key: str) -> pathlib.Path:
         return self.directory / f"{key}.json"
 
     def lookup(self, cell: Cell) -> Optional[Dict[str, Any]]:
-        key = cache_key(cell)
-        if key is None:
-            return None
-        path = self._path(key)
+        path = self._path(cache_key(cell))
         try:
             with open(path) as handle:
                 entry = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
+        except (OSError, json.JSONDecodeError):
             self.misses += 1
             return None
         if entry.get("schema") != CACHE_SCHEMA or "payload" not in entry:
@@ -256,28 +255,31 @@ class CellCache:
         return entry["payload"]
 
     def store(self, cell: Cell, payload: Dict[str, Any]) -> bool:
-        key = cache_key(cell)
-        if key is None:
-            return False
-        try:
-            blob = json.dumps(
-                {"schema": CACHE_SCHEMA, "cell": cell.label(), "payload": payload},
-                indent=2,
-            )
-        except (TypeError, ValueError):
-            return False  # non-JSON payload: skip caching, don't fail the run
-        self.directory.mkdir(parents=True, exist_ok=True)
+        path = self._path(cache_key(cell))
+        blob = json.dumps(
+            {"schema": CACHE_SCHEMA, "cell": cell.label(), "payload": payload},
+            indent=2,
+        )
         # A private temp file per store, then an atomic rename: concurrent
         # writers of one key never share a temp file, and a reader never
         # sees half a file.
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        tmp = None
         try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w") as handle:
                 handle.write(blob + "\n")
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            pathlib.Path(tmp).unlink(missing_ok=True)
-            raise
+            os.replace(tmp, path)
+            tmp = None
+        except OSError as exc:
+            if not self.failed_stores:
+                print(f"warning: cannot store results in cache "
+                      f"{self.directory}: {exc}", file=sys.stderr)
+            self.failed_stores += 1
+            return False
+        finally:
+            if tmp is not None:
+                pathlib.Path(tmp).unlink(missing_ok=True)
         self.stores += 1
         return True
 
@@ -396,7 +398,6 @@ def run_cells(
     cache: Optional[CellCache] = None,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     executor_factory: Optional[Callable[[int], Any]] = None,
-    integrity: str = "ignore",
     waive: Tuple[str, ...] = (),
 ) -> List[Dict[str, Any]]:
     """Execute every cell and return payloads in cell order.
@@ -414,25 +415,22 @@ def run_cells(
       the cell.  A job exceeding ``timeout`` seconds raises
       :class:`RunnerError` immediately — a hung worker cannot be
       retried without leaking it.
-    * With a ``cache``, cacheable cells are looked up first and
-      computed payloads are stored back; a fully warm cache dispatches
-      zero jobs (no worker process is ever started).
-    * ``integrity="enforce"`` checks the ``"metrics"`` block every cell
-      executor embeds in its payload (repro.obs) and raises
-      :class:`~repro.errors.IntegrityError` if the monitoring pipeline
-      lost events in any cell — *including cached payloads*, so a lossy
-      result can never hide in the cache.  ``waive`` names checks
-      (``"mbm_fifo.overrun"``-style) to accept.  The default
-      ``"ignore"`` keeps enforcement opt-in.
+    * With a ``cache``, cells are looked up first and computed payloads
+      are stored back; a fully warm cache dispatches zero jobs (no
+      worker process is ever started).
+    * Every payload's ``"metrics"`` block (repro.obs) is checked once
+      all cells are in: :class:`~repro.errors.IntegrityError` names the
+      cell and check if the monitoring pipeline lost events —
+      *including in cached payloads*, so a lossy result can never hide
+      in the cache.  ``waive`` names checks (``"mbm_fifo.overrun"``-
+      style) to accept.
     """
+    from repro.obs.metrics import verify_payload_integrity
+
     if jobs is None:
         jobs = available_cpus()
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    if integrity not in ("ignore", "enforce"):
-        raise ValueError(
-            f"integrity must be 'ignore' or 'enforce', got {integrity!r}"
-        )
 
     results: List[Optional[Dict[str, Any]]] = [None] * len(cells)
     pending: List[int] = []
@@ -483,10 +481,7 @@ def run_cells(
             for index in pending:
                 cache.store(cells[index], results[index])
 
-    if integrity == "enforce":
-        from repro.obs.metrics import verify_payload_integrity
-
-        verify_payload_integrity(
-            [cell.label() for cell in cells], results, waive=waive
-        )
+    verify_payload_integrity(
+        [cell.label() for cell in cells], results, waive=waive
+    )
     return results  # type: ignore[return-value]

@@ -318,12 +318,19 @@ class ApacheWorkload(ApplicationWorkload):
         sys.wait(parent)
 
 
-def default_applications(scale: float = 1.0) -> List[ApplicationWorkload]:
-    """The paper's five applications, in Table 2 order."""
-    return [
+def default_applications(
+    scale: float = 1.0, names: Optional[List[str]] = None,
+) -> List[ApplicationWorkload]:
+    """The paper's five applications, in Table 2 order; ``names``
+    picks a subset, in the order given."""
+    apps = [
         WhetstoneWorkload(scale),
         DhrystoneWorkload(scale),
         UntarWorkload(scale),
         IozoneWorkload(scale),
         ApacheWorkload(scale),
     ]
+    if names is None:
+        return apps
+    by_name = {app.name: app for app in apps}
+    return [by_name[name] for name in names]

@@ -10,7 +10,7 @@ from tests.conftest import small_platform_config
 def report():
     return generate_report(
         scale=0.05,
-        platform_factory=small_platform_config,
+        platform_config=small_platform_config(),
         include_attacks=True,
     )
 
@@ -48,7 +48,7 @@ class TestReport:
     def test_attacks_can_be_skipped(self):
         text = generate_report(
             scale=0.05,
-            platform_factory=small_platform_config,
+            platform_config=small_platform_config(),
             include_attacks=False,
         )
         assert "## Attack matrix" not in text

@@ -36,10 +36,29 @@ class TestCli:
         assert warm == cold
 
     def test_attacks(self, capsys):
+        # Every scenario, in order, with its exact verdict per system:
+        # a dropped, reordered or re-judged scenario fails here.
         assert main(["attacks", *PLATFORM]) == 0
-        out = capsys.readouterr().out
-        assert "SILENT SUCCESS" in out   # native section
-        assert "BLOCKED" in out          # hypernel section
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  ")]
+        assert lines == [
+            "  cred_escalation    SILENT SUCCESS",
+            "  dentry_hijack      SILENT SUCCESS",
+            "  pgtable_tamper     SILENT SUCCESS",
+            "  ttbr_switch        SILENT SUCCESS",
+            "  mmu_disable        SILENT SUCCESS",
+            "  hypercall_abuse    SILENT SUCCESS",
+            "  atra               SILENT SUCCESS",
+            "  dma_secure_write   SILENT SUCCESS",
+            "  cred_escalation    detected",
+            "  dentry_hijack      detected",
+            "  pgtable_tamper     BLOCKED",
+            "  ttbr_switch        BLOCKED",
+            "  mmu_disable        BLOCKED",
+            "  hypercall_abuse    BLOCKED",
+            "  atra               BLOCKED",
+            "  dma_secure_write   detected",
+        ]
 
     def test_audit(self, capsys):
         assert main(["audit", *SCALED]) == 0
@@ -108,6 +127,24 @@ class TestCli:
         assert "overall word/page ratio" in capsys.readouterr().out
         assert pools == []
 
+    def test_unusable_cache_directory_keeps_the_results(
+            self, capsys, tmp_path, monkeypatch):
+        # The cache path is a regular file: every store fails, but the
+        # computed table is still printed and the run exits 0, with one
+        # warning naming the directory and the error.
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker))
+        assert main(["table2", *SCALED, "--jobs", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "overall word/page ratio" in captured.out
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 1
+        assert str(blocker) in warnings[0]
+        assert "File exists" in warnings[0]
+        assert blocker.read_text() == ""
+        assert list(tmp_path.iterdir()) == [blocker]
+
     def test_default_jobs_on_a_warm_cache_starts_no_pool(
             self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -144,39 +181,50 @@ class TestCli:
             main(["table2", *SCALED, "--backend", "warpdrive"])
         assert "--backend" in capsys.readouterr().err
 
-    def test_removed_backend_flag_is_a_usage_error(self, monkeypatch, capsys):
-        # --jobs alone picks serial or pool; a script still passing the
-        # removed --backend must fail loudly, not be silently accepted,
-        # and the command itself must never run.
+    @staticmethod
+    def _assert_usage_error(monkeypatch, capsys, argv, message):
+        """``argv`` exits 2 with ``message`` on stderr, and the command
+        itself never runs."""
         from repro import cli
 
-        ran = []
-        _, installers = cli._COMMANDS["table1"]
-        monkeypatch.setitem(cli._COMMANDS, "table1",
-                            (lambda args: ran.append(args) or 0, installers))
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table1", "--backend", "pool"])
-        assert excinfo.value.code == 2 and ran == []
-        assert ("unrecognized arguments: --backend pool"
-                in capsys.readouterr().err)
-
-    @pytest.mark.parametrize("command",
-                             ["table1", "figure6", "table2", "report"])
-    def test_removed_warm_start_flag_is_a_usage_error(self, monkeypatch,
-                                                      capsys, command):
-        # Every cell boots its system; --warm-start is gone and must be
-        # rejected before the command runs.
-        from repro import cli
-
+        command = argv[0]
         ran = []
         _, installers = cli._COMMANDS[command]
         monkeypatch.setitem(cli._COMMANDS, command,
                             (lambda args: ran.append(args) or 0, installers))
         with pytest.raises(SystemExit) as excinfo:
-            main([command, "--warm-start"])
+            main(argv)
         assert excinfo.value.code == 2 and ran == []
-        assert ("unrecognized arguments: --warm-start"
-                in capsys.readouterr().err)
+        assert message in capsys.readouterr().err
+
+    def test_removed_backend_flag_is_a_usage_error(self, monkeypatch, capsys):
+        # --jobs alone picks serial or pool; a script still passing the
+        # removed --backend must fail loudly, not be silently accepted.
+        self._assert_usage_error(monkeypatch, capsys,
+                                 ["table1", "--backend", "pool"],
+                                 "unrecognized arguments: --backend pool")
+
+    @pytest.mark.parametrize("command",
+                             ["table1", "figure6", "table2", "report"])
+    def test_removed_warm_start_flag_is_a_usage_error(self, monkeypatch,
+                                                      capsys, command):
+        # Every cell boots its system; --warm-start is gone.
+        self._assert_usage_error(monkeypatch, capsys,
+                                 [command, "--warm-start"],
+                                 "unrecognized arguments: --warm-start")
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--enforce-integrity"],
+        ["figure6", "--enforce-integrity"],
+        ["table2", "--enforce-integrity"],
+        ["report", "--enforce-integrity"],
+        ["metrics", "--no-enforce"],
+    ], ids=" ".join)
+    def test_removed_integrity_flags_are_usage_errors(self, monkeypatch,
+                                                      capsys, argv):
+        # Integrity is always enforced; --waive CHECK is the only switch.
+        self._assert_usage_error(monkeypatch, capsys, argv,
+                                 f"unrecognized arguments: {argv[1]}")
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -174,10 +174,10 @@ class TestGoldenCells:
             monkeypatch.setenv("REPRO_MACROOPS", "0")
         else:
             monkeypatch.delenv("REPRO_MACROOPS", raising=False)
-        cells = table1_cells(platform_factory=_default_platform)
+        cells = table1_cells(platform_config=_default_platform())
         assert _cell_counts(cells) == golden_cells["table1"]
 
     def test_table2_cells_match_golden(self, golden_cells):
         # Table 2 never calls the memoizer, so one mode suffices.
-        cells = table2_cells(platform_factory=_default_platform)
+        cells = table2_cells(platform_config=_default_platform())
         assert _cell_counts(cells) == golden_cells["table2"]

@@ -10,25 +10,24 @@ import pytest
 from repro.analysis.figures import run_figure6
 from repro.analysis.monitoring import run_table2
 from repro.analysis.tables import run_table1
-from repro.workloads.apps import ApacheWorkload, UntarWorkload
 from tests.conftest import small_platform_config
 
 
 @pytest.fixture(scope="module")
 def table1():
     return run_table1(
-        platform_factory=small_platform_config, warmup=3, iterations=6
+        platform_config=small_platform_config(), warmup=3, iterations=6
     )
 
 
 @pytest.fixture(scope="module")
 def figure6():
-    return run_figure6(scale=0.08, platform_factory=small_platform_config)
+    return run_figure6(scale=0.08, platform_config=small_platform_config())
 
 
 @pytest.fixture(scope="module")
 def table2():
-    return run_table2(scale=0.08, platform_factory=small_platform_config)
+    return run_table2(scale=0.08, platform_config=small_platform_config())
 
 
 class TestTable1Shape:
@@ -126,13 +125,13 @@ class TestScaleInvariance:
         the workload size (so scaled-down runs are faithful)."""
         small = run_table2(
             scale=0.05,
-            platform_factory=small_platform_config,
-            apps=[UntarWorkload(0.05)],
+            platform_config=small_platform_config(),
+            apps=["untar"],
         )
         large = run_table2(
             scale=0.15,
-            platform_factory=small_platform_config,
-            apps=[UntarWorkload(0.15)],
+            platform_config=small_platform_config(),
+            apps=["untar"],
         )
         ratio_small = small.ratio_percent("untar")
         ratio_large = large.ratio_percent("untar")
@@ -141,12 +140,12 @@ class TestScaleInvariance:
     def test_counts_grow_with_scale(self):
         small = run_table2(
             scale=0.05,
-            platform_factory=small_platform_config,
-            apps=[ApacheWorkload(0.05)],
+            platform_config=small_platform_config(),
+            apps=["apache"],
         )
         large = run_table2(
             scale=0.2,
-            platform_factory=small_platform_config,
-            apps=[ApacheWorkload(0.2)],
+            platform_config=small_platform_config(),
+            apps=["apache"],
         )
         assert large.counts["apache"]["page"] > 2 * small.counts["apache"]["page"]

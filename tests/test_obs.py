@@ -381,11 +381,30 @@ class TestPayloadIntegrity:
             waive=("mbm_fifo.overrun", "mbm_fifo.dropped"),
         )
 
-    def test_run_cells_rejects_bad_integrity_mode(self):
-        from repro.tools.runner import run_cells
+    def test_run_cells_rejects_lossy_cached_payload(self, tmp_path,
+                                                    monitored):
+        # Enforcement is the only policy: a lossy payload already in the
+        # cache fails the run by default, and only a waiver accepts it.
+        from repro.tools.runner import Cell, CellCache, run_cells
 
-        with pytest.raises(ValueError):
-            run_cells([], integrity="bogus")
+        force_fifo_overrun(monitored)
+        cell = Cell(kind="selftest", environment="lossy", workload="echo",
+                    spec={"mode": "echo", "value": 1})
+        cache = CellCache(tmp_path)
+        assert cache.store(cell, {
+            "value": 1, "metrics": collect_metrics(monitored).to_dict(),
+        })
+        with pytest.raises(IntegrityError) as excinfo:
+            run_cells([cell], cache=cache)
+        message = str(excinfo.value)
+        assert "selftest:lossy:echo" in message
+        assert "mbm_fifo.overrun" in message
+        [payload] = run_cells(
+            [cell], cache=cache,
+            waive=("mbm_fifo.overrun", "mbm_fifo.dropped"),
+        )
+        assert payload["value"] == 1
+        assert cache.hits == 2
 
 
 # ----------------------------------------------------------------------
@@ -447,6 +466,7 @@ class TestMetricsCli:
 
         assert main(["metrics", "--snapshot", str(lossy_snapshot)]) == 1
         out = capsys.readouterr().out
+        assert "FAILED" in out  # the report prints before the exit
         assert "INTEGRITY FAILURE" in out
         assert "mbm_fifo.overrun = 1" in out
 
@@ -457,14 +477,6 @@ class TestMetricsCli:
             "metrics", "--snapshot", str(lossy_snapshot),
             "--waive", "mbm_fifo.overrun", "--waive", "mbm_fifo.dropped",
         ]) == 0
-
-    def test_no_enforce_reports_but_exits_zero(self, capsys, lossy_snapshot):
-        from repro.cli import main
-
-        assert main([
-            "metrics", "--snapshot", str(lossy_snapshot), "--no-enforce"
-        ]) == 0
-        assert "FAILED" in capsys.readouterr().out
 
     def test_unknown_waiver_is_an_error(self, capsys, snapshot):
         from repro.cli import main

@@ -71,12 +71,6 @@ class TestCacheKey:
         assert cache_key(cell) != cache_key(other_env)
         assert cache_key(cell) != cache_key(other_kind)
 
-    def test_uncacheable_cell_has_no_key(self):
-        assert cache_key(dataclasses.replace(echo_cell(), cacheable=False)) is None
-
-    def test_non_json_spec_has_no_key(self):
-        assert cache_key(echo_cell(apps=[object()])) is None
-
     def test_source_edit_changes_keys_without_version_bump(self, tmp_path):
         """A one-byte source edit with ``__version__`` untouched must
         miss the cell cache."""
@@ -194,13 +188,6 @@ class TestCacheBehaviour:
         entry = json.loads(path.read_text())
         entry["schema"] = CACHE_SCHEMA + 1
         path.write_text(json.dumps(entry))
-        assert cache.lookup(cell) is None
-
-    def test_uncacheable_cell_always_recomputes(self, tmp_path):
-        cache = CellCache(tmp_path)
-        cell = dataclasses.replace(echo_cell(), cacheable=False)
-        run_cells([cell], cache=cache)
-        assert cache.stores == 0
         assert cache.lookup(cell) is None
 
     def test_concurrent_stores_of_one_key_all_succeed(self, tmp_path,

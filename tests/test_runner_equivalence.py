@@ -18,15 +18,15 @@ from repro.tools.runner import CellCache
 REDUCED_OPS = ["syscall stat", "signal install", "mmap"]
 
 
-def small_platform_config():
-    return PlatformConfig(
-        dram_bytes=64 * 1024 * 1024, secure_bytes=8 * 1024 * 1024
-    )
+#: One value serves every cell: nothing mutates a PlatformConfig.
+SMALL_PLATFORM = PlatformConfig(
+    dram_bytes=64 * 1024 * 1024, secure_bytes=8 * 1024 * 1024
+)
 
 
 def _table1(**kwargs):
     return run_table1(
-        platform_factory=small_platform_config,
+        platform_config=SMALL_PLATFORM,
         warmup=2,
         iterations=4,
         ops=REDUCED_OPS,
@@ -46,10 +46,10 @@ class TestParallelEquivalence:
 
     def test_figure6_parallel_matches_serial(self):
         serial = run_figure6(
-            scale=0.02, platform_factory=small_platform_config, jobs=1,
+            scale=0.02, platform_config=SMALL_PLATFORM, jobs=1,
         )
         parallel = run_figure6(
-            scale=0.02, platform_factory=small_platform_config, jobs=3,
+            scale=0.02, platform_config=SMALL_PLATFORM, jobs=3,
         )
         assert parallel.raw_us == serial.raw_us
         assert parallel.normalized == serial.normalized
@@ -57,10 +57,10 @@ class TestParallelEquivalence:
 
     def test_table2_parallel_matches_serial(self):
         serial = run_table2(
-            scale=0.02, platform_factory=small_platform_config, jobs=1,
+            scale=0.02, platform_config=SMALL_PLATFORM, jobs=1,
         )
         parallel = run_table2(
-            scale=0.02, platform_factory=small_platform_config, jobs=2,
+            scale=0.02, platform_config=SMALL_PLATFORM, jobs=2,
         )
         assert parallel.counts == serial.counts
         assert parallel.format() == serial.format()
@@ -75,10 +75,10 @@ class TestParallelEquivalence:
 
     def test_figure6_jobs2_reused_worker_matches_serial(self):
         serial = run_figure6(
-            scale=0.02, platform_factory=small_platform_config, jobs=1,
+            scale=0.02, platform_config=SMALL_PLATFORM, jobs=1,
         )
         parallel = run_figure6(
-            scale=0.02, platform_factory=small_platform_config, jobs=2,
+            scale=0.02, platform_config=SMALL_PLATFORM, jobs=2,
         )
         assert parallel.raw_us == serial.raw_us
         assert parallel.format() == serial.format()
@@ -87,13 +87,13 @@ class TestParallelEquivalence:
         # Payloads computed on the pool and stored in the cache read
         # back into the same table as an uncached serial run.
         cache = CellCache(tmp_path)
-        run_table2(scale=0.02, platform_factory=small_platform_config,
+        run_table2(scale=0.02, platform_config=SMALL_PLATFORM,
                    jobs=2, cache=cache)
         assert cache.stores == 2
-        warm = run_table2(scale=0.02, platform_factory=small_platform_config,
+        warm = run_table2(scale=0.02, platform_config=SMALL_PLATFORM,
                           jobs=1, cache=cache)
         assert cache.hits == 2
-        serial = run_table2(scale=0.02, platform_factory=small_platform_config,
+        serial = run_table2(scale=0.02, platform_config=SMALL_PLATFORM,
                             jobs=1)
         assert warm.counts == serial.counts
         assert warm.format() == serial.format()
@@ -107,7 +107,7 @@ class TestJobsPicksDispatch:
         from repro.analysis.tables import table1_cells
 
         return table1_cells(
-            platform_factory=small_platform_config,
+            platform_config=SMALL_PLATFORM,
             warmup=2,
             iterations=4,
             ops=REDUCED_OPS,
@@ -144,7 +144,7 @@ class TestJobsPicksDispatch:
             return ProcessPoolExecutor(max_workers=jobs)
 
         cells = [Cell(kind="selftest", environment=f"c{i}", workload="echo",
-                      spec={"mode": "echo", "value": i}, cacheable=False)
+                      spec={"mode": "echo", "value": i})
                  for i in range(5)]
         payloads = run_cells(cells, jobs=2, executor_factory=spy_factory)
         assert pools == [2]
@@ -187,7 +187,7 @@ class TestCacheEquivalence:
         from repro.tools.runner import run_cells
 
         cells = table1_cells(
-            platform_factory=small_platform_config,
+            platform_config=SMALL_PLATFORM,
             warmup=2,
             iterations=4,
             ops=REDUCED_OPS,

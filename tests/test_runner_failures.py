@@ -19,7 +19,6 @@ def fail_once_cell(tmp_path, name="flaky"):
         environment=name,
         workload="fault-injection",
         spec={"mode": "fail_until_marker", "marker": str(tmp_path / f"{name}.marker")},
-        cacheable=False,
     )
 
 
@@ -29,7 +28,6 @@ def echo_cell(name, value):
         environment=name,
         workload="echo",
         spec={"mode": "echo", "value": value},
-        cacheable=False,
     )
 
 
@@ -56,7 +54,6 @@ def always_fail_cell(name="doomed"):
         environment=name,
         workload="fault-injection",
         spec={"mode": "fail"},
-        cacheable=False,
     )
 
 
@@ -98,7 +95,7 @@ class TestPoolFailures:
     def test_timeout_raises_runner_error_naming_cell(self):
         cells = [
             Cell(kind="selftest", environment=f"sleepy{i}", workload="nap",
-                 spec={"mode": "sleep", "seconds": 2.0}, cacheable=False)
+                 spec={"mode": "sleep", "seconds": 2.0})
             for i in range(2)
         ]
         with pytest.raises(RunnerError, match=r"selftest:sleepy0:nap.*timed out"):
@@ -127,7 +124,7 @@ class TestPoolFailures:
         cells = [
             echo_cell("quick", 1),
             Cell(kind="selftest", environment="sleepy", workload="nap",
-                 spec={"mode": "sleep", "seconds": 2.0}, cacheable=False),
+                 spec={"mode": "sleep", "seconds": 2.0}),
         ]
         with pytest.raises(RunnerError,
                            match=r"selftest:sleepy:nap.*timed out") as excinfo:
@@ -141,8 +138,7 @@ class TestPoolFailures:
         marker = tmp_path / "victim.marker"
         cells = [
             Cell(kind="selftest", environment="victim", workload="kill",
-                 spec={"mode": "kill_until_marker", "marker": str(marker)},
-                 cacheable=False),
+                 spec={"mode": "kill_until_marker", "marker": str(marker)}),
             echo_cell("bystander", 7),
         ]
         victim, bystander = run_cells(cells, jobs=2)
