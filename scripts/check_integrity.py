@@ -149,35 +149,6 @@ def main(argv=None) -> int:
         )
         print(f"[{label}] integrity ok — zero event loss across: {cells}")
 
-        # Macro-op memoizer counters (repro.tools.macroops): every
-        # replayed cycle must have passed its constructive integrity
-        # check — a hit without a recorded check would mean effects
-        # were applied unverified.
-        memo = {"hits": 0, "misses": 0, "integrity_checks": 0,
-                "replay_divergence": 0, "replayed_sim_cycles": 0}
-        seen = False
-        for result in (table1, table2):
-            for data in result.health.values():
-                counters = data.get("components", {}).get("macroops")
-                if counters is None:
-                    continue
-                seen = True
-                for key in memo:
-                    memo[key] += counters.get(key, 0)
-        if seen:
-            print(f"  [{label}] macroops: " + ", ".join(
-                f"{key}={value}" for key, value in memo.items()
-            ))
-            if memo["hits"] > 0 and memo["integrity_checks"] == 0:
-                print(f"[{label}] INTEGRITY FAILURE: macro-op replays "
-                      f"occurred without a single constructive "
-                      f"integrity check")
-                failures += 1
-            if memo["replay_divergence"] > memo["integrity_checks"]:
-                print(f"[{label}] INTEGRITY FAILURE: more replay "
-                      f"divergences than checks recorded — the memoizer's "
-                      f"accounting is inconsistent")
-                failures += 1
     return 1 if failures else 0
 
 

@@ -83,7 +83,6 @@ def table1_cells(
 def execute_cell(cell: Cell) -> Dict[str, Any]:
     """Worker body: build one system, run its LMbench sweep."""
     from repro.obs import collect_metrics
-    from repro.tools.macroops import MacroOpEngine, memoization_enabled
 
     kwargs: Dict[str, Any] = {}
     if cell.environment == "hypernel":
@@ -96,10 +95,8 @@ def execute_cell(cell: Cell) -> Dict[str, Any]:
                           platform_config=cell.platform_config, **kwargs)
 
     spec = cell.spec
-    suite = LmbenchSuite(
-        system, warmup=spec["warmup"], iterations=spec["iterations"],
-        engine=MacroOpEngine(system) if memoization_enabled() else None,
-    )
+    suite = LmbenchSuite(system, warmup=spec["warmup"],
+                         iterations=spec["iterations"])
     suite.setup()
     rows = {op: suite.run_op(op).microseconds for op in spec["ops"]}
     return {

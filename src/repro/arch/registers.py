@@ -63,10 +63,6 @@ class SystemRegisters:
 
     def __init__(self):
         self._values: Dict[str, int] = dict(_KNOWN_REGISTERS)
-        #: Monotonic write counter.  Translation fast paths and the
-        #: macro-op memoizer use it to know the register file is
-        #: unchanged without re-reading registers.
-        self.mutations = 0
         self._refresh_flags()
 
     def _refresh_flags(self) -> None:
@@ -86,7 +82,6 @@ class SystemRegisters:
         """Raw write of register ``name`` (bypasses any trapping)."""
         self._require(name)
         self._values[name] = value & ((1 << 64) - 1)
-        self.mutations += 1
         if name == "HCR_EL2" or name == "SCTLR_EL1":
             self._refresh_flags()
 

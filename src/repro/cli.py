@@ -68,14 +68,6 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
                         help="workload scale factor (default 0.25)")
 
 
-def _add_macroops(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-macroops", action="store_true",
-                        help="disable macro-op memoization (replay of "
-                        "detected periodic kernel-op cycles); results "
-                        "are bit-identical either way, only wall clock "
-                        "changes — equivalent to REPRO_MACROOPS=0")
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -88,7 +80,6 @@ def _positive_int(text: str) -> int:
 
 
 def _add_runner(parser: argparse.ArgumentParser) -> None:
-    _add_macroops(parser)
     parser.add_argument("--jobs", type=_positive_int, default=None,
                         help="worker processes for independent experiment "
                         "cells (default: every CPU this process may run "
@@ -99,9 +90,21 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
     _add_waive(parser)
 
 
+def _integrity_check_name(text: str) -> str:
+    from repro.obs.metrics import INTEGRITY_CHECK_SPECS
+
+    known = [f"{component}.{counter}"
+             for component, counter, _ in INTEGRITY_CHECK_SPECS]
+    if text not in known:
+        raise argparse.ArgumentTypeError(
+            f"unknown integrity check {text!r}; known checks: "
+            + ", ".join(known))
+    return text
+
+
 def _add_waive(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--waive", action="append", default=[],
-                        metavar="CHECK",
+                        type=_integrity_check_name, metavar="CHECK",
                         help="accept a named integrity check (e.g. "
                         "mbm_fifo.overrun) instead of failing the run "
                         "when the monitoring pipeline lost events; "
@@ -261,11 +264,7 @@ def cmd_metrics(args) -> int:
         return 1
     if args.snapshot:
         print(f"metrics for restored {system.name} image ({args.snapshot})")
-    try:
-        metrics = collect_metrics(system, waive=tuple(args.waive))
-    except IntegrityError as exc:  # unknown waiver name
-        print(f"error: {exc}")
-        return 1
+    metrics = collect_metrics(system, waive=tuple(args.waive))
     print(metrics.format())
     if args.json:
         count = write_jsonl(args.json, metrics_records(metrics))
@@ -564,11 +563,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             add_args(sub)
         sub.set_defaults(handler=handler)
     args = parser.parse_args(argv)
-    if getattr(args, "no_macroops", False):
-        # Environment, not a parameter: the setting must reach worker
-        # processes and every system built during the command.
-        import os
-        os.environ["REPRO_MACROOPS"] = "0"
     try:
         return args.handler(args)
     except IntegrityError as exc:

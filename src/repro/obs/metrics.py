@@ -215,11 +215,6 @@ class RunMetrics:
             ):
                 if key.startswith("mbm_busy"):
                     lines.append(f"  {key:28s} {cycles:>14d}  (off-path)")
-                elif key == "macroop_replay":
-                    # Part of the total, charged by cycle replay rather
-                    # than step-by-step simulation; overlaps the derived
-                    # buckets, so no exclusive percentage is shown.
-                    lines.append(f"  {key:28s} {cycles:>14d}  (replayed)")
                 else:
                     lines.append(
                         f"  {key:28s} {cycles:>14d}  "
@@ -287,9 +282,6 @@ def component_stat_sets(system) -> List[StatSet]:
         ]
     for app in system.monitors:
         sets.append(app.stats)
-    macroop_stats = getattr(system, "macroop_stats", None)
-    if macroop_stats is not None:  # a MacroOpEngine observed this system
-        sets.append(macroop_stats)
     return sets
 
 

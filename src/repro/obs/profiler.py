@@ -44,20 +44,12 @@ class CycleAttribution:
     scopes: Dict[str, int] = field(default_factory=dict)
     #: MBM occupancy — off the critical path, not part of ``total``.
     mbm_busy_cycles: int = 0
-    #: Cycles charged by macro-op replay (``repro.tools.macroops``)
-    #: instead of step-by-step simulation.  These cycles *are* part of
-    #: ``total`` and overlap the derived buckets (a replayed period
-    #: bumps the same counters a simulated one would), so — like the
-    #: scopes — they are reported alongside, not subtracted into the
-    #: residual.
-    macroop_replay_cycles: int = 0
 
     def as_flat_dict(self) -> Dict[str, int]:
         """One flat, JSON-clean mapping (RunMetrics.attribution form)."""
         flat = dict(self.buckets)
         flat["residual"] = self.residual
         flat["mbm_busy_cycles"] = self.mbm_busy_cycles
-        flat["macroop_replay"] = self.macroop_replay_cycles
         for label, cycles in self.scopes.items():
             flat[f"scope:{label}"] = cycles
         return flat
@@ -118,7 +110,6 @@ def attribute_cycles(system) -> CycleAttribution:
             * costs.hypersec_irq_dispatch
         )
     residual = total - sum(buckets.values())
-    macroop_stats = getattr(system, "macroop_stats", None)
     return CycleAttribution(
         total=total,
         buckets=buckets,
@@ -126,9 +117,5 @@ def attribute_cycles(system) -> CycleAttribution:
         scopes=dict(platform.clock.attribution),
         mbm_busy_cycles=(
             system.mbm.busy_cycles if system.mbm is not None else 0
-        ),
-        macroop_replay_cycles=(
-            macroop_stats.get("replayed_sim_cycles")
-            if macroop_stats is not None else 0
         ),
     )

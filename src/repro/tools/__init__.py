@@ -1,5 +1,4 @@
-"""Developer tooling: bus tracing, the parallel cell runner and the
-macro-op memoizer (``repro.tools.macroops``)."""
+"""Developer tooling: bus tracing and the parallel cell runner."""
 
 from repro.tools.trace import BusTracer, TraceRecord
 from repro.tools.runner import (

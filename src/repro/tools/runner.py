@@ -203,8 +203,6 @@ def cost_fingerprint(platform_config: Optional[PlatformConfig]) -> Dict[str, Any
 
 def cache_key(cell: Cell) -> str:
     """Content hash for a cell."""
-    from repro.tools.macroops import memoization_enabled
-
     document = {
         "schema": CACHE_SCHEMA,
         "source": source_digest(),
@@ -213,10 +211,6 @@ def cache_key(cell: Cell) -> str:
         "workload": cell.workload,
         "spec": cell.spec,
         "costs": cost_fingerprint(cell.platform_config),
-        # Payload rows/accesses/cycles are identical either way, but
-        # the embedded metrics carry the memoizer's counters, so the
-        # two modes must not share cache entries.
-        "macroops": memoization_enabled(),
     }
     blob = json.dumps(document, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

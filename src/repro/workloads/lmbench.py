@@ -45,18 +45,17 @@ class OpResult:
 
 
 class LmbenchSuite:
-    """Runs the Table 1 operations on one system."""
+    """Runs the Table 1 operations on one system.
 
-    def __init__(self, system: System, warmup: int = 4, iterations: int = 16,
-                 engine=None):
+    Each operation's driver runs ``warmup`` (or its ``EXTRA_WARMUP``)
+    times, then ``iterations`` times on the simulation clock, every
+    iteration simulated step by step.
+    """
+
+    def __init__(self, system: System, warmup: int = 4, iterations: int = 16):
         self.system = system
         self.warmup = warmup
         self.iterations = iterations
-        #: optional :class:`repro.tools.macroops.MacroOpEngine`; when
-        #: set, the warmup and measured loops go through it so periodic
-        #: operations are replayed instead of re-simulated (clock and
-        #: counters stay bit-identical to the plain loop).
-        self.engine = engine
         self._init_task: Optional[Task] = None
         self._partner: Optional[Task] = None
         self._pipe = None
@@ -188,21 +187,15 @@ class LmbenchSuite:
     #: frame reuse is warm, in all three configurations).
     EXTRA_WARMUP = {"page fault": 300, "mmap": 40}
 
-    def _loop(self, key: str, driver: Callable[[], None], count: int) -> None:
-        if self.engine is not None:
-            self.engine.run_repeated(key, driver, count)
-        else:
-            for _ in range(count):
-                driver()
-
     def run_op(self, name: str) -> OpResult:
         """Measure one operation (µs per iteration, steady state)."""
         driver = self._driver(name)
-        self._loop(name, driver,
-                   max(self.warmup, self.EXTRA_WARMUP.get(name, 0)))
+        for _ in range(max(self.warmup, self.EXTRA_WARMUP.get(name, 0))):
+            driver()
         clock = self.system.platform.clock
         start = clock.now
-        self._loop(name, driver, self.iterations)
+        for _ in range(self.iterations):
+            driver()
         cycles = clock.elapsed_since(start)
         per_op = cycles / self.iterations
         # pipe/socket drivers above run a full round trip: report one way.

@@ -213,6 +213,28 @@ class TestCli:
                                  [command, "--warm-start"],
                                  "unrecognized arguments: --warm-start")
 
+    @pytest.mark.parametrize("command",
+                             ["table1", "figure6", "table2", "report"])
+    def test_removed_macroops_flag_is_a_usage_error(self, monkeypatch,
+                                                    capsys, command):
+        # LMbench loops always run plainly; --no-macroops is gone.
+        self._assert_usage_error(monkeypatch, capsys,
+                                 [command, "--no-macroops"],
+                                 "unrecognized arguments: --no-macroops")
+
+    @pytest.mark.parametrize("command",
+                             ["table1", "figure6", "table2", "report",
+                              "metrics"])
+    def test_unknown_waive_name_is_a_usage_error(self, monkeypatch, capsys,
+                                                 command):
+        # A mistyped check name fails at parse time, before any cell
+        # runs, and the message lists the checks that can be waived.
+        self._assert_usage_error(
+            monkeypatch, capsys, [command, "--waive", "nope.nope"],
+            "unknown integrity check 'nope.nope'; known checks: "
+            "mbm_fifo.overrun, mbm_fifo.dropped, mbm_ring.overflow_drops, "
+            "mbm_decision.lost_events, mbm.writeback_hazards")
+
     @pytest.mark.parametrize("argv", [
         ["table1", "--enforce-integrity"],
         ["figure6", "--enforce-integrity"],

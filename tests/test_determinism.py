@@ -165,19 +165,10 @@ class TestGoldenCells:
     missing cannot make the comparison pass vacuously.
     """
 
-    @pytest.mark.parametrize("macroops", ["default", "off"])
-    def test_table1_cells_match_golden(self, golden_cells, monkeypatch,
-                                       macroops):
-        # Replay must never change simulated behaviour: both memoizer
-        # modes land on the same committed counts.
-        if macroops == "off":
-            monkeypatch.setenv("REPRO_MACROOPS", "0")
-        else:
-            monkeypatch.delenv("REPRO_MACROOPS", raising=False)
+    def test_table1_cells_match_golden(self, golden_cells):
         cells = table1_cells(platform_config=_default_platform())
         assert _cell_counts(cells) == golden_cells["table1"]
 
     def test_table2_cells_match_golden(self, golden_cells):
-        # Table 2 never calls the memoizer, so one mode suffices.
         cells = table2_cells(platform_config=_default_platform())
         assert _cell_counts(cells) == golden_cells["table2"]

@@ -481,10 +481,14 @@ class TestMetricsCli:
     def test_unknown_waiver_is_an_error(self, capsys, snapshot):
         from repro.cli import main
 
-        assert main([
-            "metrics", "--snapshot", str(snapshot), "--waive", "nope.nope"
-        ]) == 1
-        assert "error:" in capsys.readouterr().out
+        # A usage error: the parser rejects the name before the
+        # snapshot is even restored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["metrics", "--snapshot", str(snapshot),
+                  "--waive", "nope.nope"])
+        assert excinfo.value.code == 2
+        assert "unknown integrity check 'nope.nope'" in (
+            capsys.readouterr().err)
 
     def test_json_export(self, capsys, tmp_path, snapshot):
         from repro.cli import main

@@ -52,7 +52,7 @@ from repro.security.fuzz.invariants import (
 from repro.security.fuzz.machine import boot_snapshot
 from repro.security.fuzz.snapshot_checker import SnapshotEvidence
 from repro.state import capture_snapshot, restore_from_snapshot
-from tests.helpers import small_platform
+from tests.helpers import small_config, small_platform
 
 WORD = 8
 BASE = 0x8000_0000
@@ -329,10 +329,31 @@ class TestReadStreamAgainstPerLineReference:
 # ----------------------------------------------------------------------
 # Coalesced block-write bitmap scan vs per-word bitmap checks
 # ----------------------------------------------------------------------
+def build_storm():
+    """A full-Hypernel system and its op: one uncached write to the
+    monitored ``euid`` word (bus, snooper, MBM pipeline and ring)."""
+    from repro.core.hypernel import build_hypernel
+    from repro.kernel.objects import CRED
+    from repro.security import CredIntegrityMonitor
+
+    system = build_hypernel(
+        platform_config=small_config(mbm_ring_entries=16),
+        monitors=[CredIntegrityMonitor()],
+    )
+    init = system.spawn_init()
+    euid_kva = system.kernel.linear_map.kva(
+        init.cred_pa + CRED.field("euid").byte_offset
+    )
+    write = system.kernel.cpu.write
+
+    def op():
+        write(euid_kva, 0)
+
+    return system, op
+
+
 @pytest.fixture(scope="module")
 def storm_system():
-    from tests.test_tools_macroops import build_storm
-
     system, op = build_storm()
     for _ in range(8):  # populate pipeline, warm bitmap cache
         op()
