@@ -163,18 +163,22 @@ class TestSeededViolations:
         assert "violation" in str(report)
 
     def test_seeded_violation_survives_snapshot(self, system, tmp_path):
-        """A poisoned machine image audited *after* a checkpoint/restore
-        round trip must report the same violation — the forensic use
+        """The offline checker finds a violation poked into a saved
+        image at the address the live auditor names: the forensic use
         case behind ``repro audit --snapshot``."""
-        from repro.state import restore_system, save_snapshot
+        from repro.security.fuzz.snapshot_checker import check_snapshot
+        from repro.state import load_snapshot, save_snapshot
 
         word_addr = system.mbm.bitmap.bitmap_base + 0x2000
         system.platform.bus.poke(word_addr, 0xFFFF)
+        live = system.hypersec.audit()
         path = tmp_path / "poisoned.snap"
         save_snapshot(system, path)
-        restored = restore_system(path)
-        report = restored.hypersec.audit()
-        assert any(f.invariant == "BITMAP_CONSISTENT" for f in report.findings)
+        offline = check_snapshot(load_snapshot(path))
+        seeded = ("BITMAP_CONSISTENT", word_addr)
+        assert seeded in {(f.invariant, f.location) for f in live.findings}
+        assert seeded in {(f.invariant, f.location)
+                          for f in offline.findings}
 
     def test_cli_audit_snapshot_exit_codes(self, system, tmp_path, capsys):
         from repro.cli import main

@@ -13,6 +13,7 @@ Three layers of guarantees:
 """
 
 import json
+import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -252,6 +253,41 @@ class TestBitIdenticalReplay:
                 suite.run_op("fork+execv")
                 suite.run_op("mmap")
             assert warm.platform.clock.now == cold.platform.clock.now, name
+
+
+class TestPickleCopy:
+    """A ``pickle`` copy of a live machine runs exactly like the
+    original: the fuzzer copies its boot machine this way for every
+    example."""
+
+    def test_pickle_copy_then_run_equals_cold_boot_then_run(self):
+        cold = _build_monitored()
+        warm = pickle.loads(pickle.dumps(cold))
+        first = _run_scenario(cold)
+        second = _run_scenario(warm)
+        assert first == second
+        assert first["events"] > 0 and first["alerts"]
+
+    def test_lmbench_pickle_copy_all_systems(self):
+        from repro.workloads.lmbench import LmbenchSuite
+
+        for name, kwargs in [
+            ("native", {}),
+            ("kvm-guest", {"prepopulate_stage2": True}),
+            ("hypernel", {"with_mbm": False}),
+        ]:
+            cold = build_system(
+                name, platform_config=small_platform_config(), **kwargs
+            )
+            warm = pickle.loads(pickle.dumps(cold))
+            runs = []
+            for system in (cold, warm):
+                suite = LmbenchSuite(system, warmup=1, iterations=2)
+                suite.setup()
+                rows = [suite.run_op("fork+execv"), suite.run_op("mmap")]
+                runs.append((rows, system.platform.clock.now,
+                             system.count_accesses()))
+            assert runs[0] == runs[1], name
 
 
 class TestInMemoryRestore:
