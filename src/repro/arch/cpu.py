@@ -61,24 +61,6 @@ class CPUCore:
             writes, self._writes = self._writes, 0
             self.stats.add("writes", writes)
 
-    def state_dict(self) -> dict:
-        """Register file, MMU/TLB state and counters.  The EL2 vector is
-        wiring, reinstalled by whichever resident owns it."""
-        return {
-            "current_el": self.current_el,
-            "regs": self.regs.state_dict(),
-            "mmu": self.mmu.state_dict(),
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.current_el = int(state["current_el"])
-        self.regs.load_state(state["regs"])
-        self.mmu.load_state(state["mmu"])
-        self.stats.load_state(state["stats"])
-        self._reads = 0
-        self._writes = 0
-
     # ------------------------------------------------------------------
     # EL2 installation
     # ------------------------------------------------------------------

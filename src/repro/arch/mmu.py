@@ -152,32 +152,6 @@ class TLB:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def state_dict(self) -> dict:
-        """FIFO order, entry contents, epoch and flushed counters."""
-        return {
-            "entries": [
-                [list(key),
-                 [entry.page_paddr, entry.writable, entry.user,
-                  entry.cacheable, entry.cow, entry.executable, entry.level]]
-                for key, entry in self._entries.items()
-            ],
-            "epoch": self.epoch,
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._entries = OrderedDict(
-            (tuple(int(part) for part in key),
-             _TlbEntry(int(fields[0]), bool(fields[1]), bool(fields[2]),
-                       bool(fields[3]), bool(fields[4]), bool(fields[5]),
-                       int(fields[6])))
-            for key, fields in state["entries"]
-        )
-        self.epoch = int(state["epoch"])
-        self.stats.load_state(state["stats"])
-        self._hits = 0
-        self._misses = 0
-
 
 class MMU:
     """Address translation for one CPU core."""
@@ -212,36 +186,6 @@ class MMU:
         self._s2_fast_vmid = -1
         self._s2_fast_epoch = -1
         self._s2_fast_entry: Optional[_TlbEntry] = None
-
-    def state_dict(self) -> dict:
-        return {
-            "asid": self.asid,
-            "vmid": self.vmid,
-            "tlb": self.tlb.state_dict(),
-            "stage2_tlb": self.stage2_tlb.state_dict(),
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.asid = int(state["asid"])
-        self.vmid = int(state["vmid"])
-        self.tlb.load_state(state["tlb"])
-        self.stage2_tlb.load_state(state["stage2_tlb"])
-        self.stats.load_state(state["stats"])
-        # Reset the one-entry fast caches to their sentinel (miss) state.
-        # This is exactly stat- and order-neutral: a fast-path hit counts
-        # the same as a dict-probe hit and the TLB's FIFO order is not
-        # refreshed by lookups, so the next access merely takes the
-        # dict-probe path once before re-arming the fast cache.
-        self._fast_vpage = -1
-        self._fast_asid = -1
-        self._fast_vmid = -1
-        self._fast_epoch = -1
-        self._fast_entry = None
-        self._s2_fast_ipage = -1
-        self._s2_fast_vmid = -1
-        self._s2_fast_epoch = -1
-        self._s2_fast_entry = None
 
     # ------------------------------------------------------------------
     # TLB maintenance ("TLBI" instructions)

@@ -101,13 +101,6 @@ class SystemRegisters:
         if name not in self._values:
             raise KeyError(f"unknown system register {name!r}")
 
-    def state_dict(self) -> Dict[str, int]:
-        return dict(self._values)
-
-    def load_state(self, state: Dict[str, int]) -> None:
-        for name, value in state.items():
-            self.write(name, int(value))
-
     # Convenience predicates -------------------------------------------
     # Cached on write (``_refresh_flags``); hot paths (the MMU) read the
     # underscored attributes directly to skip the property protocol.

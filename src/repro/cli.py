@@ -14,13 +14,12 @@ Commands:
 * ``attacks`` — run the attack/protection matrix and print verdicts.
 * ``audit`` — build a monitored Hypernel system, run a workload and
   verify every security invariant against live machine state; with
-  ``--snapshot PATH``, audit a restored machine image instead.
-* ``metrics`` — run a monitored workload (or restore a snapshot with
-  ``--snapshot``) and print the full observability report: component
-  counters, gauges, cycle attribution and the run-integrity checks
-  (repro.obs).  Exits non-zero when the monitoring pipeline lost
-  events, unless the check is ``--waive``d; ``--json PATH`` exports
-  the report as JSONL.
+  ``--snapshot PATH``, check a saved machine image offline instead.
+* ``metrics`` — run a monitored workload and print the full
+  observability report: component counters, gauges, cycle attribution
+  and the run-integrity checks (repro.obs).  Exits non-zero when the
+  monitoring pipeline lost events, unless the check is ``--waive``d;
+  ``--json PATH`` exports the report as JSONL.
 * ``fuzz`` — adversarial hypercall fuzzing of Hypersec
   (repro.security.fuzz): a Hypothesis state machine drives random
   hypercall/trapped-register/attack sequences against a booted
@@ -30,9 +29,9 @@ Commands:
   recorded traces instead; ``--jsonl PATH`` streams the run's
   violation counters as an integrity record for
   ``scripts/check_integrity.py --jsonl``.
-* ``snapshot`` — save/restore/inspect/diff machine checkpoints
-  (``repro.state``): ``snapshot save``, ``snapshot restore``,
-  ``snapshot info``, ``snapshot diff``.
+* ``snapshot`` — save/inspect/diff the evidence images the offline
+  checker reads (``repro.state``): ``snapshot save``, ``snapshot
+  info``, ``snapshot diff``.
 * ``cache`` — inspect (``cache info``) or garbage-collect
   (``cache prune``) the content-addressed result cache.
 """
@@ -199,22 +198,8 @@ def cmd_report(args) -> int:
 
 
 def _system_under_test(args):
-    """The machine ``audit`` and ``metrics`` examine: the ``--snapshot``
-    image, or a fresh monitored Hypernel system after an untar run.
-
-    Returns ``None``, having printed the error, when the snapshot cannot
-    be restored.
-    """
-    if args.snapshot:
-        from repro.errors import SnapshotError
-        from repro.state import restore_system
-
-        try:
-            return restore_system(args.snapshot)
-        except (SnapshotError, FileNotFoundError) as exc:
-            print(f"error: {exc}")
-            return None
-
+    """The machine ``audit`` and ``metrics`` examine: a fresh monitored
+    Hypernel system after an untar run.  Tests substitute their own."""
     from repro.core.hypernel import build_hypernel
     from repro.security import CredIntegrityMonitor, DentryIntegrityMonitor
     from repro.workloads.apps import UntarWorkload
@@ -231,20 +216,28 @@ def _system_under_test(args):
     return system
 
 
-def cmd_audit(args) -> int:
-    system = _system_under_test(args)
-    if system is None:
+def _check_snapshot_file(path: str) -> int:
+    """``audit --snapshot``: the offline checker on a saved image."""
+    from repro.errors import SnapshotError
+    from repro.security.fuzz.snapshot_checker import check_snapshot
+    from repro.state import load_snapshot
+
+    try:
+        report = check_snapshot(load_snapshot(path))
+    except (SnapshotError, FileNotFoundError) as exc:
+        print(f"error: {exc}")
         return 1
+    print(f"checking machine image {path} offline ...")
+    print(report)
+    return 0 if report.clean else 1
+
+
+def cmd_audit(args) -> int:
     if args.snapshot:
-        if system.hypersec is None:
-            print(f"error: snapshot holds a {system.name!r} system; only "
-                  "hypernel images can be audited")
-            return 1
-        print(f"auditing restored {system.name} image "
-              f"({args.snapshot}) ...")
-    if system.mbm is not None:
-        print(f"  MBM events: {system.mbm.events_detected}, alerts: "
-              f"{sum(len(m.alerts) for m in system.monitors)}")
+        return _check_snapshot_file(args.snapshot)
+    system = _system_under_test(args)
+    print(f"  MBM events: {system.mbm.events_detected}, alerts: "
+          f"{sum(len(m.alerts) for m in system.monitors)}")
     report = system.hypersec.audit()
     print(report)
     return 0 if report.clean else 1
@@ -252,18 +245,14 @@ def cmd_audit(args) -> int:
 
 def _add_audit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snapshot", default=None, metavar="PATH",
-                        help="audit a restored machine image instead of "
-                        "building and exercising a fresh system")
+                        help="check a saved machine image offline instead "
+                        "of building and exercising a fresh system")
 
 
 def cmd_metrics(args) -> int:
     from repro.obs import collect_metrics, metrics_records, write_jsonl
 
     system = _system_under_test(args)
-    if system is None:
-        return 1
-    if args.snapshot:
-        print(f"metrics for restored {system.name} image ({args.snapshot})")
     metrics = collect_metrics(system, waive=tuple(args.waive))
     print(metrics.format())
     if args.json:
@@ -278,9 +267,6 @@ def cmd_metrics(args) -> int:
 
 
 def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--snapshot", default=None, metavar="PATH",
-                        help="collect metrics from a restored machine "
-                        "image instead of running a fresh workload")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write the report as JSONL records")
     _add_waive(parser)
@@ -418,7 +404,6 @@ def cmd_snapshot(args) -> int:
     from repro.errors import SnapshotError
     from repro.state import (
         diff_snapshots,
-        restore_system,
         save_snapshot,
         snapshot_info,
     )
@@ -440,12 +425,6 @@ def cmd_snapshot(args) -> int:
             snapshot = save_snapshot(system, args.path)
             print(f"saved {args.system} snapshot to {args.path}")
             print(f"  content hash: {snapshot.content_hash}")
-            return 0
-        if args.action == "restore":
-            system = restore_system(args.path)
-            print(f"restored {system.name} system from {args.path}")
-            for key, value in system.stats_summary().items():
-                print(f"  {key}: {value}")
             return 0
         if args.action == "info":
             print(snapshot_info(args.path))
@@ -469,11 +448,8 @@ def _add_snapshot_args(parser: argparse.ArgumentParser) -> None:
     save.add_argument("--monitored", action="store_true",
                       help="include the cred+dentry monitors (hypernel)")
     _add_platform(save)
-    restore = actions.add_parser(
-        "restore", help="restore a snapshot and print its machine state")
-    restore.add_argument("path", help="snapshot file to read")
     info = actions.add_parser(
-        "info", help="print a snapshot's manifest without restoring")
+        "info", help="print a snapshot's manifest")
     info.add_argument("path", help="snapshot file to read")
     diff = actions.add_parser(
         "diff", help="report which sections/words differ between two "

@@ -46,11 +46,9 @@ def _build_recipe(
     monitors: Optional[List[SecurityApp]] = None,
     **kwargs: Any,
 ) -> Dict[str, Any]:
-    """A JSON description sufficient to rebuild this system's skeleton
-    (everything except the :class:`PlatformConfig`, which the snapshot
-    manifest carries in its cost fingerprint)."""
-    from repro.security.registry import monitor_spec
-
+    """A JSON description of how this system was built (everything
+    except the :class:`PlatformConfig`, which the snapshot manifest
+    carries in its cost fingerprint)."""
     return {
         "system": name,
         "kwargs": kwargs,
@@ -59,7 +57,8 @@ def _build_recipe(
             "image_reserve_bytes": kernel_config.image_reserve_bytes,
             "op_costs": dataclasses.asdict(kernel_config.op_costs),
         },
-        "monitors": [monitor_spec(app) for app in monitors or []],
+        "monitors": [{"class": type(app).__name__}
+                     for app in monitors or []],
     }
 
 
@@ -76,7 +75,7 @@ class System:
     kvm: Optional[KvmHypervisor] = None
     hooks: Optional[MonitorHookStub] = None
     monitors: List[SecurityApp] = field(default_factory=list)
-    #: how this system was built (consumed by repro.state snapshots).
+    #: how this system was built (recorded in repro.state snapshots).
     recipe: Dict[str, Any] = field(default_factory=dict)
 
     def spawn_init(self) -> Task:
@@ -140,20 +139,13 @@ class System:
 def build_native(
     platform_config: Optional[PlatformConfig] = None,
     kernel_config: Optional[KernelConfig] = None,
-    _skeleton: bool = False,
 ) -> System:
-    """The **Native** case: base kernel, vanilla 2 MB-section map.
-
-    ``_skeleton`` (used by :mod:`repro.state`) wires all components but
-    skips the boot sequence: the restored memory image and component
-    state dicts supply everything boot would have produced.
-    """
+    """The **Native** case: base kernel, vanilla 2 MB-section map."""
     platform = Platform(platform_config or _default_platform_config())
     cpu = CPUCore(platform)
     kcfg = kernel_config or KernelConfig(linear_map_mode="section")
     kernel = Kernel(platform, cpu, kcfg)
-    if not _skeleton:
-        kernel.boot()
+    kernel.boot()
     return System("native", platform, cpu, kernel,
                   recipe=_build_recipe("native", kcfg))
 
@@ -162,7 +154,6 @@ def build_kvm_guest(
     platform_config: Optional[PlatformConfig] = None,
     kernel_config: Optional[KernelConfig] = None,
     prepopulate_stage2: bool = False,
-    _skeleton: bool = False,
 ) -> System:
     """The **KVM-guest** case: the same kernel under nested paging."""
     platform = Platform(platform_config or _default_platform_config())
@@ -171,10 +162,9 @@ def build_kvm_guest(
     kvm.install()
     kcfg = kernel_config or KernelConfig(linear_map_mode="section")
     kernel = Kernel(platform, cpu, kcfg, env=KvmGuestEnvironment(cpu))
-    if not _skeleton:
-        kernel.boot()
-        if prepopulate_stage2:
-            kvm.prepopulate(kvm.guest_base, kvm.guest_limit)
+    kernel.boot()
+    if prepopulate_stage2:
+        kvm.prepopulate(kvm.guest_base, kvm.guest_limit)
     return System("kvm-guest", platform, cpu, kernel, kvm=kvm,
                   recipe=_build_recipe("kvm-guest", kcfg,
                                        prepopulate_stage2=prepopulate_stage2))
@@ -187,7 +177,6 @@ def build_hypernel(
     monitors: Optional[List[SecurityApp]] = None,
     bitmap_cache_enabled: bool = True,
     irq_coalesce: int = 1,
-    _skeleton: bool = False,
 ) -> System:
     """The **Hypernel** case: Hypersec (+ MBM and monitors if requested).
 
@@ -215,9 +204,8 @@ def build_hypernel(
         pgwriter=HypercallPgTableWriter(cpu),
         env=ExecutionEnvironment(cpu),
     )
-    if not _skeleton:
-        kernel.boot()
-        hypersec.protect(kernel)
+    kernel.boot()
+    hypersec.protect(kernel)
     system = System(
         "hypernel", platform, cpu, kernel, hypersec=hypersec, mbm=mbm,
         recipe=_build_recipe("hypernel", kcfg, monitors=monitors,

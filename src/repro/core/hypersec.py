@@ -96,63 +96,6 @@ class Hypersec(EL2Vector):
         self.gap_sections: Set[int] = set()
 
     # ------------------------------------------------------------------
-    # Checkpoint/restore
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Policy + monitoring state.  The application objects in
-        ``_apps`` are serialized separately (system "monitors" section)
-        and rewired on restore; per-page range lists keep their order
-        (dispatch iterates them)."""
-        return {
-            "table_pages": sorted(self.table_pages),
-            "root_tables": sorted(self.root_tables),
-            "linear_tables": sorted(self.linear_tables),
-            "table_refs": sorted(self._table_refs.items()),
-            "table_levels": sorted(self._table_levels.items()),
-            "kernel_root": self.kernel_root,
-            "recorded_regs": dict(self.recorded_regs),
-            "protected": self._protected,
-            "next_sid": self._next_sid,
-            "region_index": [
-                [page, [[base, end, sid] for base, end, sid in ranges]]
-                for page, ranges in self._region_index.items()
-            ],
-            "monitored_page_refs": [
-                [page, refs]
-                for page, refs in self._monitored_page_refs.items()
-            ],
-            "gap_sections": sorted(self.gap_sections),
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.table_pages = {int(p) for p in state["table_pages"]}
-        self.root_tables = {int(p) for p in state["root_tables"]}
-        self.linear_tables = {int(p) for p in state["linear_tables"]}
-        self.kernel_root = int(state["kernel_root"])
-        self.recorded_regs = {str(name): int(value)
-                              for name, value in state["recorded_regs"].items()}
-        self._protected = bool(state["protected"])
-        self._next_sid = int(state["next_sid"])
-        self._region_index = {
-            int(page): [(int(base), int(end), int(sid))
-                        for base, end, sid in ranges]
-            for page, ranges in state["region_index"]
-        }
-        self._monitored_page_refs = {
-            int(page): int(refs)
-            for page, refs in state["monitored_page_refs"]
-        }
-        self.gap_sections = {int(s) for s in state["gap_sections"]}
-        if "table_refs" in state:
-            self._table_refs = {int(t): int(n) for t, n in state["table_refs"]}
-            self._table_levels = {int(t): int(l)
-                                  for t, l in state["table_levels"]}
-        else:  # snapshot predates the topology cache: re-derive it
-            self._rebuild_topology()
-        self.stats.load_state(state["stats"])
-
-    # ------------------------------------------------------------------
     # Initialization (paper 6.1)
     # ------------------------------------------------------------------
     def install(self) -> None:
@@ -532,8 +475,8 @@ class Hypersec(EL2Vector):
 
     def _rebuild_topology(self) -> None:
         """Re-derive the table-pointer refcounts and per-table levels by
-        walking the verified trees with backdoor reads (boot lock-down
-        and legacy-snapshot restore; runtime keeps them incremental)."""
+        walking the verified trees with backdoor reads (boot lock-down;
+        runtime keeps them incremental)."""
         refs: Dict[int, int] = {}
         levels: Dict[int, int] = {}
         roots = {align_down(self.kernel_root, PAGE_BYTES)} | self.root_tables

@@ -86,19 +86,5 @@ class BitmapCache:
     def invalidate_all(self) -> None:
         self._lines.clear()
 
-    def state_dict(self) -> dict:
-        """Lines in LRU order (oldest first), as stored."""
-        return {
-            "lines": [[addr, value] for addr, value in self._lines.items()],
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._lines = OrderedDict(
-            (int(addr), int(value)) for addr, value in state["lines"]
-        )
-        self.stats.load_state(state["stats"])
-        self._hits = self._misses = self._bypasses = 0
-
     def __len__(self) -> int:
         return len(self._lines)

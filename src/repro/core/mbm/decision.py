@@ -48,18 +48,6 @@ class DecisionUnit:
             hits, self._hits = self._hits, 0
             self.stats.add("hits", hits)
 
-    def state_dict(self) -> dict:
-        return {
-            "busy_cycles": self.busy_cycles,
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.busy_cycles = int(state["busy_cycles"])
-        self.stats.load_state(state["stats"])
-        self._checked = 0
-        self._hits = 0
-
     def decide(
         self, paddr: int, value: Optional[int], bitmap_word: int, bit: int
     ) -> bool:

@@ -83,23 +83,3 @@ class CaptureFifo:
     def clear_overrun(self) -> None:
         """Acknowledge a previously latched overrun."""
         self.overrun = False
-
-    def state_dict(self) -> dict:
-        return {
-            "entries": [[paddr, value] for paddr, value in self._entries],
-            "overrun": self.overrun,
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._entries = deque(
-            (int(paddr), None if value is None else int(value))
-            for paddr, value in state["entries"]
-        )
-        self.overrun = bool(state["overrun"])
-        self.stats.load_state(state["stats"])
-        self._pushed = self._popped = self._dropped = 0
-        # The serialized max_depth is both "seen" and "flushed".
-        self._max_seen = self._max_flushed = int(
-            state["stats"].get("max_depth", 0)
-        )

@@ -86,43 +86,14 @@ class MemoryBusMonitor:
         self._costs = costs
         self._snoop_cost = costs.mbm_snoop
         self._attached = False
-        # Transient: non-zero only inside expected_flush() brackets,
-        # which never span a snapshot point (they close within one
-        # hypercall) — deliberately absent from state_dict.
+        # Non-zero only inside expected_flush() brackets, which close
+        # within one hypercall.
         self._expected_flush_depth = 0
 
     def _flush_pending(self) -> None:
         if self._irqs_raised:
             raised, self._irqs_raised = self._irqs_raised, 0
             self.stats.add("irqs_raised", raised)
-
-    # ------------------------------------------------------------------
-    # Checkpoint/restore
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Pipeline state; the bitmap and ring contents live in
-        simulated (secure) memory, the layout objects are geometry."""
-        return {
-            "undelivered": self._undelivered,
-            "fifo": self.fifo.state_dict(),
-            "ring": self.ring.state_dict(),
-            "bitmap_cache": self.bitmap_cache.state_dict(),
-            "translator": self.translator.state_dict(),
-            "decision": self.decision.state_dict(),
-            "snooper": self.snooper.state_dict(),
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._undelivered = int(state["undelivered"])
-        self._irqs_raised = 0
-        self.fifo.load_state(state["fifo"])
-        self.ring.load_state(state["ring"])
-        self.bitmap_cache.load_state(state["bitmap_cache"])
-        self.translator.load_state(state["translator"])
-        self.decision.load_state(state["decision"])
-        self.snooper.load_state(state["snooper"])
-        self.stats.load_state(state["stats"])
 
     # ------------------------------------------------------------------
     @property

@@ -61,14 +61,6 @@ class EventRingBuffer:
     def size_bytes(self) -> int:
         return (_HEADER_WORDS + self.entries * _ENTRY_WORDS) * WORD_BYTES
 
-    def state_dict(self) -> dict:
-        """Counters only: head/tail/entries live in simulated memory."""
-        return {"stats": self.stats.state_dict()}
-
-    def load_state(self, state: dict) -> None:
-        self.stats.load_state(state["stats"])
-        self._produced = 0
-
     def _entry_addr(self, index: int) -> int:
         return self.base + (_HEADER_WORDS + (index % self.entries) * _ENTRY_WORDS) * WORD_BYTES
 

@@ -36,9 +36,9 @@ class BusTrafficSnooper:
         self.stats.flush_hook = self._flush_pending
         # The snooper runs once per bus transaction — the hottest call
         # site in a monitored system.  The pipeline objects it forwards
-        # to are created once and mutated in place (load_state included),
-        # so their bound methods and the bitmap geometry can be captured
-        # here instead of chased through ``self.mbm`` on every event.
+        # to are created once and mutated in place, so their bound
+        # methods and the bitmap geometry can be captured here instead
+        # of chased through ``self.mbm`` on every event.
         self._bitmap_lo, self._bitmap_hi = mbm.bitmap_storage
         self._covers = mbm.bitmap.covers
         self._snoop_update = mbm.bitmap_cache.snoop_update
@@ -51,14 +51,6 @@ class BusTrafficSnooper:
         if self._captured:
             captured, self._captured = self._captured, 0
             self.stats.add("captured", captured)
-
-    def state_dict(self) -> dict:
-        return {"stats": self.stats.state_dict()}
-
-    def load_state(self, state: dict) -> None:
-        self.stats.load_state(state["stats"])
-        self._observed = 0
-        self._captured = 0
 
     def __call__(self, txn: BusTransaction) -> None:
         """Observe one bus transaction (installed as a bus snooper)."""

@@ -43,17 +43,6 @@ class BitmapTranslator:
             translations, self._translations = self._translations, 0
             self.stats.add("translations", translations)
 
-    def state_dict(self) -> dict:
-        return {
-            "busy_cycles": self.busy_cycles,
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.busy_cycles = int(state["busy_cycles"])
-        self.stats.load_state(state["stats"])
-        self._translations = 0
-
     def fetch_word(self, bitmap_word_paddr: int) -> int:
         """Return the bitmap word, consulting the cache first."""
         cached = self.cache.lookup(bitmap_word_paddr)

@@ -112,19 +112,6 @@ class MemoryBus:
                 setattr(self, attr, 0)
                 stats.add(key, pending)
 
-    def state_dict(self) -> dict:
-        """Counters only: memory contents and snoopers belong elsewhere."""
-        return {"stats": self.stats.state_dict()}
-
-    def load_state(self, state: dict) -> None:
-        self.stats.load_state(state["stats"])
-        self._reads = 0
-        self._writes = 0
-        self._line_fills = 0
-        self._writebacks = 0
-        self._block_writes = 0
-        self._block_words = 0
-
     # ------------------------------------------------------------------
     # Snooper management
     # ------------------------------------------------------------------

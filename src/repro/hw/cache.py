@@ -122,27 +122,6 @@ class Cache:
         """Drop every line without writeback (power-on state)."""
         self._sets.clear()
 
-    def state_dict(self) -> dict:
-        """Full replacement state: per-set LRU order and dirty bits."""
-        return {
-            "stats": self.stats.state_dict(),  # flushes batched hits/misses
-            "sets": [
-                [index, [[addr, dirty] for addr, dirty in lines.items()]]
-                for index, lines in sorted(self._sets.items())
-            ],
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._sets = {
-            int(index): OrderedDict(
-                (int(addr), bool(dirty)) for addr, dirty in lines
-            )
-            for index, lines in state["sets"]
-        }
-        self.stats.load_state(state["stats"])
-        self._hits = 0
-        self._misses = 0
-
 
 class CacheHierarchy:
     """A two-level (L1 + unified L2) write-back write-allocate hierarchy.
@@ -475,22 +454,6 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     # Cache maintenance
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "l1": self.l1.state_dict(),
-            "l2": self.l2.state_dict(),
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.l1.load_state(state["l1"])
-        self.l2.load_state(state["l2"])
-        self.stats.load_state(state["stats"])
-        self._cached_reads = 0
-        self._cached_writes = 0
-        self._uncached_reads = 0
-        self._uncached_writes = 0
-
     def clean_invalidate_page(self, page_paddr: int) -> int:
         """Clean+invalidate every line of the 4 KB page at ``page_paddr``.
 

@@ -24,8 +24,7 @@ class Clock:
         self.freq_hz = freq_hz
         self._cycles = 0
         #: Cycles accumulated per charge-scope label (observer-side
-        #: bookkeeping — never part of machine state, so snapshots
-        #: neither save nor restore it).
+        #: bookkeeping, not machine state).
         self.attribution: Dict[str, int] = {}
 
     @property
@@ -68,13 +67,6 @@ class Clock:
     def clear_attribution(self) -> None:
         """Drop all charge-scope buckets (e.g. between benchmark phases)."""
         self.attribution.clear()
-
-    def state_dict(self) -> dict:
-        return {"freq_hz": self.freq_hz, "cycles": self._cycles}
-
-    def load_state(self, state: dict) -> None:
-        self.freq_hz = float(state["freq_hz"])
-        self._cycles = int(state["cycles"])
 
     def to_us(self, cycles: int) -> float:
         """Convert a cycle count to microseconds at this clock's frequency."""

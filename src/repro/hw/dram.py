@@ -76,16 +76,3 @@ class DramModel:
     def reset(self) -> None:
         """Close all rows (e.g. across benchmark iterations)."""
         self._open_rows.clear()
-
-    def state_dict(self) -> dict:
-        return {
-            "open_rows": [[bank, row] for bank, row in self._open_rows.items()],
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._open_rows = {int(b): int(r) for b, r in state["open_rows"]}
-        self.stats.load_state(state["stats"])
-        self._row_hits = 0
-        self._row_misses = 0
-        self._burst_words = 0

@@ -60,25 +60,6 @@ class InterruptController:
         self._require(irq)
         return self._pending[irq]
 
-    def state_dict(self) -> dict:
-        """Mask/pending state per registered line (handlers are wiring,
-        recreated when the owning component reinstalls itself)."""
-        return {
-            "lines": [
-                [irq, bool(self._masked[irq]), int(self._pending[irq])]
-                for irq in self._handlers
-            ],
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        for irq, masked, pending in state["lines"]:
-            self._require(int(irq))
-            self._masked[int(irq)] = bool(masked)
-            self._pending[int(irq)] = int(pending)
-            self._in_service[int(irq)] = False
-        self.stats.load_state(state["stats"])
-
     # ------------------------------------------------------------------
     def _require(self, irq: int) -> None:
         if irq not in self._handlers:

@@ -54,24 +54,6 @@ class KvmHypervisor(EL2Vector):
         self.cpu.regs.write("VTTBR_EL2", self.s2_root)
         self.cpu.regs.set_bits("HCR_EL2", HCR_VM)
 
-    def state_dict(self) -> dict:
-        """Stage-2 bookkeeping; descriptor contents live in memory."""
-        return {
-            "table_cursor": self._table_cursor,
-            "tables": [[list(key), table]
-                       for key, table in self._tables.items()],
-            "s2_root": self.s2_root,
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._table_cursor = int(state["table_cursor"])
-        self._tables = {tuple(int(i) for i in key): int(table)
-                        for key, table in state["tables"]}
-        self.s2_root = int(state["s2_root"])
-        self.cpu.regs.write("VTTBR_EL2", self.s2_root)
-        self.stats.load_state(state["stats"])
-
     def _alloc_table(self) -> int:
         if self._table_cursor >= self._table_limit:
             raise AllocationError("host out of stage-2 table memory")

@@ -42,17 +42,6 @@ class ExecutionEnvironment:
         self.costs: CostModel = cpu.costs
         self.stats = StatSet(f"env.{self.name}")
 
-    def state_dict(self) -> dict:
-        return {"name": self.name, "stats": self.stats.state_dict()}
-
-    def load_state(self, state: dict) -> None:
-        if state["name"] != self.name:
-            raise ValueError(
-                f"environment mismatch: snapshot is {state['name']!r}, "
-                f"system runs {self.name!r}"
-            )
-        self.stats.load_state(state["stats"])
-
     def page_lifecycle(self, count: int = 1) -> None:
         """``count`` user-page mapping operations occurred."""
         self.stats.add("page_ops", count)
@@ -97,15 +86,6 @@ class KvmGuestEnvironment(ExecutionEnvironment):
     def __init__(self, cpu: CPUCore):
         super().__init__(cpu)
         self._af_accumulator = 0
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["af_accumulator"] = self._af_accumulator
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self._af_accumulator = int(state["af_accumulator"])
 
     def page_lifecycle(self, count: int = 1) -> None:
         self.stats.add("page_ops", count)

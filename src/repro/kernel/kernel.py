@@ -168,75 +168,6 @@ class Kernel:
     def booted(self) -> bool:
         return self._booted
 
-    # ------------------------------------------------------------------
-    # Checkpoint/restore
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Full software state of a *booted* kernel.
-
-        CPU/platform state is captured separately by the system-level
-        snapshot; hook subscribers and the pgwriter are wiring, recreated
-        by rebuilding the system skeleton.
-        """
-        if not self._booted:
-            raise ConfigurationError("cannot snapshot an unbooted kernel")
-        return {
-            "booted": True,
-            "linear_map": self.linear_map.state_dict(),
-            "allocator": self.allocator.state_dict(),
-            "env": self.env.state_dict(),
-            "slab": self.slab.state_dict(),
-            "vmm": self.vmm.state_dict(),
-            "vfs": self.vfs.state_dict(),
-            "procs": self.procs.state_dict(),
-            "signals": self.signals.stats.state_dict(),
-            "pipes": self.pipes.stats.state_dict(),
-            "sockets": self.sockets.stats.state_dict(),
-            "syscalls": self.sys.stats.state_dict(),
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore into an *unbooted* kernel skeleton.
-
-        Subsystems are created without their boot-time construction
-        (no linear-map build, no root-node allocation): the simulated
-        memory image carrying their descriptors and objects is restored
-        separately, before this runs.
-        """
-        if self._booted:
-            raise ConfigurationError("cannot restore into a booted kernel")
-        self.linear_map.load_state(state["linear_map"])
-        allocator_state = state["allocator"]
-        self.allocator = PageAllocator(
-            int(allocator_state["base"]), int(allocator_state["limit"])
-        )
-        self.allocator.load_state(allocator_state)
-        self.env.load_state(state["env"])
-        self.slab = SlabRegistry(self)
-        self.slab.load_state(state["slab"])
-        self.vmm = UserVmm(self)
-        self.vmm.load_state(state["vmm"])
-        # VFS.__init__ allocates the root node with simulated writes;
-        # bypass it — the restored memory image already holds the tree.
-        self.vfs = VFS.__new__(VFS)
-        self.vfs.kernel = self
-        self.vfs.stats = StatSet("vfs")
-        self.vfs.load_state(state["vfs"])
-        self.procs = ProcessManager(self)
-        self.procs.load_state(state["procs"])
-        self.signals = SignalManager(self)
-        self.signals.stats.load_state(state["signals"])
-        self.pipes = PipeManager(self)
-        self.pipes.stats.load_state(state["pipes"])
-        self.sockets = SocketManager(self)
-        self.sockets.stats.load_state(state["sockets"])
-        from repro.kernel.syscalls import SyscallLayer  # late: avoids cycle
-        self.sys = SyscallLayer(self)
-        self.sys.stats.load_state(state["syscalls"])
-        self.stats.load_state(state["stats"])
-        self._booted = bool(state["booted"])
-
     def uptime(self) -> int:
         """A time value for timestamps (derived from the cycle clock)."""
         return self.platform.clock.now >> 10

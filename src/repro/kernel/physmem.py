@@ -82,31 +82,6 @@ class PageAllocator:
         """Purpose tag of an allocated page, or ``None``."""
         return self._allocated.get(paddr)
 
-    def state_dict(self) -> dict:
-        """Free pages in canonical (sorted) order.
-
-        Allocation order is address-ordered, so the free *set* fully
-        determines future behaviour; the heap's internal layout does
-        not need to be preserved.
-        """
-        return {
-            "base": self.base,
-            "limit": self.limit,
-            "free": sorted(self._free),
-            "allocated": [[paddr, purpose]
-                          for paddr, purpose in self._allocated.items()],
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.base = int(state["base"])
-        self.limit = int(state["limit"])
-        self._free = [int(p) for p in state["free"]]
-        heapq.heapify(self._free)
-        self._allocated = {int(p): str(purpose)
-                           for p, purpose in state["allocated"]}
-        self.stats.load_state(state["stats"])
-
     @property
     def free_pages(self) -> int:
         return len(self._free)
@@ -203,23 +178,6 @@ class LinearMap:
                 desc = make_page_desc(paddr, writable=True, cacheable=True)
                 bus.poke(l3_tables[section_index] + index_for_level(offset, 3) * 8, desc)
         return self.root
-
-    def state_dict(self) -> dict:
-        """Bookkeeping only: descriptor contents live in memory."""
-        return {
-            "mode": self.mode,
-            "root": self.root,
-            "table_pages": sorted(self.table_pages),
-            "table_cursor": self._table_cursor,
-            "table_limit": self._table_limit,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.mode = str(state["mode"])
-        self.root = int(state["root"])
-        self.table_pages = {int(p) for p in state["table_pages"]}
-        self._table_cursor = int(state["table_cursor"])
-        self._table_limit = int(state["table_limit"])
 
     # ------------------------------------------------------------------
     # Runtime descriptor location (used to retune attributes of a page)

@@ -68,57 +68,6 @@ class ProcessManager:
         self._next_pid += 1
         return pid
 
-    def state_dict(self) -> dict:
-        """Tasks in table order; ``parent`` is encoded as a pid."""
-        return {
-            "tasks": [
-                [pid, {
-                    "pid": task.pid,
-                    "task_pa": task.task_pa,
-                    "cred_pa": task.cred_pa,
-                    "mm": task.mm.state_dict(),
-                    "parent": task.parent.pid if task.parent else None,
-                    "name": task.name,
-                    "state": task.state,
-                    "sigactions": [[sig, handler]
-                                   for sig, handler in task.sigactions.items()],
-                }]
-                for pid, task in self.tasks.items()
-            ],
-            "current": self.current.pid if self.current else None,
-            "next_pid": self._next_pid,
-            "free_pids": sorted(self._free_pids),
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.tasks = {}
-        parents: Dict[int, Optional[int]] = {}
-        for pid, task_state in state["tasks"]:
-            task = Task(
-                pid=int(task_state["pid"]),
-                task_pa=int(task_state["task_pa"]),
-                cred_pa=int(task_state["cred_pa"]),
-                mm=MM.from_state(task_state["mm"]),
-                name=str(task_state["name"]),
-                state=str(task_state["state"]),
-                sigactions={int(sig): int(handler)
-                            for sig, handler in task_state["sigactions"]},
-            )
-            self.tasks[int(pid)] = task
-            parent_pid = task_state["parent"]
-            parents[task.pid] = None if parent_pid is None else int(parent_pid)
-        for pid, parent_pid in parents.items():
-            if parent_pid is not None:
-                # Reaped parents are simply dropped, as in a live table.
-                self.tasks[pid].parent = self.tasks.get(parent_pid)
-        current = state["current"]
-        self.current = None if current is None else self.tasks[int(current)]
-        self._next_pid = int(state["next_pid"])
-        self._free_pids = [int(pid) for pid in state.get("free_pids", [])]
-        heapq.heapify(self._free_pids)
-        self.stats.load_state(state["stats"])
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

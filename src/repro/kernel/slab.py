@@ -73,21 +73,6 @@ class SlabCache:
     def live_objects(self) -> int:
         return len(self._live)
 
-    def state_dict(self) -> dict:
-        """Free-list order matters: alloc() pops from the end."""
-        return {
-            "free": list(self._free),
-            "live": sorted(self._live),
-            "pages": sorted(self.pages),
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._free = [int(p) for p in state["free"]]
-        self._live = {int(p) for p in state["live"]}
-        self.pages = {int(p) for p in state["pages"]}
-        self.stats.load_state(state["stats"])
-
 
 class SlabRegistry:
     """All slab caches of a kernel, keyed by layout name."""
@@ -103,21 +88,6 @@ class SlabRegistry:
 
     def __getitem__(self, name: str) -> SlabCache:
         return self._caches[name]
-
-    def state_dict(self) -> dict:
-        return {
-            "caches": [[name, cache.state_dict()]
-                       for name, cache in self._caches.items()]
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.kernel.objects import ALL_LAYOUTS
-
-        self._caches = {}
-        for name, cache_state in state["caches"]:
-            cache = SlabCache(self._kernel, ALL_LAYOUTS[name])
-            cache.load_state(cache_state)
-            self._caches[name] = cache
 
     def __contains__(self, name: str) -> bool:
         return name in self._caches

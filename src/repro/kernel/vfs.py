@@ -76,49 +76,6 @@ class VFS:
         self._sb_token = 0x5B  # superblock cookie written into d_sb
         self.root = self._make_node("/", parent=None, is_dir=True)
 
-    @staticmethod
-    def _node_state(node: VfsNode) -> dict:
-        return {
-            "name": node.name,
-            "dentry_pa": node.dentry_pa,
-            "inode_pa": node.inode_pa,
-            "is_dir": node.is_dir,
-            "data_pages": list(node.data_pages),
-            "size_bytes": node.size_bytes,
-            "children": [VFS._node_state(child)
-                         for child in node.children.values()],
-        }
-
-    @staticmethod
-    def _node_from_state(state: dict, parent: Optional[VfsNode]) -> VfsNode:
-        node = VfsNode(
-            name=str(state["name"]),
-            dentry_pa=int(state["dentry_pa"]),
-            inode_pa=int(state["inode_pa"]),
-            is_dir=bool(state["is_dir"]),
-            parent=parent,
-            data_pages=[int(p) for p in state["data_pages"]],
-            size_bytes=int(state["size_bytes"]),
-        )
-        for child_state in state["children"]:
-            child = VFS._node_from_state(child_state, node)
-            node.children[child.name] = child
-        return node
-
-    def state_dict(self) -> dict:
-        """The whole tree; open FileHandles are transient (snapshots are
-        taken at quiescent points, between workload phases)."""
-        return {
-            "sb_token": self._sb_token,
-            "root": self._node_state(self.root),
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._sb_token = int(state["sb_token"])
-        self.root = self._node_from_state(state["root"], None)
-        self.stats.load_state(state["stats"])
-
     # ------------------------------------------------------------------
     # Object construction
     # ------------------------------------------------------------------

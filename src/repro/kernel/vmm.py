@@ -69,33 +69,6 @@ class MM:
                 return vma
         return None
 
-    def state_dict(self) -> dict:
-        """Dict insertion order is preserved: fork/teardown iterate
-        ``pages`` and must replay in the same order after a restore."""
-        return {
-            "pgd": self.pgd,
-            "asid": self.asid,
-            "vmas": [[v.start, v.end, v.writable, v.kind, v.file_key]
-                     for v in self.vmas],
-            "pages": [[va, pa] for va, pa in self.pages.items()],
-            "cow": [[va, bool(flag)] for va, flag in self.cow.items()],
-            "tables": [[list(path), table]
-                       for path, table in self.tables.items()],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "MM":
-        mm = cls(pgd=int(state["pgd"]), asid=int(state["asid"]))
-        mm.vmas = [
-            VMA(int(start), int(end), bool(writable), str(kind), file_key)
-            for start, end, writable, kind, file_key in state["vmas"]
-        ]
-        mm.pages = {int(va): int(pa) for va, pa in state["pages"]}
-        mm.cow = {int(va): bool(flag) for va, flag in state["cow"]}
-        mm.tables = {tuple(int(i) for i in path): int(table)
-                     for path, table in state["tables"]}
-        return mm
-
 
 class UserVmm:
     """The kernel's user-memory subsystem."""
@@ -115,24 +88,6 @@ class UserVmm:
         self._free_asids: List[int] = []
         self._page_refs: Dict[int, int] = {}
         self.stats = StatSet("vmm")
-
-    def state_dict(self) -> dict:
-        """Per-MM state lives with its owning task (ProcessManager)."""
-        return {
-            "next_asid": self._next_asid,
-            "free_asids": sorted(self._free_asids),
-            "page_refs": [[paddr, refs]
-                          for paddr, refs in self._page_refs.items()],
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._next_asid = int(state["next_asid"])
-        self._free_asids = [int(a) for a in state.get("free_asids", [])]
-        heapq.heapify(self._free_asids)
-        self._page_refs = {int(paddr): int(refs)
-                           for paddr, refs in state["page_refs"]}
-        self.stats.load_state(state["stats"])
 
     # ------------------------------------------------------------------
     # MM lifecycle

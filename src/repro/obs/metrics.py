@@ -263,8 +263,7 @@ def component_stat_sets(system) -> List[StatSet]:
         mmu.stage2_tlb.stats,
         system.kernel.stats,
     ]
-    if system.kernel.sys is not None:  # skeleton systems have no boot
-        sets.append(system.kernel.sys.stats)
+    sets.append(system.kernel.sys.stats)
     if system.kvm is not None:
         sets.append(system.kvm.stats)
     if system.hypersec is not None:

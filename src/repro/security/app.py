@@ -67,35 +67,6 @@ class SecurityApp:
         self._pending: Dict[int, deque] = {}
 
     # ------------------------------------------------------------------
-    # Checkpoint/restore
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Shadow state, pending queues, alerts and counters.  The SID
-        and template wiring are re-established by the system rebuild."""
-        return {
-            "alerts": [[a.addr, a.observed, a.expected, a.reason]
-                       for a in self.alerts],
-            "shadow": [[addr, value] for addr, value in self._shadow.items()],
-            "pending": [[addr, list(queue)]
-                        for addr, queue in self._pending.items()],
-            "stats": self.stats.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.alerts = [
-            Alert(self.name, int(addr),
-                  None if observed is None else int(observed),
-                  None if expected is None else int(expected),
-                  str(reason))
-            for addr, observed, expected, reason in state["alerts"]
-        ]
-        self._shadow = {int(addr): int(value)
-                        for addr, value in state["shadow"]}
-        self._pending = {int(addr): deque(int(v) for v in values)
-                         for addr, values in state["pending"]}
-        self.stats.load_state(state["stats"])
-
-    # ------------------------------------------------------------------
     # Region templates (queried by the kernel hook stub)
     # ------------------------------------------------------------------
     def wants(self, layout: ObjectLayout) -> bool:

@@ -35,16 +35,6 @@ class CredIntegrityMonitor(SecurityApp):
         )
         self._bases = {}
 
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["bases"] = [[base, size] for base, size in self._bases.items()]
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self._bases = {int(base): int(size)
-                       for base, size in state["bases"]}
-
     def on_region_registered(self, base, size, snapshot):
         super().on_region_registered(base, size, snapshot)
         self._bases[base] = size

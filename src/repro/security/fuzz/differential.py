@@ -24,21 +24,21 @@ Tolerances are intentional and narrow:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.security.fuzz.invariants import InvariantReport, run_invariants
 from repro.security.fuzz.snapshot_checker import SnapshotEvidence
-from repro.state import Snapshot, capture_snapshot
+from repro.state import capture_snapshot
 
-#: Invariants stated identically by both channels; ``BITMAP_CONSISTENT``
-#: is live-only (the raw bitmap is the snapshot channel's *source* of
-#: monitored truth) and monitored-set drift is diffed structurally.
+#: Invariants stated identically by both channels; monitored-set drift
+#: is diffed structurally as well.
 _COMPARED_INVARIANTS = frozenset({
     "NO_SECURE_MAPPING",
     "NO_WRITABLE_TABLE_ALIAS",
     "W_XOR_X",
     "TABLES_READ_ONLY",
     "MONITORED_UNCACHED",
+    "BITMAP_CONSISTENT",
     "TTBR_INTEGRITY",
     "TABLE_TOPOLOGY",
 })
@@ -88,18 +88,10 @@ class DifferentialResult:
         return "\n".join(lines)
 
 
-def differential_audit(system,
-                       snapshot: Optional[Snapshot] = None
-                       ) -> DifferentialResult:
-    """Audit ``system`` through both channels and diff the results.
-
-    ``snapshot`` may be supplied when the caller already captured one
-    (it must describe the *current* state of ``system``).
-    """
-    if snapshot is None:
-        snapshot = capture_snapshot(system)
+def differential_audit(system) -> DifferentialResult:
+    """Audit ``system`` through both channels and diff the results."""
+    evidence = SnapshotEvidence(capture_snapshot(system))
     live = system.hypersec.audit()
-    evidence = SnapshotEvidence(snapshot)
     offline = run_invariants(evidence)
     result = DifferentialResult(live=live, offline=offline)
 

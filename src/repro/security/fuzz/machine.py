@@ -24,10 +24,10 @@ shrinks the rule sequence to a minimal reproducer, which
 :data:`LAST_TRACE` captures as a portable JSON operation list (see
 ``save_trace``/``replay_ops`` and ``tests/corpus/``).
 
-Every test case starts from a cached post-boot snapshot
-(:func:`repro.state.restore_from_snapshot` — about a millisecond)
-instead of re-booting, which is what makes hundreds of examples per CI
-run affordable.
+Every test case starts from a copy of a cached post-boot machine
+(:func:`restore_from_snapshot` unpickles it, in about 2 ms) instead of
+re-booting, which is what makes hundreds of examples per CI run
+affordable.
 
 **Taming.**  Hypersec's policy deliberately allows some operations that
 are *structurally* destructive — e.g. unlinking a table pointer whose
@@ -48,6 +48,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import pickle
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import PAGE_BYTES, PAGE_WORDS, SECTION_BYTES, WORD_BYTES
@@ -66,7 +67,6 @@ from repro.arch.pagetable import (
 from repro.core import hypercalls as hc
 from repro.security.fuzz.differential import differential_audit
 from repro.security.fuzz.invariants import Geometry, LEAF_INVARIANTS
-from repro.state import restore_from_snapshot
 from repro.utils.bitops import align_down
 
 __all__ = [
@@ -102,7 +102,7 @@ _ADDR_MASK = ((1 << 48) - 1) & ~(PAGE_BYTES - 1)
 #: SID no application ever owns.
 _BOGUS_SID = 0x7777
 
-_BOOT_SNAPSHOTS: Dict[str, object] = {}
+_BOOT_SNAPSHOTS: Dict[str, bytes] = {}
 
 
 class FuzzViolation(AssertionError):
@@ -136,20 +136,20 @@ def _fuzz_platform_config():
     )
 
 
-def boot_snapshot(profile: str):
-    """Build (once) and return the post-boot snapshot for a profile."""
+def boot_snapshot(profile: str) -> bytes:
+    """Boot (once) and return the pickled post-boot machine for a
+    profile."""
     if profile not in PROFILES:
         raise ValueError(f"unknown fuzz profile {profile!r}; "
                          f"choose from {sorted(PROFILES)}")
-    snapshot = _BOOT_SNAPSHOTS.get(profile)
-    if snapshot is None:
+    image = _BOOT_SNAPSHOTS.get(profile)
+    if image is None:
         from repro.core.hypernel import build_hypernel
         from repro.kernel.kernel import KernelConfig
         from repro.security import (
             CredIntegrityMonitor,
             DentryIntegrityMonitor,
         )
-        from repro.state import capture_snapshot
 
         system = build_hypernel(
             platform_config=_fuzz_platform_config(),
@@ -157,9 +157,17 @@ def boot_snapshot(profile: str):
             monitors=[CredIntegrityMonitor(), DentryIntegrityMonitor()],
         )
         system.spawn_init()
-        snapshot = capture_snapshot(system)
-        _BOOT_SNAPSHOTS[profile] = snapshot
-    return snapshot
+        image = _BOOT_SNAPSHOTS[profile] = pickle.dumps(system)
+    return image
+
+
+def restore_from_snapshot(image: bytes):
+    """A fresh, independent copy of the machine ``image`` holds.
+
+    ``image`` must come from :func:`boot_snapshot` in this process:
+    unpickling runs code, so this never reads bytes from a file.
+    """
+    return pickle.loads(image)
 
 
 # ----------------------------------------------------------------------

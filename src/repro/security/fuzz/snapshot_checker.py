@@ -2,8 +2,8 @@
 
 This is the second verification channel the fuzzer diffs against the
 live auditor (:mod:`repro.core.audit`).  It deliberately shares *no
-state* with the running system: everything is re-derived from a raw
-:class:`~repro.state.Snapshot` —
+state* with the running system: everything is re-derived from an
+evidence :class:`~repro.state.Snapshot` —
 
 * the physical memory image is reloaded into a private
   :class:`~repro.hw.memory.PhysicalMemory` (no bus, no caches, no
@@ -14,16 +14,19 @@ state* with the running system: everything is re-derived from a raw
 * monitored pages are decoded from the raw MBM bitmap words, whose
   location is recomputed from the platform geometry alone (mirroring
   the layout contract in :mod:`repro.core.mbm`, not reading the MBM
-  object's state);
+  object);
 * the kernel linear-map view is re-walked from ``TTBR1_EL1`` instead of
   using :meth:`~repro.kernel.physmem.LinearMap.leaf_desc_addr`.
 
 The only Hypersec bookkeeping consulted is the *claimed* policy
-(``table_pages``, ``root_tables``, ``kernel_root``, ``recorded_regs``)
-— and it is consulted as a claim to be checked, never as ground truth:
-``claimed_tables`` feeds the reachable-vs-registered ``TABLE_TOPOLOGY``
-comparison, so a bookkeeping desync the live auditor cannot see (it
-trusts the same bookkeeping) becomes a finding here.
+(``table_pages``, ``root_tables``, ``kernel_root``, ``recorded_regs``,
+``regions``) — and it is consulted as a claim to be checked, never as
+ground truth: ``claimed_tables`` feeds the reachable-vs-registered
+``TABLE_TOPOLOGY`` comparison, and the claimed regions, laid out by
+the same geometry-only bitmap contract, give the masks the raw bitmap
+must hold.  Both channels therefore state ``BITMAP_CONSISTENT``, and a
+bookkeeping desync the live auditor cannot see (it trusts the same
+bookkeeping) becomes a finding here.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ _PAGE_MASK = PAGE_BYTES - 1
 #: Layout contract with repro.core.mbm: the bitmap lives 1 MB into the
 #: secure region, one bit per covered word, covering all of non-secure
 #: DRAM.  Recomputed here from the geometry so this channel does not
-#: read the MBM object's serialized state.
+#: read the MBM object.
 _BITMAP_OFFSET = 1 << 20
 _WORDS_PER_BITMAP_WORD = 64
 
@@ -78,7 +81,7 @@ class SnapshotEvidence(Evidence):
         self._memory.load_state(memory_state)
         self._regs = {
             str(name): int(value)
-            for name, value in snapshot.section("cpu")["regs"].items()
+            for name, value in snapshot.section("cpu").items()
         }
         try:
             policy = snapshot.section("hypersec")
@@ -94,7 +97,10 @@ class SnapshotEvidence(Evidence):
             str(name): int(value)
             for name, value in policy["recorded_regs"].items()
         }
-        self._has_mbm = "mbm" in snapshot.sections
+        self._claimed_regions = [
+            (int(base), int(end)) for base, end, _sid in policy["regions"]
+        ]
+        self._has_mbm = bool(snapshot.section("mbm")["present"])
         self._reachable: Optional[Set[int]] = None
         self._monitored: Optional[Set[int]] = None
 
@@ -209,10 +215,22 @@ class SnapshotEvidence(Evidence):
         return set(self._monitored)
 
     def expected_bitmap(self) -> Optional[Dict[int, int]]:
-        # The raw bitmap *is* this channel's source of monitored truth;
-        # checking it against itself would be vacuous.  The live channel
-        # checks it against the registered regions instead.
-        return None
+        """The bitmap masks the *claimed* regions imply (word address ->
+        mask), laid out by the geometry alone."""
+        storage = self.bitmap_storage()
+        if storage is None:
+            return None
+        bitmap_base = storage[0]
+        dram_base = self.geometry.dram_base
+        expected: Dict[int, int] = {}
+        for base, end in self._claimed_regions:
+            first = (base - dram_base) // WORD_BYTES
+            last = (end - 1 - dram_base) // WORD_BYTES
+            for word_index in range(first, last + 1):
+                word, bit = divmod(word_index, _WORDS_PER_BITMAP_WORD)
+                word_addr = bitmap_base + word * WORD_BYTES
+                expected[word_addr] = expected.get(word_addr, 0) | 1 << bit
+        return expected
 
     # -- recorded policy ----------------------------------------------
     def recorded_kernel_root(self) -> Optional[int]:

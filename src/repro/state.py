@@ -1,67 +1,55 @@
-"""Machine checkpoint/restore: versioned snapshots with bit-identical replay.
+"""Evidence snapshots: the machine image the offline checker reads.
 
-A :class:`Snapshot` captures *everything* that makes a simulated machine
-deterministic — physical memory, caches and TLBs, CPU and system
-registers, the interrupt controller, the clock, every kernel subsystem,
-the KVM stage-2 tables, Hypersec's policy/monitoring state, the MBM
-pipeline and all :class:`~repro.utils.stats.StatSet` counters (flushed
-before capture).  The contract is **bit-identical replay**: restoring a
-snapshot and running a workload must produce exactly the same cycles,
-statistics and ring-buffer contents as booting cold and running the same
-workload (guarded by ``tests/test_state.py``).
+A :class:`Snapshot` holds what the dissimilar verification channel
+(:mod:`repro.security.fuzz.snapshot_checker`) needs to re-derive a
+machine's security state, and nothing else:
+
+* the platform config, carried in the manifest's cost fingerprint;
+* ``memory`` — the physical memory image;
+* ``cpu`` — the system-register file;
+* ``hypersec`` — Hypersec's *claimed* policy: registered tables and
+  roots, the recorded kernel root and VM registers, and the registered
+  monitored regions (Hypernel images only);
+* ``mbm`` — whether an MBM is present.
+
+A snapshot is evidence, not a machine: nothing rebuilds a live system
+from one.  Code that needs a copy of a live machine pickles it in
+memory (the fuzzer does, see :mod:`repro.security.fuzz.machine`).
 
 On-disk format (version :data:`SNAPSHOT_SCHEMA`)::
 
     MAGIC | manifest_len (8 bytes BE) | manifest JSON | blob … blob
 
 The manifest records the schema, the package's source digest
-(:func:`repro.tools.runner.source_digest`), the full cost
-fingerprint (the :class:`~repro.config.PlatformConfig` +
-:class:`~repro.config.CostModel` + :class:`~repro.kernel.kernel.OpCosts`
-recipe shared with the runner's cell cache), the system build recipe,
-and one entry per section: name, raw/compressed sizes and a SHA-256
-checksum.  Sections are zlib-compressed JSON; the whole snapshot gets a
-content hash over its checksums, fingerprint and recipe.
-
-Restore rebuilds the system *skeleton* (all wiring, no boot), loads the
-memory image, then loads every component's state dict — see
-``DESIGN.md`` section 5c.
+(:func:`repro.tools.runner.source_digest`), the cost fingerprint (the
+:class:`~repro.config.PlatformConfig` + :class:`~repro.config.CostModel`
++ :class:`~repro.kernel.kernel.OpCosts` recipe shared with the
+runner's cell cache), the system build recipe, and one entry per
+section: name, raw/compressed sizes and a SHA-256 checksum.  Sections
+are zlib-compressed JSON; the whole snapshot gets a content hash over
+its checksums, fingerprint and recipe.  :func:`capture_snapshot` only
+collects the sections in memory; :func:`save_snapshot` encodes, hashes
+and writes them.  See ``DESIGN.md`` section 5c.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import pathlib
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, BinaryIO, Dict, List
 
 from repro.config import CostModel, PlatformConfig
 from repro.errors import SnapshotError
-from repro.kernel.kernel import KernelConfig, OpCosts
 
 MAGIC = b"REPROSNAP\x00"
-SNAPSHOT_SCHEMA = 2
+SNAPSHOT_SCHEMA = 3
 
-#: capture/restore order; restore applies "memory" first so component
-#: loads see the snapshotted image, not skeleton-construction leftovers.
-_SECTION_ORDER = [
-    "memory",
-    "clock",
-    "caches",
-    "dram",
-    "bus",
-    "gic",
-    "cpu",
-    "kernel",
-    "kvm",
-    "hypersec",
-    "mbm",
-    "monitors",
-]
+#: Section order on disk and in diffs.
+_SECTION_ORDER = ["memory", "cpu", "hypersec", "mbm"]
 
 
 def _json_bytes(obj: Any) -> bytes:
@@ -76,13 +64,14 @@ def _sha256(blob: bytes) -> str:
 
 @dataclass
 class Snapshot:
-    """A decoded snapshot: manifest plus per-section state dicts."""
+    """A decoded snapshot: manifest plus per-section evidence."""
 
     manifest: Dict[str, Any]
     sections: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def content_hash(self) -> str:
+        """Set by :func:`save_snapshot` and :func:`load_snapshot`."""
         return self.manifest["content_hash"]
 
     @property
@@ -96,7 +85,7 @@ class Snapshot:
         return PlatformConfig(costs=costs, **document)
 
     def section(self, name: str) -> Any:
-        """One decoded section's state dict.
+        """One decoded section.
 
         Raises :exc:`~repro.errors.SnapshotError` when the snapshot does
         not carry the section (e.g. asking a native image for
@@ -108,89 +97,75 @@ class Snapshot:
         except KeyError:
             raise SnapshotError(f"snapshot has no {name!r} section") from None
 
-    def kernel_config(self) -> KernelConfig:
-        document = self.manifest["recipe"]["kernel_config"]
-        return KernelConfig(
-            linear_map_mode=document["linear_map_mode"],
-            image_reserve_bytes=document["image_reserve_bytes"],
-            op_costs=OpCosts(**document["op_costs"]),
-        )
-
 
 # ----------------------------------------------------------------------
-# Capture
+# Capture and save
 # ----------------------------------------------------------------------
-def _system_sections(system) -> Dict[str, Any]:
-    """Collect every component's state dict, in section order."""
-    platform = system.platform
-    sections: Dict[str, Any] = {
-        "memory": platform.memory.state_dict(),
-        "clock": platform.clock.state_dict(),
-        "caches": platform.caches.state_dict(),
-        "dram": platform.dram.state_dict(),
-        "bus": platform.bus.state_dict(),
-        "gic": platform.gic.state_dict(),
-        "cpu": system.cpu.state_dict(),
-        "kernel": system.kernel.state_dict(),
+def _claimed_policy(hypersec) -> Dict[str, Any]:
+    """Hypersec's bookkeeping, which the offline checker treats as
+    claims to verify against raw memory."""
+    regions = {region for ranges in hypersec._region_index.values()
+               for region in ranges}
+    return {
+        "table_pages": sorted(hypersec.table_pages),
+        "root_tables": sorted(hypersec.root_tables),
+        "kernel_root": hypersec.kernel_root,
+        "recorded_regs": dict(hypersec.recorded_regs),
+        "regions": [list(region) for region in sorted(regions)],
     }
-    if system.kvm is not None:
-        sections["kvm"] = system.kvm.state_dict()
-    if system.hypersec is not None:
-        sections["hypersec"] = system.hypersec.state_dict()
-    if system.mbm is not None:
-        sections["mbm"] = system.mbm.state_dict()
-    if system.monitors:
-        sections["monitors"] = [app.state_dict() for app in system.monitors]
-    return sections
 
 
 def capture_snapshot(system) -> Snapshot:
-    """Snapshot a live system (in memory; see :func:`save_snapshot`)."""
+    """Collect a live system's evidence in memory (no encoding, no
+    hashing; see :func:`save_snapshot`)."""
     if not system.recipe:
         raise SnapshotError(
             f"system {system.name!r} carries no build recipe; build it "
             "through repro.core.hypernel to make it snapshottable"
         )
-    from repro.tools.runner import cost_fingerprint, source_digest
+    from repro.tools.runner import cost_fingerprint
 
-    sections = _system_sections(system)
-    entries = []
-    for name in _SECTION_ORDER:
-        if name not in sections:
-            continue
-        raw = _json_bytes(sections[name])
-        entries.append({"name": name, "raw_len": len(raw),
-                        "sha256": _sha256(raw)})
-    fingerprint = cost_fingerprint(system.platform.config)
-    source = source_digest()
+    sections: Dict[str, Any] = {
+        "memory": system.platform.memory.state_dict(),
+        "cpu": dict(system.cpu.regs._values),
+        "mbm": {"present": system.mbm is not None},
+    }
+    if system.hypersec is not None:
+        sections["hypersec"] = _claimed_policy(system.hypersec)
     manifest = {
         "schema": SNAPSHOT_SCHEMA,
-        "source": source,
-        "fingerprint": fingerprint,
+        "fingerprint": cost_fingerprint(system.platform.config),
         "recipe": system.recipe,
-        "sections": entries,
-        "content_hash": _sha256(_json_bytes({
-            "schema": SNAPSHOT_SCHEMA,
-            "source": source,
-            "fingerprint": fingerprint,
-            "recipe": system.recipe,
-            "sections": entries,
-        })),
     }
     return Snapshot(manifest=manifest, sections=sections)
 
 
 def save_snapshot(system, path: os.PathLike | str) -> Snapshot:
     """Capture ``system`` and write the snapshot file atomically."""
+    from repro.tools.runner import source_digest
+
     snapshot = capture_snapshot(system)
+    manifest = snapshot.manifest
+    manifest["source"] = source_digest()
+    entries = []
+    blobs: List[bytes] = []
+    for name in _SECTION_ORDER:
+        if name not in snapshot.sections:
+            continue
+        raw = _json_bytes(snapshot.sections[name])
+        entries.append({"name": name, "raw_len": len(raw),
+                        "sha256": _sha256(raw)})
+        blobs.append(zlib.compress(raw, 6))
+    manifest["sections"] = entries
+    manifest["content_hash"] = _sha256(_json_bytes({
+        key: manifest[key]
+        for key in ("schema", "source", "fingerprint", "recipe", "sections")
+    }))
+    for entry, blob in zip(entries, blobs):
+        entry["blob_len"] = len(blob)
+    manifest_bytes = _json_bytes(manifest)
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    blobs: List[bytes] = []
-    for entry in snapshot.manifest["sections"]:
-        blob = zlib.compress(_json_bytes(snapshot.sections[entry["name"]]), 6)
-        entry["blob_len"] = len(blob)
-        blobs.append(blob)
-    manifest_bytes = _json_bytes(snapshot.manifest)
     tmp = target.with_suffix(target.suffix + ".tmp")
     with open(tmp, "wb") as handle:
         handle.write(MAGIC)
@@ -205,17 +180,15 @@ def save_snapshot(system, path: os.PathLike | str) -> Snapshot:
 # ----------------------------------------------------------------------
 # Load
 # ----------------------------------------------------------------------
-def read_manifest(path: os.PathLike | str) -> Dict[str, Any]:
-    """Parse and sanity-check only the manifest (cheap)."""
-    with open(path, "rb") as handle:
-        magic = handle.read(len(MAGIC))
-        if magic != MAGIC:
-            raise SnapshotError(f"{path}: not a repro snapshot (bad magic)")
-        manifest_len = int.from_bytes(handle.read(8), "big")
-        try:
-            manifest = json.loads(handle.read(manifest_len))
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"{path}: corrupt manifest: {exc}") from exc
+def _read_header(handle: BinaryIO, path) -> Dict[str, Any]:
+    """Check the magic and schema; returns the manifest."""
+    if handle.read(len(MAGIC)) != MAGIC:
+        raise SnapshotError(f"{path}: not a repro snapshot (bad magic)")
+    manifest_len = int.from_bytes(handle.read(8), "big")
+    try:
+        manifest = json.loads(handle.read(manifest_len))
+    except json.JSONDecodeError as exc:
+        raise SnapshotError(f"{path}: corrupt manifest: {exc}") from exc
     if manifest.get("schema") != SNAPSHOT_SCHEMA:
         raise SnapshotError(
             f"{path}: snapshot schema {manifest.get('schema')!r} is not "
@@ -224,22 +197,16 @@ def read_manifest(path: os.PathLike | str) -> Dict[str, Any]:
     return manifest
 
 
+def read_manifest(path: os.PathLike | str) -> Dict[str, Any]:
+    """Parse and sanity-check only the manifest (cheap)."""
+    with open(path, "rb") as handle:
+        return _read_header(handle, path)
+
+
 def load_snapshot(path: os.PathLike | str) -> Snapshot:
     """Read, checksum-verify and decode a snapshot file."""
     with open(path, "rb") as handle:
-        magic = handle.read(len(MAGIC))
-        if magic != MAGIC:
-            raise SnapshotError(f"{path}: not a repro snapshot (bad magic)")
-        manifest_len = int.from_bytes(handle.read(8), "big")
-        try:
-            manifest = json.loads(handle.read(manifest_len))
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"{path}: corrupt manifest: {exc}") from exc
-        if manifest.get("schema") != SNAPSHOT_SCHEMA:
-            raise SnapshotError(
-                f"{path}: snapshot schema {manifest.get('schema')!r} is not "
-                f"supported (expected {SNAPSHOT_SCHEMA})"
-            )
+        manifest = _read_header(handle, path)
         sections: Dict[str, Any] = {}
         for entry in manifest["sections"]:
             blob = handle.read(entry["blob_len"])
@@ -261,94 +228,16 @@ def load_snapshot(path: os.PathLike | str) -> Snapshot:
     return Snapshot(manifest=manifest, sections=sections)
 
 
-# ----------------------------------------------------------------------
-# Restore
-# ----------------------------------------------------------------------
-def restore_system(
-    path: os.PathLike | str,
-    expect_hash: Optional[str] = None,
-):
-    """Rebuild a live system from a snapshot file.
+def restore_system(*args, **kwargs):
+    """Removed: a snapshot holds audit evidence, not a whole machine.
 
-    Convenience wrapper: :func:`load_snapshot` followed by
-    :func:`restore_from_snapshot`.
+    This stub exists only because ``benchmarks/e2e/traced.py`` wraps
+    ``repro.state.restore_system`` for its ``state.restore`` span.  The
+    next change to the benchmark harness drops that wrap and then
+    deletes this stub.  Nothing in ``src/`` calls it.
     """
-    snapshot = load_snapshot(path)
-    if expect_hash is not None and snapshot.content_hash != expect_hash:
-        raise SnapshotError(
-            f"{path}: content hash {snapshot.content_hash[:12]}… does not "
-            f"match the expected {expect_hash[:12]}…"
-        )
-    return restore_from_snapshot(snapshot)
-
-
-def restore_from_snapshot(snapshot: Snapshot):
-    """Rebuild a live system from an already-decoded :class:`Snapshot`.
-
-    The skeleton is rebuilt from the recorded recipe (all wiring, no
-    boot), the memory image is loaded first — overwriting any pokes the
-    skeleton construction made — and then every component's state dict
-    is applied.  The returned system is indistinguishable, cycle for
-    cycle and counter for counter, from the one that was captured.
-
-    This is the in-memory entry point: long-lived processes (the
-    fuzzer, repeated restores in tests) decode a snapshot once with
-    :func:`load_snapshot` or build one in memory, and then materialize
-    any number of live systems from it without touching disk again.
-    The snapshot object itself is not consumed or mutated.
-    """
-    from repro.core.hypernel import _BUILDERS
-    from repro.security.registry import monitor_from_spec
-
-    recipe = snapshot.manifest["recipe"]
-    name = recipe["system"]
-    if name not in _BUILDERS:
-        raise SnapshotError(f"unknown system {name!r} in snapshot recipe")
-    monitors = [monitor_from_spec(spec) for spec in recipe["monitors"]]
-    kwargs: Dict[str, Any] = dict(recipe["kwargs"])
-    if name == "kvm-guest":
-        # Stage-2 population is state, not structure: the snapshot's
-        # table image already reflects it.
-        kwargs.pop("prepopulate_stage2", None)
-    if monitors:
-        kwargs["monitors"] = monitors
-    system = _BUILDERS[name](
-        platform_config=snapshot.platform_config(),
-        kernel_config=snapshot.kernel_config(),
-        _skeleton=True,
-        **kwargs,
-    )
-    # Carry the captured recipe verbatim (the skeleton re-derives one,
-    # but e.g. a dropped prepopulate_stage2 flag must survive so a
-    # re-snapshot of the restored system is bit-identical).
-    system.recipe = recipe
-    sections = snapshot.sections
-    platform = system.platform
-    platform.memory.load_state(sections["memory"])
-    platform.clock.load_state(sections["clock"])
-    platform.caches.load_state(sections["caches"])
-    platform.dram.load_state(sections["dram"])
-    platform.bus.load_state(sections["bus"])
-    platform.gic.load_state(sections["gic"])
-    system.cpu.load_state(sections["cpu"])
-    system.kernel.load_state(sections["kernel"])
-    if system.kvm is not None:
-        system.kvm.load_state(sections["kvm"])
-    if system.hypersec is not None:
-        # protect() normally wires this; the skeleton skipped it.
-        system.hypersec.kernel = system.kernel
-        system.hypersec.load_state(sections["hypersec"])
-    if system.mbm is not None:
-        system.mbm.load_state(sections["mbm"])
-    monitor_states = sections.get("monitors", [])
-    if len(monitor_states) != len(system.monitors):
-        raise SnapshotError(
-            f"snapshot carries {len(monitor_states)} monitor states for "
-            f"{len(system.monitors)} rebuilt monitors"
-        )
-    for app, state in zip(system.monitors, monitor_states):
-        app.load_state(state)
-    return system
+    raise SnapshotError("snapshots hold audit evidence only and cannot "
+                        "be restored into a machine")
 
 
 # ----------------------------------------------------------------------
@@ -370,10 +259,9 @@ def snapshot_info(path: os.PathLike | str) -> str:
         "  sections:",
     ]
     for entry in manifest["sections"]:
-        blob_len = entry.get("blob_len", 0)
         lines.append(
             f"    {entry['name']:10s} {entry['raw_len']:>10d} B raw, "
-            f"{blob_len:>9d} B compressed  {entry['sha256'][:12]}…"
+            f"{entry['blob_len']:>9d} B compressed  {entry['sha256'][:12]}…"
         )
     monitors = manifest["recipe"]["monitors"]
     if monitors:

@@ -19,10 +19,11 @@ machinery:
 :func:`run_cells`
     Runs the cells that miss the cache: over a
     ``ProcessPoolExecutor`` when ``jobs > 1`` and more than one cell is
-    pending, in-process otherwise — with a per-job timeout, one retry
-    on worker failure, and a serial fallback on platforms that cannot
-    start a pool.  ``jobs`` defaults to every CPU this process may run
-    on (:func:`available_cpus`).  Results come back in cell order, so
+    pending, in-process otherwise — with a per-job timeout, one
+    in-process retry of a cell whose worker process crashed, and a
+    serial fallback on platforms that cannot start a pool.  ``jobs``
+    defaults to every CPU this process may run on
+    (:func:`available_cpus`).  Results come back in cell order, so
     merging is deterministic and the merged tables are byte-identical
     at any ``jobs``.  Every payload, cached or computed, must pass the
     run-integrity checks (:mod:`repro.obs`) unless they are waived.
@@ -54,6 +55,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import TimeoutError as _FutureTimeout
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -80,7 +82,8 @@ KIND_EXECUTORS: Dict[str, str] = {
 }
 
 class RunnerError(RuntimeError):
-    """A cell could not be executed (after its retry) or timed out."""
+    """A cell raised, crashed its worker and then raised in-process, or
+    timed out."""
 
     def __init__(self, message: str, cell: Optional["Cell"] = None):
         super().__init__(message)
@@ -140,7 +143,8 @@ def execute_selftest_cell(cell: Cell) -> Dict[str, Any]:
         if not marker.exists():
             marker.write_text("first attempt failed\n")
             raise RuntimeError(f"injected first-attempt failure for {cell.label()}")
-        return {"value": "ok after retry", "accesses": 0, "sim_cycles": 0}
+        return {"value": "ok on a later attempt", "accesses": 0,
+                "sim_cycles": 0}
     if mode == "sleep":
         time.sleep(float(cell.spec.get("seconds", 1.0)))
         return {"value": "slept", "accesses": 0, "sim_cycles": 0}
@@ -364,26 +368,18 @@ def _default_executor_factory(jobs: int):
     return ProcessPoolExecutor(max_workers=jobs)
 
 
-def _retry(cell: Cell, first: BaseException) -> Dict[str, Any]:
-    """Second and last attempt, in-process, after ``first`` failed."""
-    try:
-        return execute_cell(cell)
-    except Exception as second:
-        raise RunnerError(
-            f"cell {cell.label()} failed after retry: {second!r} "
-            f"(first attempt: {first!r})",
-            cell,
-        ) from second
+def _failure(cell: Cell, exc: BaseException) -> RunnerError:
+    return RunnerError(f"cell {cell.label()} failed: {exc!r}", cell)
 
 
-def _run_serial(cell: Cell) -> Dict[str, Any]:
-    """Execute in-process with the same one-retry policy as the pool."""
+def _run_in_process(cell: Cell) -> Dict[str, Any]:
+    """Execute in-process; an exception fails the cell at once."""
     try:
         return execute_cell(cell)
     except RunnerError:
         raise
-    except Exception as first:
-        return _retry(cell, first)
+    except Exception as exc:
+        raise _failure(cell, exc) from exc
 
 
 def run_cells(
@@ -404,9 +400,11 @@ def run_cells(
       cannot be created (sandboxed host, no ``fork``) — they run
       in-process.  The per-cell workload body is the same either way,
       so merged results are byte-identical.
-    * A cell whose worker raises (or whose pool breaks) is retried once
-      in-process; a second failure raises :class:`RunnerError` naming
-      the cell.  A job exceeding ``timeout`` seconds raises
+    * A cell that raises fails the run at once with a
+      :class:`RunnerError` naming the cell: a cell is a deterministic
+      simulation, so running it again would raise again.  Only a cell
+      whose worker process crashed (``BrokenProcessPool``) runs once
+      more, in-process.  A job exceeding ``timeout`` seconds raises
       :class:`RunnerError` immediately — a hung worker cannot be
       retried without leaking it.
     * With a ``cache``, cells are looked up first and computed payloads
@@ -445,7 +443,7 @@ def run_cells(
                 pool = None  # e.g. sandboxed host without fork: fall back
         if pool is None:
             for index in pending:
-                results[index] = _run_serial(cells[index])
+                results[index] = _run_in_process(cells[index])
         else:
             futures = [(index, pool.submit(execute_cell, cells[index]))
                        for index in pending]
@@ -459,13 +457,14 @@ def run_cells(
                             f"cell {cell.label()} timed out after {timeout:.0f}s",
                             cell,
                         ) from None
+                    except BrokenProcessPool:
+                        # The worker died (killed, out of memory), not
+                        # the cell: run it once more, outside the pool.
+                        results[index] = _run_in_process(cell)
                     except RunnerError:
                         raise
-                    except Exception as first:
-                        # One retry, in-process: also covers a crashed
-                        # worker (BrokenProcessPool) without re-raising
-                        # into a possibly-broken pool.
-                        results[index] = _retry(cell, first)
+                    except Exception as exc:
+                        raise _failure(cell, exc) from exc
             except BaseException:
                 # Don't wait on stuck/remaining workers; just detach.
                 pool.shutdown(wait=False, cancel_futures=True)

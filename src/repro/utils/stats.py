@@ -58,18 +58,6 @@ class StatSet:
         self._flush()
         return dict(self._counters)
 
-    def state_dict(self) -> Dict[str, int]:
-        """Serializable counter state (deferred increments flushed)."""
-        return self.snapshot()
-
-    def load_state(self, state: Dict[str, int]) -> None:
-        """Replace every counter with the serialized values.
-
-        Owners with batched hot-path counters must zero their pending
-        attributes separately; the flush hook stays installed.
-        """
-        self._counters = {str(k): int(v) for k, v in state.items()}
-
     def ratio(self, numerator: str, denominator: str) -> float:
         """``numerator / denominator`` as a float, 0.0 when undefined."""
         denom = self.get(denominator)

@@ -1,21 +1,27 @@
 """Tests for the markdown evaluation-report generator."""
 
+import pathlib
+
 import pytest
 
 from repro.analysis.report import generate_report
 from tests.conftest import small_platform_config
 
+GOLDEN = (pathlib.Path(__file__).parent.parent / "benchmarks" / "e2e"
+          / "expected" / "report.txt")
+
 
 @pytest.fixture(scope="module")
 def report():
-    return generate_report(
-        scale=0.05,
-        platform_config=small_platform_config(),
-        include_attacks=True,
-    )
+    """The report ``python -m repro report --no-cache`` prints, computed
+    once for every test here."""
+    return generate_report()
 
 
 class TestReport:
+    def test_matches_golden(self, report):
+        assert report + "\n" == GOLDEN.read_text(encoding="utf-8")
+
     def test_contains_all_sections(self, report):
         for heading in ("## Table 1", "## Figure 6", "## Table 2",
                         "## Attack matrix"):

@@ -213,6 +213,19 @@ class TestCli:
                                  [command, "--warm-start"],
                                  "unrecognized arguments: --warm-start")
 
+    def test_removed_snapshot_restore_is_a_usage_error(self, monkeypatch,
+                                                       capsys):
+        # A snapshot holds audit evidence, not a machine to restore.
+        self._assert_usage_error(monkeypatch, capsys,
+                                 ["snapshot", "restore", "img.snap"],
+                                 "invalid choice: 'restore'")
+
+    def test_removed_metrics_snapshot_flag_is_a_usage_error(self, monkeypatch,
+                                                            capsys):
+        self._assert_usage_error(monkeypatch, capsys,
+                                 ["metrics", "--snapshot", "img.snap"],
+                                 "unrecognized arguments: --snapshot img.snap")
+
     @pytest.mark.parametrize("command",
                              ["table1", "figure6", "table2", "report"])
     def test_removed_macroops_flag_is_a_usage_error(self, monkeypatch,

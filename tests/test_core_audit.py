@@ -195,7 +195,8 @@ class TestSeededViolations:
         poisoned = tmp_path / "poisoned.snap"
         save_snapshot(system, poisoned)
         assert main(["audit", "--snapshot", str(poisoned)]) == 1
-        assert "violation" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "violation" in out and "BITMAP_CONSISTENT" in out
 
     def test_auditor_survives_table_loops(self, system):
         """A malformed self-referential table must not hang the walk."""

@@ -433,70 +433,66 @@ class TestHealthReport:
 # CLI: python -m repro metrics
 # ----------------------------------------------------------------------
 class TestMetricsCli:
+    """``metrics`` on the in-memory fixture system, handed to the CLI
+    through its ``_system_under_test`` seam."""
+
     @pytest.fixture
-    def snapshot(self, tmp_path, monitored):
-        from repro.state import save_snapshot
+    def clean(self, monkeypatch, monitored):
+        from repro import cli
 
         monitored.kernel.sys.setuid(monitored.kernel.procs.current, 1000)
-        path = tmp_path / "clean.snap"
-        save_snapshot(monitored, path)
-        return path
+        monkeypatch.setattr(cli, "_system_under_test", lambda args: monitored)
+        return monitored
 
     @pytest.fixture
-    def lossy_snapshot(self, tmp_path, monitored):
-        from repro.state import save_snapshot
+    def lossy(self, monkeypatch, monitored):
+        from repro import cli
 
         force_fifo_overrun(monitored)
-        path = tmp_path / "lossy.snap"
-        save_snapshot(monitored, path)
-        return path
+        monkeypatch.setattr(cli, "_system_under_test", lambda args: monitored)
+        return monitored
 
-    def test_clean_snapshot_exits_zero(self, capsys, snapshot):
+    def test_clean_system_exits_zero(self, capsys, clean):
         from repro.cli import main
 
-        assert main(["metrics", "--snapshot", str(snapshot)]) == 0
+        assert main(["metrics"]) == 0
         out = capsys.readouterr().out
         assert "integrity checks" in out
         assert "[    ok] mbm_fifo.overrun = 0" in out
 
-    def test_forced_overrun_fails_with_named_check(
-        self, capsys, lossy_snapshot
-    ):
+    def test_forced_overrun_fails_with_named_check(self, capsys, lossy):
         from repro.cli import main
 
-        assert main(["metrics", "--snapshot", str(lossy_snapshot)]) == 1
+        assert main(["metrics"]) == 1
         out = capsys.readouterr().out
         assert "FAILED" in out  # the report prints before the exit
         assert "INTEGRITY FAILURE" in out
         assert "mbm_fifo.overrun = 1" in out
 
-    def test_waive_turns_failure_into_success(self, capsys, lossy_snapshot):
+    def test_waive_turns_failure_into_success(self, capsys, lossy):
         from repro.cli import main
 
         assert main([
-            "metrics", "--snapshot", str(lossy_snapshot),
+            "metrics",
             "--waive", "mbm_fifo.overrun", "--waive", "mbm_fifo.dropped",
         ]) == 0
 
-    def test_unknown_waiver_is_an_error(self, capsys, snapshot):
+    def test_unknown_waiver_is_an_error(self, capsys, clean):
         from repro.cli import main
 
-        # A usage error: the parser rejects the name before the
-        # snapshot is even restored.
+        # A usage error: the parser rejects the name before any system
+        # is built.
         with pytest.raises(SystemExit) as excinfo:
-            main(["metrics", "--snapshot", str(snapshot),
-                  "--waive", "nope.nope"])
+            main(["metrics", "--waive", "nope.nope"])
         assert excinfo.value.code == 2
         assert "unknown integrity check 'nope.nope'" in (
             capsys.readouterr().err)
 
-    def test_json_export(self, capsys, tmp_path, snapshot):
+    def test_json_export(self, capsys, tmp_path, clean):
         from repro.cli import main
 
         out_path = tmp_path / "metrics.jsonl"
-        assert main([
-            "metrics", "--snapshot", str(snapshot), "--json", str(out_path)
-        ]) == 0
+        assert main(["metrics", "--json", str(out_path)]) == 0
         records = read_jsonl(out_path)
         assert records
         assert any(r["type"] == "integrity_check" for r in records)

@@ -49,9 +49,9 @@ from repro.security.fuzz.invariants import (
     run_invariants,
     walk_tables,
 )
-from repro.security.fuzz.machine import boot_snapshot
+from repro.security.fuzz.machine import boot_snapshot, restore_from_snapshot
 from repro.security.fuzz.snapshot_checker import SnapshotEvidence
-from repro.state import capture_snapshot, restore_from_snapshot
+from repro.state import capture_snapshot
 from tests.helpers import small_config, small_platform
 
 WORD = 8
@@ -177,11 +177,11 @@ def _observable(platform):
     caches = platform.caches
     return (
         platform.clock.now,
-        caches.l1.state_dict(),
-        caches.l2.state_dict(),
+        caches.l1.stats.snapshot(),
+        caches.l2.stats.snapshot(),
         list(caches.l1._sets.items()),
         list(caches.l2._sets.items()),
-        platform.bus.state_dict(),
+        platform.bus.stats.snapshot(),
         dict(platform.dram._open_rows),
     )
 
@@ -419,11 +419,11 @@ class TestBusPeekWords:
         for word, value in writes:
             bus.poke(BASE + word * WORD, value)
         n = min(n, WINDOW_WORDS - off)
-        before = (bus.clock.now, bus.state_dict())
+        before = (bus.clock.now, bus.stats.snapshot())
         span = bus.peek_words(BASE + off * WORD, n)
         assert span == [bus.peek(BASE + (off + i) * WORD) for i in range(n)]
         # A backdoor read: no timing, no counters.
-        assert (bus.clock.now, bus.state_dict()) == before
+        assert (bus.clock.now, bus.stats.snapshot()) == before
 
     @pytest.mark.parametrize("start_word, nwords", [
         (-1, 1),                   # below the first range

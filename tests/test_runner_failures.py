@@ -1,9 +1,11 @@
-"""Worker-failure handling: retry once, then fail loudly naming the cell.
+"""Worker-failure handling: a cell that raises fails loudly, naming the
+cell, on its first attempt; only a crashed worker's cell runs again.
 
 Fault injection uses the runner's test-only ``selftest`` cell kind,
 whose ``fail_until_marker`` mode fails on the first attempt (dropping a
-marker file) and succeeds on the retry — observable across processes.
-Its ``kill_until_marker`` mode SIGKILLs a pool worker mid-cell instead.
+marker file) and would succeed on a second one — so a test sees
+whether a second attempt ran, across processes too.  Its
+``kill_until_marker`` mode SIGKILLs a pool worker mid-cell instead.
 """
 
 import os
@@ -58,10 +60,11 @@ def always_fail_cell(name="doomed"):
 
 
 class TestSerialFailures:
-    def test_transient_failure_is_retried_once(self, tmp_path):
+    def test_first_attempt_failure_is_not_retried(self, tmp_path):
         cell = fail_once_cell(tmp_path)
-        [payload] = run_cells([cell], jobs=1)
-        assert payload["value"] == "ok after retry"
+        with pytest.raises(RunnerError,
+                           match=r"selftest:flaky:fault-injection failed"):
+            run_cells([cell], jobs=1)
         assert (tmp_path / "flaky.marker").exists()
 
     def test_persistent_failure_raises_runner_error_naming_cell(self):
@@ -82,10 +85,13 @@ class TestSerialFailures:
 
 
 class TestPoolFailures:
-    def test_transient_worker_failure_is_retried_once(self, tmp_path):
+    def test_first_attempt_worker_failure_is_not_retried(self, tmp_path):
         cells = [fail_once_cell(tmp_path, "a"), fail_once_cell(tmp_path, "b")]
-        payloads = run_cells(cells, jobs=2)
-        assert [p["value"] for p in payloads] == ["ok after retry"] * 2
+        with pytest.raises(
+                RunnerError,
+                match=r"selftest:a:fault-injection failed") as excinfo:
+            run_cells(cells, jobs=2)
+        assert excinfo.value.cell is cells[0]
 
     def test_persistent_worker_failure_surfaces_instead_of_hanging(self):
         cells = [always_fail_cell("one"), always_fail_cell("two")]
@@ -101,16 +107,16 @@ class TestPoolFailures:
         with pytest.raises(RunnerError, match=r"selftest:sleepy0:nap.*timed out"):
             run_cells(cells, jobs=2, timeout=0.2)
 
-    def test_transient_failures_beside_healthy_cells_keep_cell_order(
-        self, tmp_path
-    ):
-        # Retried cells land back in their own slots; the echo cells
-        # that shared the pool are untouched.
-        cells = [fail_once_cell(tmp_path, "a"), echo_cell("x", 1),
-                 fail_once_cell(tmp_path, "b"), echo_cell("y", 2)]
-        payloads = run_cells(cells, jobs=3)
-        assert [p["value"] for p in payloads] == [
-            "ok after retry", 1, "ok after retry", 2]
+    def test_first_attempt_failure_among_healthy_cells_fails(self,
+                                                              tmp_path):
+        # The failing cell is not run again in-process, even though a
+        # second attempt would succeed.
+        cells = [echo_cell("x", 1), fail_once_cell(tmp_path, "b"),
+                 echo_cell("y", 2)]
+        with pytest.raises(RunnerError,
+                           match=r"selftest:b:fault-injection failed"):
+            run_cells(cells, jobs=3)
+        assert (tmp_path / "b.marker").exists()
 
     def test_persistent_failure_names_the_lowest_indexed_cell(self):
         # Cell order, not name order or completion order, picks the

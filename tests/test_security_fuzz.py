@@ -32,11 +32,12 @@ from repro.security.fuzz.machine import (
     load_trace,
     replay_corpus,
     replay_ops,
+    restore_from_snapshot,
     run_fuzz,
     save_trace,
 )
 from repro.security.fuzz.snapshot_checker import SnapshotEvidence
-from repro.state import capture_snapshot, restore_from_snapshot
+from repro.state import capture_snapshot
 
 CORPUS_DIR = "tests/corpus"
 

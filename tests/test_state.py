@@ -1,13 +1,13 @@
-"""Checkpoint/restore subsystem tests (``repro.state``).
+"""Evidence snapshots (``repro.state``) and ``pickle`` copies of machines.
 
 Three layers of guarantees:
 
-* **section round-trips** — every component's ``state_dict`` survives
-  the snapshot file format (JSON + zlib + checksums) and ``load_state``
-  reproduces it exactly on a rebuilt skeleton;
-* **bit-identical replay** — restore-then-run produces the same cycles,
-  statistics, ring-buffer contents and alerts as cold-boot-then-run
-  (the contract the fuzzer's per-example restores depend on);
+* **evidence round-trips** — every section a snapshot carries survives
+  the file format (JSON + zlib + checksums) exactly;
+* **bit-identical replay** — a ``pickle`` copy of a live machine runs
+  exactly like the original: the same cycles, statistics, ring-buffer
+  contents and alerts (the contract the fuzzer's per-example copies
+  depend on);
 * **format integrity** — corrupt or mismatched snapshot files fail
   loudly with :class:`~repro.errors.SnapshotError`.
 """
@@ -19,18 +19,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.hypernel import build_kvm_guest, build_native, build_system
-from repro.errors import ConfigurationError, SnapshotError
+from repro.core.hypernel import build_native, build_system
+from repro.errors import SnapshotError
 from repro.hw.memory import PhysicalMemory
 from repro.kernel.objects import CRED
 from repro.security import CredIntegrityMonitor, DentryIntegrityMonitor
 from repro.state import (
     MAGIC,
-    capture_snapshot,
+    SNAPSHOT_SCHEMA,
     diff_snapshots,
     load_snapshot,
-    restore_from_snapshot,
-    restore_system,
     save_snapshot,
     snapshot_info,
 )
@@ -40,7 +38,7 @@ from tests.conftest import small_platform_config
 
 def _normalize(value):
     """JSON round-trip: tuples become lists, exactly as the file format
-    stores them, so fresh state dicts compare equal to loaded sections."""
+    stores them, so captured sections compare equal to loaded ones."""
     return json.loads(json.dumps(value))
 
 
@@ -54,63 +52,26 @@ def _build_monitored():
 
 @pytest.fixture(scope="module")
 def roundtrip(tmp_path_factory):
-    """One monitored system, snapshotted and restored, shared per module."""
+    """One monitored system, saved and loaded back, shared per module."""
     path = tmp_path_factory.mktemp("snaps") / "monitored.snap"
     original = _build_monitored()
     original.spawn_init()
     snapshot = save_snapshot(original, path)
-    restored = restore_system(path)
-    return original, snapshot, restored, path
-
-
-_ACCESSORS = {
-    "memory": lambda s: s.platform.memory,
-    "clock": lambda s: s.platform.clock,
-    "caches": lambda s: s.platform.caches,
-    "dram": lambda s: s.platform.dram,
-    "bus": lambda s: s.platform.bus,
-    "gic": lambda s: s.platform.gic,
-    "cpu": lambda s: s.cpu,
-    "kernel": lambda s: s.kernel,
-    "hypersec": lambda s: s.hypersec,
-    "mbm": lambda s: s.mbm,
-}
+    return original, snapshot, load_snapshot(path), path
 
 
 class TestSectionRoundTrips:
-    @pytest.mark.parametrize("section", sorted(_ACCESSORS))
+    @pytest.mark.parametrize("section", ["cpu", "hypersec", "mbm", "memory"])
     def test_section_roundtrips_exactly(self, roundtrip, section):
-        original, snapshot, restored, _ = roundtrip
+        _, snapshot, loaded, _ = roundtrip
         assert section in snapshot.sections
-        fresh = _ACCESSORS[section](restored).state_dict()
-        assert _normalize(fresh) == _normalize(snapshot.sections[section])
-
-    def test_monitor_sections_roundtrip(self, roundtrip):
-        original, snapshot, restored, _ = roundtrip
-        assert [app.name for app in restored.monitors] == [
-            app.name for app in original.monitors
-        ]
-        assert _normalize(
-            [app.state_dict() for app in restored.monitors]
-        ) == _normalize(snapshot.sections["monitors"])
-
-    def test_kvm_section_roundtrips(self, tmp_path):
-        path = tmp_path / "kvm.snap"
-        original = build_kvm_guest(
-            platform_config=small_platform_config(), prepopulate_stage2=True
-        )
-        snapshot = save_snapshot(original, path)
-        restored = restore_system(path)
-        assert _normalize(restored.kvm.state_dict()) == _normalize(
-            snapshot.sections["kvm"]
-        )
-        assert restored.cpu.regs.read("VTTBR_EL2") == original.cpu.regs.read(
-            "VTTBR_EL2"
-        )
+        assert loaded.sections[section] == _normalize(
+            snapshot.sections[section])
 
     def test_resnapshot_is_content_identical(self, roundtrip, tmp_path):
-        _, snapshot, restored, _ = roundtrip
-        again = save_snapshot(restored, tmp_path / "again.snap")
+        original, snapshot, _, _ = roundtrip
+        copy = pickle.loads(pickle.dumps(original))
+        again = save_snapshot(copy, tmp_path / "again.snap")
         assert again.content_hash == snapshot.content_hash
 
 
@@ -209,50 +170,15 @@ def _run_scenario(system):
 
 
 class TestBitIdenticalReplay:
-    def test_restore_then_run_equals_cold_boot_then_run(self, tmp_path):
-        """The tentpole contract: a machine restored from a post-boot
-        snapshot replays a monitored attack scenario bit-identically."""
-        path = tmp_path / "boot.snap"
-        cold = _build_monitored()
-        save_snapshot(cold, path)
-        warm = restore_system(path)
-        first = _run_scenario(cold)
-        second = _run_scenario(warm)
-        assert first == second
-        assert first["events"] > 0 and first["alerts"]
-
     def test_post_run_snapshots_diff_clean(self, tmp_path):
-        path = tmp_path / "boot.snap"
         cold = _build_monitored()
-        save_snapshot(cold, path)
-        warm = restore_system(path)
+        warm = pickle.loads(pickle.dumps(cold))
         _run_scenario(cold)
         _run_scenario(warm)
         path_a, path_b = tmp_path / "a.snap", tmp_path / "b.snap"
         save_snapshot(cold, path_a)
         save_snapshot(warm, path_b)
         assert "identical" in diff_snapshots(path_a, path_b)
-
-    def test_lmbench_replay_all_systems(self, tmp_path):
-        from repro.workloads.lmbench import LmbenchSuite
-
-        for name, kwargs in [
-            ("native", {}),
-            ("kvm-guest", {"prepopulate_stage2": True}),
-            ("hypernel", {"with_mbm": False}),
-        ]:
-            path = tmp_path / f"{name}.snap"
-            cold = build_system(
-                name, platform_config=small_platform_config(), **kwargs
-            )
-            save_snapshot(cold, path)
-            warm = restore_system(path)
-            for system in (cold, warm):
-                suite = LmbenchSuite(system, warmup=1, iterations=2)
-                suite.setup()
-                suite.run_op("fork+execv")
-                suite.run_op("mmap")
-            assert warm.platform.clock.now == cold.platform.clock.now, name
 
 
 class TestPickleCopy:
@@ -291,50 +217,35 @@ class TestPickleCopy:
 
 
 class TestInMemoryRestore:
-    """``restore_from_snapshot``: decode once, materialize many.
+    """Pickle once, copy many: the fuzzer pickles one boot machine per
+    profile and unpickles a fresh copy for every example, so copies of
+    one image must be mutually independent."""
 
-    The fuzzer leans on this — it builds one boot image per profile
-    and restores a fresh system from it for every example, so restores
-    from one :class:`Snapshot` must be mutually independent and
-    bit-identical to a from-disk restore.
-    """
-
-    def test_one_decode_materializes_independent_systems(self, tmp_path):
-        path = tmp_path / "boot.snap"
-        save_snapshot(_build_monitored(), path)
-        snapshot = load_snapshot(path)
-        first = restore_from_snapshot(snapshot)
-        second = restore_from_snapshot(snapshot)
+    def test_one_decode_materializes_independent_systems(self):
+        image = pickle.dumps(_build_monitored())
+        first = pickle.loads(image)
+        second = pickle.loads(image)
         run_first = _run_scenario(first)
-        # `first` has now mutated its machine; a third restore from the
-        # same decoded snapshot must still start pristine.
-        third = restore_from_snapshot(snapshot)
+        # `first` has now mutated its machine; a third copy of the same
+        # image must still start pristine.
+        third = pickle.loads(image)
         assert _run_scenario(second) == run_first
         assert _run_scenario(third) == run_first
         assert run_first["events"] > 0
 
     def test_restore_does_not_consume_or_mutate_the_snapshot(self, tmp_path):
-        path = tmp_path / "boot.snap"
-        original = save_snapshot(_build_monitored(), path)
-        snapshot = load_snapshot(path)
-        _run_scenario(restore_from_snapshot(snapshot))
-        again = save_snapshot(
-            restore_from_snapshot(snapshot), tmp_path / "again.snap"
-        )
-        assert again.content_hash == original.content_hash
-
-    def test_in_memory_restore_matches_from_disk_restore(self, tmp_path):
-        path = tmp_path / "boot.snap"
-        save_snapshot(_build_monitored(), path)
-        via_disk = _run_scenario(restore_system(path))
-        via_memory = _run_scenario(restore_from_snapshot(load_snapshot(path)))
-        assert via_memory == via_disk
+        image = pickle.dumps(_build_monitored())
+        before = save_snapshot(pickle.loads(image), tmp_path / "before.snap")
+        _run_scenario(pickle.loads(image))
+        after = save_snapshot(pickle.loads(image), tmp_path / "after.snap")
+        assert after.content_hash == before.content_hash
 
 
 class TestFormatIntegrity:
     def test_info_names_every_section(self, roundtrip):
         _, snapshot, _, path = roundtrip
         text = snapshot_info(path)
+        assert f"schema {SNAPSHOT_SCHEMA}," in text
         for entry in snapshot.manifest["sections"]:
             assert entry["name"] in text
         assert snapshot.content_hash in text
@@ -355,26 +266,27 @@ class TestFormatIntegrity:
         with pytest.raises(SnapshotError):
             load_snapshot(broken)
 
-    def test_expect_hash_mismatch_rejected(self, roundtrip):
-        _, _, _, path = roundtrip
-        with pytest.raises(SnapshotError, match="content hash"):
-            restore_system(path, expect_hash="0" * 64)
+    def test_native_image_carries_no_policy(self, tmp_path):
+        from repro.security.fuzz.snapshot_checker import check_snapshot
 
-    def test_unbooted_skeleton_cannot_snapshot(self, tmp_path):
-        skeleton = build_native(
-            platform_config=small_platform_config(), _skeleton=True
-        )
-        with pytest.raises(ConfigurationError, match="unbooted"):
-            capture_snapshot(skeleton)
+        path = tmp_path / "native.snap"
+        save_snapshot(build_native(platform_config=small_platform_config()),
+                      path)
+        snapshot = load_snapshot(path)
+        assert sorted(snapshot.sections) == ["cpu", "mbm", "memory"]
+        with pytest.raises(SnapshotError, match="only hypernel images"):
+            check_snapshot(snapshot)
 
     def test_diff_reports_changed_sections(self, roundtrip, tmp_path):
         original, _, _, path = roundtrip
-        changed = restore_system(path)
-        changed.cpu.compute(100)  # advance the clock only
+        changed = pickle.loads(pickle.dumps(original))
+        changed.cpu.regs.write("VBAR_EL1", 0x1000)  # one register only
         other = tmp_path / "other.snap"
         save_snapshot(changed, other)
         text = diff_snapshots(path, other)
-        assert "clock" in text
+        assert "section cpu: 1 difference" in text
+        assert "VBAR_EL1" in text
+        assert "memory" not in text
 
     def test_magic_prefix_on_disk(self, roundtrip):
         _, _, _, path = roundtrip
