@@ -216,29 +216,23 @@ def _system_under_test(args):
     return system
 
 
-def _check_snapshot_file(path: str) -> int:
-    """``audit --snapshot``: the offline checker on a saved image."""
-    from repro.errors import SnapshotError
-    from repro.security.fuzz.snapshot_checker import check_snapshot
-    from repro.state import load_snapshot
-
-    try:
-        report = check_snapshot(load_snapshot(path))
-    except (SnapshotError, FileNotFoundError) as exc:
-        print(f"error: {exc}")
-        return 1
-    print(f"checking machine image {path} offline ...")
-    print(report)
-    return 0 if report.clean else 1
-
-
 def cmd_audit(args) -> int:
     if args.snapshot:
-        return _check_snapshot_file(args.snapshot)
-    system = _system_under_test(args)
-    print(f"  MBM events: {system.mbm.events_detected}, alerts: "
-          f"{sum(len(m.alerts) for m in system.monitors)}")
-    report = system.hypersec.audit()
+        from repro.errors import SnapshotError
+        from repro.security.fuzz.snapshot_checker import check_snapshot
+        from repro.state import load_snapshot
+
+        try:
+            report = check_snapshot(load_snapshot(args.snapshot))
+        except (SnapshotError, FileNotFoundError) as exc:
+            print(f"error: {exc}")
+            return 1
+        print(f"checking machine image {args.snapshot} offline ...")
+    else:
+        system = _system_under_test(args)
+        print(f"  MBM events: {system.mbm.events_detected}, alerts: "
+              f"{sum(len(m.alerts) for m in system.monitors)}")
+        report = system.hypersec.audit()
     print(report)
     return 0 if report.clean else 1
 
