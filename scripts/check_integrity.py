@@ -15,63 +15,21 @@ pool really runs), to prove the enforcement point in ``run_cells``
 covers both dispatch paths, including payloads that came back from a
 worker process.
 
-With ``--jsonl PATH`` the gate instead replays over a file of metrics
-records (one ``{"label": ..., "metrics": {...}}`` object per line, as
-appended by ``python -m repro fuzz --jsonl PATH``): every record's
-integrity checks must pass, and the file must not be vacuous.  This is
-how CI proves a fuzz run kept its violation counters at zero.
-
 Usage::
 
     PYTHONPATH=src python scripts/check_integrity.py           # gate
-    PYTHONPATH=src python scripts/check_integrity.py --ops null-call
-    PYTHONPATH=src python scripts/check_integrity.py --jsonl fuzz.jsonl
+    PYTHONPATH=src python scripts/check_integrity.py --ops "syscall stat"
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.analysis.monitoring import run_table2
 from repro.analysis.tables import run_table1
 from repro.config import PlatformConfig
 from repro.errors import IntegrityError
-from repro.obs import verify_payload_integrity
-
-
-def gate_jsonl(path: str, waive: tuple = ()) -> int:
-    """Gate a file of metrics records (see module docstring)."""
-    labels = []
-    payloads = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                print(f"FAIL: {path}:{line_no}: not JSON: {exc}")
-                return 1
-            labels.append(str(record.get("label", f"record{line_no}")))
-            payloads.append({"metrics": record.get("metrics") or {}})
-    checked = sum(
-        len(payload["metrics"].get("checks", [])) for payload in payloads
-    )
-    if not checked:
-        print(f"FAIL: {path}: gate is vacuous — no record carries "
-              f"integrity checks")
-        return 1
-    try:
-        verify_payload_integrity(labels, payloads, waive=waive)
-    except IntegrityError as exc:
-        print(f"INTEGRITY FAILURE: {exc}")
-        return 1
-    print(f"integrity ok — {checked} checks across {len(labels)} "
-          f"record(s): {', '.join(labels)}")
-    return 0
 
 
 def small_platform() -> PlatformConfig:
@@ -92,19 +50,7 @@ def main(argv=None) -> int:
         "--scale", type=float, default=0.02,
         help="workload scale for the monitored (table2) leg",
     )
-    parser.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="gate a file of metrics records instead of "
-        "running the sweep (one {label, metrics} object per line)",
-    )
-    parser.add_argument(
-        "--waive", action="append", default=[], metavar="CHECK",
-        help="accept a named integrity check; repeatable",
-    )
     args = parser.parse_args(argv)
-
-    if args.jsonl:
-        return gate_jsonl(args.jsonl, waive=tuple(args.waive))
 
     failures = 0
     for label, jobs in (("serial", 1), ("pool", 2)):

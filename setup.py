@@ -1,4 +1,4 @@
-"""Setup shim for editable installs on environments without `wheel`."""
+"""Setup shim: ``python setup.py develop`` installs in place without `wheel`."""
 from setuptools import setup
 
 setup()

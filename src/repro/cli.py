@@ -13,8 +13,9 @@ Commands:
   ``--waive``d.
 * ``attacks`` — run the attack/protection matrix and print verdicts.
 * ``audit`` — build a monitored Hypernel system, run a workload and
-  verify every security invariant against live machine state; with
-  ``--snapshot PATH``, check a saved machine image offline instead.
+  verify every security invariant through both channels: the live
+  auditor, and the offline checker on evidence captured from the same
+  machine; then print the differential gate's verdict on the pair.
 * ``metrics`` — run a monitored workload and print the full
   observability report: component counters, gauges, cycle attribution
   and the run-integrity checks (repro.obs).  Exits non-zero when the
@@ -26,12 +27,7 @@ Commands:
   machine, predicts every verdict from the shared invariant spec, and
   cross-checks the live auditor against the snapshot-grounded
   differential gate after every example.  ``--corpus DIR`` replays
-  recorded traces instead; ``--jsonl PATH`` streams the run's
-  violation counters as an integrity record for
-  ``scripts/check_integrity.py --jsonl``.
-* ``snapshot`` — save/inspect/diff the evidence images the offline
-  checker reads (``repro.state``): ``snapshot save``, ``snapshot
-  info``, ``snapshot diff``.
+  recorded traces instead.
 * ``cache`` — inspect (``cache info``) or garbage-collect
   (``cache prune``) the content-addressed result cache.
 """
@@ -217,30 +213,19 @@ def _system_under_test(args):
 
 
 def cmd_audit(args) -> int:
-    if args.snapshot:
-        from repro.errors import SnapshotError
-        from repro.security.fuzz.snapshot_checker import check_snapshot
-        from repro.state import load_snapshot
+    from repro.security.fuzz.differential import differential_audit
 
-        try:
-            report = check_snapshot(load_snapshot(args.snapshot))
-        except (SnapshotError, FileNotFoundError) as exc:
-            print(f"error: {exc}")
-            return 1
-        print(f"checking machine image {args.snapshot} offline ...")
-    else:
-        system = _system_under_test(args)
-        print(f"  MBM events: {system.mbm.events_detected}, alerts: "
-              f"{sum(len(m.alerts) for m in system.monitors)}")
-        report = system.hypersec.audit()
-    print(report)
-    return 0 if report.clean else 1
-
-
-def _add_audit_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--snapshot", default=None, metavar="PATH",
-                        help="check a saved machine image offline instead "
-                        "of building and exercising a fresh system")
+    system = _system_under_test(args)
+    print(f"  MBM events: {system.mbm.events_detected}, alerts: "
+          f"{sum(len(m.alerts) for m in system.monitors)}")
+    result = differential_audit(system)
+    print("live audit of the running machine:")
+    print(result.live)
+    print("offline check of the captured evidence:")
+    print(result.offline)
+    print(result)
+    clean = result.live.clean and result.offline.clean and result.clean
+    return 0 if clean else 1
 
 
 def cmd_metrics(args) -> int:
@@ -279,7 +264,6 @@ def cmd_fuzz(args) -> int:
 
     profiles = list(PROFILES) if args.profile == "both" else [args.profile]
     totals: dict = {}
-    crashes = 0
     failure: Optional[str] = None
     started = time.time()
 
@@ -306,7 +290,6 @@ def cmd_fuzz(args) -> int:
                 failure = f"[{profile}] {exc}"
                 merge(FUZZ_STATS)
             except Exception as exc:  # noqa: BLE001 — a crash IS a finding
-                crashes += 1
                 failure = f"[{profile}] machine crashed: {exc!r}"
                 merge(FUZZ_STATS)
             if failure:
@@ -334,39 +317,6 @@ def cmd_fuzz(args) -> int:
         print("\nfuzz clean: every verdict matched the invariant spec and "
               "both verification channels agree")
 
-    if args.jsonl:
-        violations = (totals.get("violations", 0)
-                      + totals.get("differential_disagreements", 0))
-        if failure and not violations and not crashes:
-            violations = 1  # a failure always fails the gate
-        checks = [
-            {"component": "fuzz", "counter": "violations",
-             "value": violations, "waived": False,
-             "description": "verdict/invariant disagreements (live audit "
-             "or differential gate)"},
-            {"component": "fuzz", "counter": "crashes",
-             "value": crashes, "waived": False,
-             "description": "unhandled exceptions while fuzzing"},
-            {"component": "fuzz", "counter": "vacuous_runs",
-             "value": vacuous, "waived": False,
-             "description": "runs that executed no operations"},
-        ]
-        record = {
-            "label": f"fuzz-{args.profile}",
-            "metrics": {
-                "system": "hypernel",
-                "sim_cycles": 0,
-                "components": {"fuzz": {
-                    key.replace(".", "_"): value
-                    for key, value in sorted(totals.items())
-                }},
-                "checks": checks,
-            },
-        }
-        with open(args.jsonl, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-        print(f"integrity record appended to {args.jsonl}")
-
     return 1 if (failure or vacuous) else 0
 
 
@@ -386,70 +336,9 @@ def _add_fuzz_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", default=None, metavar="DIR",
                         help="replay every recorded trace in DIR instead "
                         "of running the random state machine")
-    parser.add_argument("--jsonl", default=None, metavar="PATH",
-                        help="append an integrity record for "
-                        "scripts/check_integrity.py --jsonl")
     parser.add_argument("--save-failing", default=None, metavar="PATH",
                         help="save the minimized failing trace as a "
                         "corpus file")
-
-
-def cmd_snapshot(args) -> int:
-    from repro.errors import SnapshotError
-    from repro.state import (
-        diff_snapshots,
-        save_snapshot,
-        snapshot_info,
-    )
-
-    try:
-        if args.action == "save":
-            from repro.core.hypernel import build_system
-
-            kwargs = {"platform_config": _platform_config(args)}
-            if args.system == "hypernel" and args.monitored:
-                from repro.security import (
-                    CredIntegrityMonitor,
-                    DentryIntegrityMonitor,
-                )
-
-                kwargs["monitors"] = [CredIntegrityMonitor(),
-                                      DentryIntegrityMonitor()]
-            system = build_system(args.system, **kwargs)
-            snapshot = save_snapshot(system, args.path)
-            print(f"saved {args.system} snapshot to {args.path}")
-            print(f"  content hash: {snapshot.content_hash}")
-            return 0
-        if args.action == "info":
-            print(snapshot_info(args.path))
-            return 0
-        if args.action == "diff":
-            print(diff_snapshots(args.path_a, args.path_b))
-            return 0
-    except (SnapshotError, FileNotFoundError) as exc:
-        print(f"error: {exc}")
-        return 1
-    raise AssertionError(f"unhandled snapshot action {args.action!r}")
-
-
-def _add_snapshot_args(parser: argparse.ArgumentParser) -> None:
-    actions = parser.add_subparsers(dest="action", required=True)
-    save = actions.add_parser(
-        "save", help="boot a system and write a post-boot snapshot")
-    save.add_argument("path", help="snapshot file to write")
-    save.add_argument("--system", default="hypernel",
-                      choices=["native", "kvm-guest", "hypernel"])
-    save.add_argument("--monitored", action="store_true",
-                      help="include the cred+dentry monitors (hypernel)")
-    _add_platform(save)
-    info = actions.add_parser(
-        "info", help="print a snapshot's manifest")
-    info.add_argument("path", help="snapshot file to read")
-    diff = actions.add_parser(
-        "diff", help="report which sections/words differ between two "
-        "snapshots")
-    diff.add_argument("path_a")
-    diff.add_argument("path_b")
 
 
 def cmd_cache(args) -> int:
@@ -512,11 +401,10 @@ _COMMANDS = {
     "figure6": (cmd_figure6, [_add_platform, _add_scale, _add_runner]),
     "table2": (cmd_table2, [_add_platform, _add_scale, _add_runner]),
     "attacks": (cmd_attacks, [_add_platform]),
-    "audit": (cmd_audit, [_add_platform, _add_scale, _add_audit_args]),
+    "audit": (cmd_audit, [_add_platform, _add_scale]),
     "fuzz": (cmd_fuzz, [_add_fuzz_args]),
     "metrics": (cmd_metrics, [_add_platform, _add_scale, _add_metrics_args]),
     "report": (cmd_report, [_add_platform, _add_scale, _add_runner]),
-    "snapshot": (cmd_snapshot, [_add_snapshot_args]),
     "cache": (cmd_cache, [_add_cache_args]),
 }
 

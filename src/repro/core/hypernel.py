@@ -13,9 +13,8 @@ the workloads and benchmarks need.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.config import PlatformConfig
 from repro.hw.platform import Platform
@@ -40,28 +39,6 @@ def _default_platform_config() -> PlatformConfig:
     )
 
 
-def _build_recipe(
-    name: str,
-    kernel_config: KernelConfig,
-    monitors: Optional[List[SecurityApp]] = None,
-    **kwargs: Any,
-) -> Dict[str, Any]:
-    """A JSON description of how this system was built (everything
-    except the :class:`PlatformConfig`, which the snapshot manifest
-    carries in its cost fingerprint)."""
-    return {
-        "system": name,
-        "kwargs": kwargs,
-        "kernel_config": {
-            "linear_map_mode": kernel_config.linear_map_mode,
-            "image_reserve_bytes": kernel_config.image_reserve_bytes,
-            "op_costs": dataclasses.asdict(kernel_config.op_costs),
-        },
-        "monitors": [{"class": type(app).__name__}
-                     for app in monitors or []],
-    }
-
-
 @dataclass
 class System:
     """One assembled machine + kernel (+ optional EL2 residents)."""
@@ -75,8 +52,6 @@ class System:
     kvm: Optional[KvmHypervisor] = None
     hooks: Optional[MonitorHookStub] = None
     monitors: List[SecurityApp] = field(default_factory=list)
-    #: how this system was built (recorded in repro.state snapshots).
-    recipe: Dict[str, Any] = field(default_factory=dict)
 
     def spawn_init(self) -> Task:
         """Create and fault in the first process."""
@@ -146,8 +121,7 @@ def build_native(
     kcfg = kernel_config or KernelConfig(linear_map_mode="section")
     kernel = Kernel(platform, cpu, kcfg)
     kernel.boot()
-    return System("native", platform, cpu, kernel,
-                  recipe=_build_recipe("native", kcfg))
+    return System("native", platform, cpu, kernel)
 
 
 def build_kvm_guest(
@@ -165,9 +139,7 @@ def build_kvm_guest(
     kernel.boot()
     if prepopulate_stage2:
         kvm.prepopulate(kvm.guest_base, kvm.guest_limit)
-    return System("kvm-guest", platform, cpu, kernel, kvm=kvm,
-                  recipe=_build_recipe("kvm-guest", kcfg,
-                                       prepopulate_stage2=prepopulate_stage2))
+    return System("kvm-guest", platform, cpu, kernel, kvm=kvm)
 
 
 def build_hypernel(
@@ -208,10 +180,6 @@ def build_hypernel(
     hypersec.protect(kernel)
     system = System(
         "hypernel", platform, cpu, kernel, hypersec=hypersec, mbm=mbm,
-        recipe=_build_recipe("hypernel", kcfg, monitors=monitors,
-                             with_mbm=with_mbm,
-                             bitmap_cache_enabled=bitmap_cache_enabled,
-                             irq_coalesce=irq_coalesce),
     )
     if with_mbm:
         MbmIrqStub(kernel).install()

@@ -16,7 +16,7 @@ monitored pages non-cacheable (paper section 5.3).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config import LINE_BYTES, PAGE_BYTES, WORD_BYTES, CostModel
 from repro.errors import ConfigurationError
@@ -114,10 +114,6 @@ class Cache:
             return None
         return lines.pop(line_addr, None)
 
-    def resident_lines(self) -> List[int]:
-        """All resident line addresses (test/maintenance helper)."""
-        return [addr for lines in self._sets.values() for addr in lines]
-
     def invalidate_all(self) -> None:
         """Drop every line without writeback (power-on state)."""
         self._sets.clear()
@@ -162,9 +158,6 @@ class CacheHierarchy:
                 stats.add(key, pending)
 
     # ------------------------------------------------------------------
-    def _line_addr(self, paddr: int) -> int:
-        return paddr & self._line_mask
-
     def _ensure_resident(self, paddr: int, initiator: str) -> None:
         """Bring the line containing ``paddr`` into L1 (and L2), charging
         the appropriate latencies and emitting fill/writeback traffic."""

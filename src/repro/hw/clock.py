@@ -64,10 +64,6 @@ class Clock:
             if delta:
                 self.attribution[label] = self.attribution.get(label, 0) + delta
 
-    def clear_attribution(self) -> None:
-        """Drop all charge-scope buckets (e.g. between benchmark phases)."""
-        self.attribution.clear()
-
     def to_us(self, cycles: int) -> float:
         """Convert a cycle count to microseconds at this clock's frequency."""
         return cycles / self.freq_hz * 1e6

@@ -43,11 +43,6 @@ class DramModel:
             words, self._burst_words = self._burst_words, 0
             self.stats.add("burst_words", words)
 
-    def _decompose(self, paddr: int) -> tuple[int, int]:
-        row = paddr // self._row_bytes
-        bank = row % self._banks
-        return bank, row
-
     def access_cycles(self, paddr: int) -> int:
         """Latency in cycles for one access at ``paddr``; updates row state."""
         row = paddr // self._row_bytes

@@ -22,7 +22,7 @@ was never written back to non-zero values costs no memory, and
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from typing import Dict, List, Tuple
 
 from repro.config import WORD_BYTES
@@ -294,51 +294,6 @@ class PhysicalMemory:
             offset += take
             cursor += take
             remaining -= take
-
-    # ------------------------------------------------------------------
-    # Checkpoint/restore
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Serializable contents: per-range chunk maps, base64-encoded.
-
-        All-zero chunks are dropped, so the encoding is independent of
-        materialization history (a chunk that was written and later
-        zeroed serializes the same as one never touched) — reads of
-        absent chunks return zero either way.
-        """
-        import base64
-
-        encoded = []
-        for chunks in self._chunk_maps:
-            encoded.append({
-                str(key): base64.b64encode(bytes(chunk)).decode("ascii")
-                for key, chunk in sorted(chunks.items())
-                if any(chunk)
-            })
-        return {
-            "ranges": [[base, limit] for base, limit in self._ranges],
-            "chunks": encoded,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Replace all contents.  Installed ranges must match the state's."""
-        import base64
-
-        recorded = [tuple(pair) for pair in state["ranges"]]
-        if recorded != self._ranges:
-            raise MemoryRangeError(
-                f"snapshot ranges {recorded} do not match installed "
-                f"ranges {self._ranges}"
-            )
-        self._chunk_maps = [
-            {int(key): bytearray(base64.b64decode(blob))
-             for key, blob in chunks.items()}
-            for chunks in state["chunks"]
-        ]
-        # Drop the last-range cache: it may alias a replaced chunk map.
-        self._last_base = 1
-        self._last_limit = 0
-        self._last_chunks = {}
 
     def population(self) -> int:
         """Number of non-zero words currently stored (for tests)."""

@@ -34,8 +34,8 @@ def name_hash(name: str) -> int:
 
     The real kernel's d_hash is a pure function of the name; Python's
     builtin ``hash`` is salted per process, which would make the memory
-    images of two identically-built machines differ across processes
-    and break snapshot content-hash comparability (``repro.state``).
+    of two identically-built machines differ across processes, and with
+    it every simulated count that depends on the dentry hash table.
     """
     value = 0xCBF2_9CE4_8422_2325
     for byte in name.encode():

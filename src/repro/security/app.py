@@ -13,7 +13,7 @@ kernel-code updates) and flags any observed write that does not match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from collections import deque

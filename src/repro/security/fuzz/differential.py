@@ -27,8 +27,10 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.security.fuzz.invariants import InvariantReport, run_invariants
-from repro.security.fuzz.snapshot_checker import SnapshotEvidence
-from repro.state import capture_snapshot
+from repro.security.fuzz.snapshot_checker import (
+    SnapshotEvidence,
+    capture_snapshot,
+)
 
 #: Invariants stated identically by both channels; monitored-set drift
 #: is diffed structurally as well.

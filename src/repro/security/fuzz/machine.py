@@ -51,7 +51,7 @@ import os
 import pickle
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.config import PAGE_BYTES, PAGE_WORDS, SECTION_BYTES, WORD_BYTES
+from repro.config import PAGE_BYTES, PAGE_WORDS, WORD_BYTES
 from repro.errors import SecurityViolation
 from repro.arch.pagetable import (
     DESC_AP_WRITE,

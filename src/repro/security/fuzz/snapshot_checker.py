@@ -1,13 +1,14 @@
 """Offline, dissimilar verification of a Hypersec machine image.
 
-This is the second verification channel the fuzzer diffs against the
-live auditor (:mod:`repro.core.audit`).  It deliberately shares *no
-state* with the running system: everything is re-derived from an
-evidence :class:`~repro.state.Snapshot` —
+This is the second verification channel the differential gate diffs
+against the live auditor (:mod:`repro.core.audit`).  It deliberately
+shares *no state* with the running system: :func:`capture_snapshot`
+copies the evidence out of a live machine into a :class:`Snapshot`, and
+everything is re-derived from that copy —
 
-* the physical memory image is reloaded into a private
-  :class:`~repro.hw.memory.PhysicalMemory` (no bus, no caches, no
-  timing);
+* physical memory is read from a private
+  :class:`~repro.hw.memory.PhysicalMemory` copy (no bus, no caches, no
+  timing), so later writes to the machine never reach the evidence;
 * translation roots come from the snapshotted ``TTBR0_EL1`` /
   ``TTBR1_EL1`` register values, and reachable tables from walking the
   raw descriptors;
@@ -31,9 +32,11 @@ bookkeeping) becomes a finding here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import pickle
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.config import PAGE_BYTES, PAGE_WORDS, WORD_BYTES
+from repro.config import PAGE_BYTES, PAGE_WORDS, WORD_BYTES, PlatformConfig
 from repro.errors import SnapshotError
 from repro.hw.memory import PhysicalMemory
 from repro.arch.pagetable import Descriptor, index_for_level
@@ -44,7 +47,6 @@ from repro.security.fuzz.invariants import (
     run_invariants,
     walk_tables,
 )
-from repro.state import Snapshot
 
 _PAGE_MASK = PAGE_BYTES - 1
 
@@ -60,12 +62,63 @@ _WORDS_PER_BITMAP_WORD = 64
 _READ_WINDOW = 8192
 
 
+@dataclass(frozen=True)
+class Snapshot:
+    """The evidence the offline channel reads, copied out of a machine.
+
+    ``policy`` is Hypersec's *claimed* policy (``table_pages``,
+    ``root_tables``, ``kernel_root``, ``recorded_regs``, ``regions``),
+    or ``None`` for a system without Hypersec.
+    """
+
+    config: PlatformConfig
+    memory: PhysicalMemory
+    regs: Dict[str, int]
+    policy: Optional[Dict[str, Any]]
+    has_mbm: bool
+
+
+def _claimed_policy(hypersec) -> Dict[str, Any]:
+    """Hypersec's bookkeeping, which the offline checker treats as
+    claims to verify against raw memory."""
+    return {
+        "table_pages": sorted(hypersec.table_pages),
+        "root_tables": sorted(hypersec.root_tables),
+        "kernel_root": hypersec.kernel_root,
+        "recorded_regs": dict(hypersec.recorded_regs),
+        "regions": sorted({region
+                           for ranges in hypersec._region_index.values()
+                           for region in ranges}),
+    }
+
+
+def capture_snapshot(system) -> Snapshot:
+    """Copy a live system's evidence.  The platform config and memory
+    are copied with ``pickle`` in this process, the same rule as the
+    fuzzer's machine copies."""
+    hypersec = system.hypersec
+    config, memory = pickle.loads(pickle.dumps(
+        (system.platform.config, system.platform.memory)))
+    return Snapshot(
+        config=config,
+        memory=memory,
+        regs=dict(system.cpu.regs._values),
+        policy=None if hypersec is None else _claimed_policy(hypersec),
+        has_mbm=system.mbm is not None,
+    )
+
+
 class SnapshotEvidence(Evidence):
-    """A serialized machine image as an invariant-checking evidence
+    """A captured machine image as an invariant-checking evidence
     source (see module docstring for the dissimilarity contract)."""
 
     def __init__(self, snapshot: Snapshot):
-        config = snapshot.platform_config()
+        if snapshot.policy is None:
+            raise SnapshotError(
+                "snapshot carries no Hypersec policy; only hypernel images "
+                "carry the policy to check"
+            )
+        config = snapshot.config
         dram_limit = config.dram_base + config.dram_bytes
         secure_base = dram_limit - config.secure_bytes
         self.geometry = Geometry(
@@ -74,33 +127,17 @@ class SnapshotEvidence(Evidence):
             secure_base=secure_base,
             secure_limit=dram_limit,
         )
-        memory_state = snapshot.section("memory")
-        self._memory = PhysicalMemory()
-        for base, limit in memory_state["ranges"]:
-            self._memory.add_range(int(base), int(limit) - int(base))
-        self._memory.load_state(memory_state)
-        self._regs = {
-            str(name): int(value)
-            for name, value in snapshot.section("cpu").items()
-        }
-        try:
-            policy = snapshot.section("hypersec")
-        except SnapshotError:
-            raise SnapshotError(
-                f"snapshot holds a {snapshot.system_name!r} system; only "
-                "hypernel images carry the Hypersec policy to check"
-            ) from None
-        self._claimed_tables = {int(p) for p in policy["table_pages"]}
-        self._claimed_roots = {int(p) for p in policy["root_tables"]}
-        self._recorded_root = int(policy["kernel_root"])
-        self._recorded_regs = {
-            str(name): int(value)
-            for name, value in policy["recorded_regs"].items()
-        }
+        self._memory = snapshot.memory
+        self._regs = snapshot.regs
+        policy = snapshot.policy
+        self._claimed_tables = set(policy["table_pages"])
+        self._claimed_roots = set(policy["root_tables"])
+        self._recorded_root = policy["kernel_root"]
+        self._recorded_regs = policy["recorded_regs"]
         self._claimed_regions = [
-            (int(base), int(end)) for base, end, _sid in policy["regions"]
+            (base, end) for base, end, _sid in policy["regions"]
         ]
-        self._has_mbm = bool(snapshot.section("mbm")["present"])
+        self._has_mbm = snapshot.has_mbm
         self._reachable: Optional[Set[int]] = None
         self._monitored: Optional[Set[int]] = None
 

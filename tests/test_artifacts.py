@@ -5,8 +5,12 @@ The goldens under ``benchmarks/e2e/expected/`` are read, never written.
 ``tests/test_analysis_report.py`` diffs the report the same way.
 """
 
+import contextlib
+import io
 import pathlib
 import re
+
+import pytest
 
 from repro.cli import main
 
@@ -16,23 +20,34 @@ EXPECTED = pathlib.Path(__file__).parent.parent / "benchmarks" / "e2e" / "expect
 _TIMING = re.compile(r"^[0-9]+ example\(s\), .* in [0-9.]+s$")
 
 
+#: The summary both channels print for the default audit machine.
+CLEAN = "audit clean: 92 tables, 43056 leaves, 49 bitmap words"
+GATE = ("differential gate clean: live and snapshot channels agree "
+        "(0 finding(s) each)")
+
+
 def _lines(capsys):
     return capsys.readouterr().out.splitlines()
 
 
-def test_live_audit_prints_the_clean_line(capsys):
-    assert main(["audit"]) == 0
-    assert ("audit clean: 92 tables, 43056 leaves, 49 bitmap words"
-            in _lines(capsys))
+@pytest.fixture(scope="module")
+def audit_lines():
+    """Stdout of one default-flag ``audit`` run, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["audit"]) == 0
+    return out.getvalue().splitlines()
 
 
-def test_snapshot_audit_prints_the_clean_line(tmp_path, capsys):
-    path = tmp_path / "hypernel.snap"
-    assert main(["snapshot", "save", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["audit", "--snapshot", str(path)]) == 0
-    assert ("audit clean: 86 tables, 43008 leaves, 0 bitmap words"
-            in _lines(capsys))
+def test_live_audit_prints_the_clean_line(audit_lines):
+    live = audit_lines.index("live audit of the running machine:")
+    assert audit_lines[live + 1] == CLEAN
+    assert audit_lines.count(CLEAN) == 2
+
+
+def test_snapshot_audit_prints_the_clean_line(audit_lines):
+    offline = audit_lines.index("offline check of the captured evidence:")
+    assert audit_lines[offline + 1:] == [CLEAN, GATE]
 
 
 def test_fuzz_seed0_matches_golden(capsys):

@@ -213,12 +213,35 @@ class TestCli:
                                  [command, "--warm-start"],
                                  "unrecognized arguments: --warm-start")
 
-    def test_removed_snapshot_restore_is_a_usage_error(self, monkeypatch,
-                                                       capsys):
+    @staticmethod
+    def _assert_removed_verb(capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"invalid choice: {argv[0]!r}" in capsys.readouterr().err
+
+    def test_removed_snapshot_restore_is_a_usage_error(self, capsys):
         # A snapshot holds audit evidence, not a machine to restore.
+        self._assert_removed_verb(capsys, ["snapshot", "restore", "img.snap"])
+
+    def test_removed_snapshot_verb_is_a_usage_error(self, capsys):
+        # Audit evidence stays in memory: no snapshot files to write,
+        # inspect or diff.
+        self._assert_removed_verb(capsys, ["snapshot", "save", "x"])
+
+    def test_removed_audit_snapshot_flag_is_a_usage_error(self, monkeypatch,
+                                                          capsys):
+        # `audit` checks both channels on the machine it builds.
         self._assert_usage_error(monkeypatch, capsys,
-                                 ["snapshot", "restore", "img.snap"],
-                                 "invalid choice: 'restore'")
+                                 ["audit", "--snapshot", "x"],
+                                 "unrecognized arguments: --snapshot x")
+
+    def test_removed_fuzz_jsonl_flag_is_a_usage_error(self, monkeypatch,
+                                                      capsys):
+        # `fuzz` exits 1 on every count the integrity record carried.
+        self._assert_usage_error(monkeypatch, capsys,
+                                 ["fuzz", "--jsonl", "fuzz.jsonl"],
+                                 "unrecognized arguments: --jsonl fuzz.jsonl")
 
     def test_removed_metrics_snapshot_flag_is_a_usage_error(self, monkeypatch,
                                                             capsys):

@@ -162,41 +162,43 @@ class TestSeededViolations:
         report = system.hypersec.audit()
         assert "violation" in str(report)
 
-    def test_seeded_violation_survives_snapshot(self, system, tmp_path):
-        """The offline checker finds a violation poked into a saved
-        image at the address the live auditor names: the forensic use
-        case behind ``repro audit --snapshot``."""
-        from repro.security.fuzz.snapshot_checker import check_snapshot
-        from repro.state import load_snapshot, save_snapshot
+    def test_seeded_violation_survives_snapshot(self, system):
+        """The offline checker finds a violation poked into the machine
+        before its evidence is captured, at the address the live
+        auditor names."""
+        from repro.security.fuzz.differential import differential_audit
 
         word_addr = system.mbm.bitmap.bitmap_base + 0x2000
         system.platform.bus.poke(word_addr, 0xFFFF)
-        live = system.hypersec.audit()
-        path = tmp_path / "poisoned.snap"
-        save_snapshot(system, path)
-        offline = check_snapshot(load_snapshot(path))
+        result = differential_audit(system)
         seeded = ("BITMAP_CONSISTENT", word_addr)
-        assert seeded in {(f.invariant, f.location) for f in live.findings}
         assert seeded in {(f.invariant, f.location)
-                          for f in offline.findings}
+                          for f in result.live.findings}
+        assert seeded in {(f.invariant, f.location)
+                          for f in result.offline.findings}
 
-    def test_cli_audit_snapshot_exit_codes(self, system, tmp_path, capsys):
-        from repro.cli import main
-        from repro.state import save_snapshot
+    def test_cli_audit_snapshot_exit_codes(self, system, monkeypatch, capsys):
+        """``audit`` checks the machine it built through both channels:
+        exit 0 when both are clean, exit 1 with the same finding in
+        each report when a bitmap word is poisoned."""
+        from repro import cli
 
-        clean = tmp_path / "clean.snap"
-        save_snapshot(system, clean)
-        assert main(["audit", "--snapshot", str(clean)]) == 0
-        assert "audit clean" in capsys.readouterr().out
-
-        system.platform.bus.poke(
-            system.mbm.bitmap.bitmap_base + 0x2000, 0xFFFF
-        )
-        poisoned = tmp_path / "poisoned.snap"
-        save_snapshot(system, poisoned)
-        assert main(["audit", "--snapshot", str(poisoned)]) == 1
+        monkeypatch.setattr(cli, "_system_under_test", lambda args: system)
+        assert cli.main(["audit"]) == 0
         out = capsys.readouterr().out
-        assert "violation" in out and "BITMAP_CONSISTENT" in out
+        assert out.count("audit clean") == 2
+        assert "differential gate clean" in out
+
+        word_addr = system.mbm.bitmap.bitmap_base + 0x2000
+        system.platform.bus.poke(word_addr, 0xFFFF)
+        assert cli.main(["audit"]) == 1
+        out = capsys.readouterr().out
+        live, offline = out.split("offline check of the captured evidence:")
+        finding = f"  [BITMAP_CONSISTENT] at {word_addr:#x}:"
+        for report in (live, offline):
+            assert "violation" in report
+            assert any(line.startswith(finding)
+                       for line in report.splitlines())
 
     def test_auditor_survives_table_loops(self, system):
         """A malformed self-referential table must not hang the walk."""

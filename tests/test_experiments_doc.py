@@ -1,12 +1,14 @@
 """EXPERIMENTS.md must quote the numbers the CLI actually prints.
 
-Every simulated number in its Table 1 and Table 2 sections — the
-``(sim)`` table columns and the bold averages below each table — has to
-appear in the recorded stdout of ``python -m repro table1`` /
-``table2`` (``benchmarks/e2e/expected/*.txt``, read only).  A model
-change that moves a number fails here until the document is
-regenerated from the CLI.  The ablation A-D tables must quote the exact
-counts ``tests/test_ablations.py`` pins.
+Every simulated number in its Table 1, Figure 6 and Table 2 sections —
+the ``(sim)`` table columns and the bold averages below each table —
+has to appear in the recorded stdout of ``python -m repro table1`` /
+``table2`` / ``report`` (``benchmarks/e2e/expected/*.txt``, read only;
+for Figure 6, the report's Figure 6 section).  A model change that
+moves a number fails here until the document is regenerated from the
+CLI.  The ablation A-D and sensitivity tables must quote the exact
+counts ``tests/test_ablations.py`` and ``tests/test_sensitivity.py``
+pin.
 """
 
 import re
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from tests import test_ablations as ablations
+from tests import test_sensitivity as sensitivity
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPERIMENTS = ROOT / "EXPERIMENTS.md"
@@ -29,16 +32,19 @@ def _numbers(text):
     return [token.replace(",", "") for token in NUMBER.findall(text)]
 
 
-def _section(heading):
-    text = EXPERIMENTS.read_text(encoding="utf-8")
+def _section(heading, text=None):
+    """The ``## heading`` section of EXPERIMENTS.md (or of ``text``)."""
+    if text is None:
+        text = EXPERIMENTS.read_text(encoding="utf-8")
     start = text.index(f"\n## {heading}")
     end = text.find("\n## ", start + 1)
     return text[start:end if end != -1 else None]
 
 
 def _simulated_numbers(section):
-    """``(table cells, bold numbers)``: every number in the ``(sim)``
-    columns, one list per row, and every number in bold text."""
+    """``(table cells, sim columns, bold numbers)``: every number in the
+    ``(sim)`` columns, one list per row, how many such columns there
+    are, and every number in bold text."""
     rows = [line for line in section.splitlines() if line.startswith("|")]
     header = [cell.strip() for cell in rows[0].strip("|").split("|")]
     sim_columns = [i for i, name in enumerate(header) if "(sim)" in name]
@@ -50,18 +56,23 @@ def _simulated_numbers(section):
     bold = [number
             for text in re.findall(r"\*\*(.+?)\*\*", section, flags=re.S)
             for number in _numbers(text)]
-    return table, bold
+    return table, len(sim_columns), bold
 
 
 @pytest.mark.parametrize("heading, golden, rows", [
     ("Table 1", "table1.txt", 9),   # LMbench ops x three systems
     ("Table 2", "table2.txt", 5),   # applications x page/word/ratio
+    ("Figure 6", "report.txt", 5),  # applications x kvm-guest/hypernel
 ])
 def test_simulated_numbers_match_cli_golden(heading, golden, rows):
-    printed = set(_numbers((EXPECTED / golden).read_text(encoding="utf-8")))
-    table, bold = _simulated_numbers(_section(heading))
+    printed = (EXPECTED / golden).read_text(encoding="utf-8")
+    if golden == "report.txt":  # the report holds every artifact
+        printed = _section(heading, printed)
+    printed = set(_numbers(printed))
+    table, columns, bold = _simulated_numbers(_section(heading))
     # Guard against a vacuous pass: a full table and a bold average.
-    assert [len(row) for row in table] == [3] * rows
+    assert columns >= 2
+    assert [len(row) for row in table] == [columns] * rows
     assert bold, "no bold average found"
     quoted = [number for row in table for number in row] + bold
     stale = [number for number in quoted if number not in printed]
@@ -106,3 +117,21 @@ def test_ablation_tables_match_pinned_counts(heading):
     assert stale == [], (
         f"EXPERIMENTS.md {heading} quotes numbers tests/test_ablations.py "
         f"does not pin: {stale}")
+
+
+def test_sensitivity_table_matches_pinned_counts():
+    """Each row of the sensitivity table quotes its pinned fork+exit
+    counts (native, hypernel, kvm, in µs) and whether the ordering
+    holds."""
+    rows = [line for line in _section("Sensitivity analysis").splitlines()
+            if line.startswith("|")]
+    quoted = [[cell.strip() for cell in row.strip("|").split("|")]
+              for row in rows[2:]]
+    expected = [
+        [label,
+         *(f"{sensitivity.fork_exit_us(cycles):.1f}"
+           for cycles in sensitivity.PINNED[label]),
+         "**no**" if label in sensitivity.INVERTED else "yes"]
+        for label in sensitivity.PERTURBATIONS
+    ]
+    assert quoted == expected

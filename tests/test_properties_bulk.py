@@ -50,8 +50,10 @@ from repro.security.fuzz.invariants import (
     walk_tables,
 )
 from repro.security.fuzz.machine import boot_snapshot, restore_from_snapshot
-from repro.security.fuzz.snapshot_checker import SnapshotEvidence
-from repro.state import capture_snapshot
+from repro.security.fuzz.snapshot_checker import (
+    SnapshotEvidence,
+    capture_snapshot,
+)
 from tests.helpers import small_config, small_platform
 
 WORD = 8

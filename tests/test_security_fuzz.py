@@ -36,8 +36,10 @@ from repro.security.fuzz.machine import (
     run_fuzz,
     save_trace,
 )
-from repro.security.fuzz.snapshot_checker import SnapshotEvidence
-from repro.state import capture_snapshot
+from repro.security.fuzz.snapshot_checker import (
+    SnapshotEvidence,
+    capture_snapshot,
+)
 
 CORPUS_DIR = "tests/corpus"
 

@@ -1,18 +1,17 @@
-"""Evidence snapshots (``repro.state``) and ``pickle`` copies of machines.
+"""Captured audit evidence and ``pickle`` copies of machines.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
-* **evidence round-trips** — every section a snapshot carries survives
-  the file format (JSON + zlib + checksums) exactly;
+* **exact, private evidence** — every part of a machine the offline
+  checker reads (memory, registers, Hypersec's claimed policy, MBM
+  presence) is captured exactly, and later writes to the machine never
+  reach the captured copy;
 * **bit-identical replay** — a ``pickle`` copy of a live machine runs
   exactly like the original: the same cycles, statistics, ring-buffer
   contents and alerts (the contract the fuzzer's per-example copies
-  depend on);
-* **format integrity** — corrupt or mismatched snapshot files fail
-  loudly with :class:`~repro.errors.SnapshotError`.
+  depend on).
 """
 
-import json
 import pickle
 
 import pytest
@@ -21,25 +20,15 @@ from hypothesis import strategies as st
 
 from repro.core.hypernel import build_native, build_system
 from repro.errors import SnapshotError
-from repro.hw.memory import PhysicalMemory
 from repro.kernel.objects import CRED
 from repro.security import CredIntegrityMonitor, DentryIntegrityMonitor
-from repro.state import (
-    MAGIC,
-    SNAPSHOT_SCHEMA,
-    diff_snapshots,
-    load_snapshot,
-    save_snapshot,
-    snapshot_info,
+from repro.security.fuzz.invariants import run_invariants
+from repro.security.fuzz.snapshot_checker import (
+    SnapshotEvidence,
+    capture_snapshot,
 )
 from repro.utils.stats import merge
 from tests.conftest import small_platform_config
-
-
-def _normalize(value):
-    """JSON round-trip: tuples become lists, exactly as the file format
-    stores them, so captured sections compare equal to loaded ones."""
-    return json.loads(json.dumps(value))
 
 
 def _build_monitored():
@@ -50,29 +39,94 @@ def _build_monitored():
     )
 
 
-@pytest.fixture(scope="module")
-def roundtrip(tmp_path_factory):
-    """One monitored system, saved and loaded back, shared per module."""
-    path = tmp_path_factory.mktemp("snaps") / "monitored.snap"
-    original = _build_monitored()
-    original.spawn_init()
-    snapshot = save_snapshot(original, path)
-    return original, snapshot, load_snapshot(path), path
+def _contents(snapshot):
+    """Everything a snapshot holds, as comparable values.  All-zero
+    memory chunks are dropped: reads of an absent chunk return zero, so
+    which chunks were ever materialized is not part of the evidence."""
+    memory = [{key: bytes(chunk) for key, chunk in chunks.items()
+               if any(chunk)}
+              for chunks in snapshot.memory._chunk_maps]
+    return (snapshot.config, memory, snapshot.regs, snapshot.policy,
+            snapshot.has_mbm)
+
+
+@pytest.fixture
+def captured():
+    """A booted monitored system, its snapshot and the checker's view."""
+    system = _build_monitored()
+    system.spawn_init()
+    snapshot = capture_snapshot(system)
+    return system, snapshot, SnapshotEvidence(snapshot)
 
 
 class TestSectionRoundTrips:
-    @pytest.mark.parametrize("section", ["cpu", "hypersec", "mbm", "memory"])
-    def test_section_roundtrips_exactly(self, roundtrip, section):
-        _, snapshot, loaded, _ = roundtrip
-        assert section in snapshot.sections
-        assert loaded.sections[section] == _normalize(
-            snapshot.sections[section])
+    """Each part of the evidence reads back exactly what the live
+    machine held at capture, and keeps reading it after the machine
+    changes."""
 
-    def test_resnapshot_is_content_identical(self, roundtrip, tmp_path):
-        original, snapshot, _, _ = roundtrip
+    @pytest.mark.parametrize("section", ["cpu", "hypersec", "mbm", "memory"])
+    def test_section_roundtrips_exactly(self, captured, section):
+        system, _, evidence = captured
+        if section == "cpu":
+            regs = dict(system.cpu.regs._values)
+            assert {name: evidence.reg(name) for name in regs} == regs
+            system.cpu.regs.write("VBAR_EL1", regs["VBAR_EL1"] ^ 0x1000)
+            assert evidence.reg("VBAR_EL1") == regs["VBAR_EL1"]
+        elif section == "hypersec":
+            hypersec = system.hypersec
+            claimed = (set(hypersec.table_pages), set(hypersec.root_tables),
+                       hypersec.kernel_root, dict(hypersec.recorded_regs))
+
+            def view():
+                return (evidence.claimed_tables(),
+                        evidence.recorded_root_tables(),
+                        evidence.recorded_kernel_root(),
+                        {name: evidence.recorded_reg(name)
+                         for name in claimed[3]})
+
+            assert view() == claimed
+            hypersec.table_pages.add(system.kernel.allocator.alloc("probe"))
+            hypersec.recorded_regs["TCR_EL1"] ^= 0x1000
+            assert view() == claimed
+        elif section == "mbm":
+            storage = system.mbm.bitmap_storage
+            assert evidence.bitmap_storage() == storage
+            system.mbm = None
+            assert evidence.bitmap_storage() == storage
+        else:
+            root = system.hypersec.kernel_root
+            bitmap_base, bitmap_limit = system.mbm.bitmap_storage
+            spans = [(root, 512), (bitmap_base,
+                                   (bitmap_limit - bitmap_base) // 8)]
+            memory = system.platform.memory
+            live = [memory.read_words(base, n) for base, n in spans]
+            assert [evidence.peek_words(base, n) for base, n in spans] == live
+            memory.write_word(root, live[0][0] ^ 1)
+            memory.write_word(bitmap_base, live[1][0] ^ 1)
+            assert [evidence.peek_words(base, n) for base, n in spans] == live
+
+    def test_later_writes_do_not_reach_the_offline_report(self, captured):
+        system, snapshot, evidence = captured
+        before = run_invariants(evidence)
+        assert before.clean, str(before)
+        system.platform.bus.poke(system.mbm.bitmap.bitmap_base + 0x2000,
+                                 0xFFFF)
+        assert not system.hypersec.audit().clean
+        after = run_invariants(SnapshotEvidence(snapshot))
+        assert after.clean and after.findings == before.findings
+
+    def test_resnapshot_is_content_identical(self, captured):
+        original, snapshot, _ = captured
         copy = pickle.loads(pickle.dumps(original))
-        again = save_snapshot(copy, tmp_path / "again.snap")
-        assert again.content_hash == snapshot.content_hash
+        assert _contents(capture_snapshot(copy)) == _contents(snapshot)
+
+
+@pytest.fixture(scope="module")
+def scratch_system():
+    """A small machine whose memory the property below scribbles on; it
+    is never run, only captured."""
+    return build_system("hypernel", platform_config=small_platform_config(),
+                        with_mbm=False)
 
 
 class TestPhysicalMemoryProperty:
@@ -90,26 +144,27 @@ class TestPhysicalMemoryProperty:
             max_size=120,
         )
     )
-    def test_random_write_patterns_survive_roundtrip(self, writes):
-        base_a, base_b = 0x8000_0000, 0x9000_0000
-        span = 3 * (1 << 16)  # three chunks per range
-
-        def fresh():
-            memory = PhysicalMemory()
-            memory.add_range(base_a, span)
-            memory.add_range(base_b, span)
-            return memory
-
-        original = fresh()
+    def test_random_write_patterns_survive_roundtrip(self, scratch_system,
+                                                     writes):
+        """``SnapshotEvidence.peek_words`` equals live memory after
+        random writes, and stays put when the machine is written again."""
+        system = scratch_system
+        memory = system.platform.memory
+        span = 3 * (1 << 16)  # three 64 KB chunks per area
+        base_b = system.platform.secure_base - span
+        base_a = base_b - 2 * span
         for index, value in writes:
             base = base_a if index % 2 else base_b
-            original.write_word(base + (index * 8) % span, value)
-        clone = fresh()
-        clone.load_state(_normalize(original.state_dict()))
-        assert clone.population() == original.population()
+            memory.write_word(base + (index * 8) % span, value)
+        evidence = SnapshotEvidence(capture_snapshot(system))
+        live = [memory.read_words(base, span // 8)
+                for base in (base_a, base_b)]
+        assert [evidence.peek_words(base, span // 8)
+                for base in (base_a, base_b)] == live
         for base in (base_a, base_b):
-            for addr in range(base, base + span, 8):
-                assert clone.read_word(addr) == original.read_word(addr)
+            memory.write_word(base, memory.read_word(base) ^ 1)
+        assert [evidence.peek_words(base, span // 8)
+                for base in (base_a, base_b)] == live
 
 
 def _run_scenario(system):
@@ -170,15 +225,13 @@ def _run_scenario(system):
 
 
 class TestBitIdenticalReplay:
-    def test_post_run_snapshots_diff_clean(self, tmp_path):
+    def test_post_run_snapshots_diff_clean(self):
         cold = _build_monitored()
         warm = pickle.loads(pickle.dumps(cold))
         _run_scenario(cold)
         _run_scenario(warm)
-        path_a, path_b = tmp_path / "a.snap", tmp_path / "b.snap"
-        save_snapshot(cold, path_a)
-        save_snapshot(warm, path_b)
-        assert "identical" in diff_snapshots(path_a, path_b)
+        assert (_contents(capture_snapshot(cold))
+                == _contents(capture_snapshot(warm)))
 
 
 class TestPickleCopy:
@@ -233,61 +286,17 @@ class TestInMemoryRestore:
         assert _run_scenario(third) == run_first
         assert run_first["events"] > 0
 
-    def test_restore_does_not_consume_or_mutate_the_snapshot(self, tmp_path):
+    def test_restore_does_not_consume_or_mutate_the_snapshot(self):
         image = pickle.dumps(_build_monitored())
-        before = save_snapshot(pickle.loads(image), tmp_path / "before.snap")
+        before = _contents(capture_snapshot(pickle.loads(image)))
         _run_scenario(pickle.loads(image))
-        after = save_snapshot(pickle.loads(image), tmp_path / "after.snap")
-        assert after.content_hash == before.content_hash
+        assert _contents(capture_snapshot(pickle.loads(image))) == before
 
 
-class TestFormatIntegrity:
-    def test_info_names_every_section(self, roundtrip):
-        _, snapshot, _, path = roundtrip
-        text = snapshot_info(path)
-        assert f"schema {SNAPSHOT_SCHEMA}," in text
-        for entry in snapshot.manifest["sections"]:
-            assert entry["name"] in text
-        assert snapshot.content_hash in text
-        assert "CredIntegrityMonitor" in text
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.snap"
-        path.write_bytes(b"NOTASNAPSHOT" + b"\0" * 64)
-        with pytest.raises(SnapshotError, match="magic"):
-            load_snapshot(path)
-
-    def test_corrupt_section_rejected(self, roundtrip, tmp_path):
-        _, _, _, path = roundtrip
-        blob = bytearray(path.read_bytes())
-        blob[-10] ^= 0xFF  # flip a byte inside the last section
-        broken = tmp_path / "broken.snap"
-        broken.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError):
-            load_snapshot(broken)
-
-    def test_native_image_carries_no_policy(self, tmp_path):
-        from repro.security.fuzz.snapshot_checker import check_snapshot
-
-        path = tmp_path / "native.snap"
-        save_snapshot(build_native(platform_config=small_platform_config()),
-                      path)
-        snapshot = load_snapshot(path)
-        assert sorted(snapshot.sections) == ["cpu", "mbm", "memory"]
+class TestEvidenceScope:
+    def test_native_image_carries_no_policy(self):
+        snapshot = capture_snapshot(
+            build_native(platform_config=small_platform_config()))
+        assert snapshot.policy is None and not snapshot.has_mbm
         with pytest.raises(SnapshotError, match="only hypernel images"):
-            check_snapshot(snapshot)
-
-    def test_diff_reports_changed_sections(self, roundtrip, tmp_path):
-        original, _, _, path = roundtrip
-        changed = pickle.loads(pickle.dumps(original))
-        changed.cpu.regs.write("VBAR_EL1", 0x1000)  # one register only
-        other = tmp_path / "other.snap"
-        save_snapshot(changed, other)
-        text = diff_snapshots(path, other)
-        assert "section cpu: 1 difference" in text
-        assert "VBAR_EL1" in text
-        assert "memory" not in text
-
-    def test_magic_prefix_on_disk(self, roundtrip):
-        _, _, _, path = roundtrip
-        assert path.read_bytes()[: len(MAGIC)] == MAGIC
+            SnapshotEvidence(snapshot)
