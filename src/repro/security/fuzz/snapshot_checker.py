@@ -44,7 +44,6 @@ from repro.security.fuzz.invariants import (
     Evidence,
     Geometry,
     InvariantReport,
-    run_invariants,
     walk_tables,
 )
 
@@ -275,8 +274,3 @@ class SnapshotEvidence(Evidence):
 
     def recorded_root_tables(self) -> Set[int]:
         return set(self._claimed_roots)
-
-
-def check_snapshot(snapshot: Snapshot) -> InvariantReport:
-    """Run the full invariant suite against a machine image."""
-    return run_invariants(SnapshotEvidence(snapshot))
