@@ -7,10 +7,10 @@
   benchmarks, normalized) and an ASCII bar chart.
 * :mod:`repro.analysis.monitoring` — Table 2 runner (word- vs
   page-granularity trap counts).
-* :mod:`repro.analysis.compare` — overhead math and shape checks.
+* :mod:`repro.analysis.compare` — overhead math and table formatting.
 """
 
-from repro.analysis.compare import overhead_percent, geometric_mean
+from repro.analysis.compare import overhead_percent
 from repro.analysis.figures import Figure6Result, run_figure6
 from repro.analysis.monitoring import Table2Result, run_table2
 from repro.analysis.report import generate_report
@@ -21,7 +21,6 @@ __all__ = [
     "Table1Result",
     "Table2Result",
     "generate_report",
-    "geometric_mean",
     "overhead_percent",
     "run_figure6",
     "run_table1",

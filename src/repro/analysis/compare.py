@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 def overhead_percent(value: float, baseline: float) -> float:
@@ -11,15 +10,6 @@ def overhead_percent(value: float, baseline: float) -> float:
     if baseline <= 0:
         raise ValueError("baseline must be positive")
     return (value / baseline - 1.0) * 100.0
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean (the usual aggregate for normalized runtimes)."""
-    if not values:
-        raise ValueError("geometric mean of no values")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def arithmetic_mean(values: Sequence[float]) -> float:
@@ -43,14 +33,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     lines = [fmt(headers), fmt(["-" * w for w in widths])]
     lines.extend(fmt(row) for row in rows)
     return "\n".join(lines)
-
-
-def shape_report(measured: Dict[str, float], paper: Dict[str, float]) -> str:
-    """One-line comparison of measured vs paper percentages."""
-    parts = []
-    for key in paper:
-        measured_value = measured.get(key, float("nan"))
-        parts.append(
-            f"{key}: measured {measured_value:+.1f}% vs paper {paper[key]:+.1f}%"
-        )
-    return "; ".join(parts)

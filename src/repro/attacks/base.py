@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.core.hypernel import System
-from repro.security.app import SecurityApp
 
 
 @dataclass
@@ -46,7 +45,3 @@ def alert_count(system: System) -> int:
     for app in system.monitors:
         total += len(app.alerts)
     return total
-
-
-def monitor_alerts(app: SecurityApp) -> int:
-    return len(app.alerts)

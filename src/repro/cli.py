@@ -10,7 +10,7 @@ Commands:
 
   These three and ``report`` exit non-zero when the monitoring pipeline
   lost events in any cell, cached or computed, unless the check is
-  ``--waive``d.
+  ``--waive``d (``tests/test_obs.py::TestPayloadIntegrity``).
 * ``attacks`` — run the attack/protection matrix and print verdicts.
 * ``audit`` — build a monitored Hypernel system, run a workload and
   verify every security invariant through both channels: the live
@@ -19,8 +19,7 @@ Commands:
 * ``metrics`` — run a monitored workload and print the full
   observability report: component counters, gauges, cycle attribution
   and the run-integrity checks (repro.obs).  Exits non-zero when the
-  monitoring pipeline lost events, unless the check is ``--waive``d;
-  ``--json PATH`` exports the report as JSONL.
+  monitoring pipeline lost events, unless the check is ``--waive``d.
 * ``fuzz`` — adversarial hypercall fuzzing of Hypersec
   (repro.security.fuzz): a Hypothesis state machine drives random
   hypercall/trapped-register/attack sequences against a booted
@@ -36,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import List, Optional
@@ -52,14 +52,14 @@ def _platform_config(args) -> PlatformConfig:
 
 
 def _add_platform(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dram-mb", type=int, default=192,
+    parser.add_argument("--dram-mb", type=_positive_int, default=192,
                         help="simulated DRAM size in MB (default 192)")
 
 
 def _add_scale(parser: argparse.ArgumentParser) -> None:
     # Only registered for commands that actually consume it; ``table1``
     # runs fixed LMbench op counts and takes no scale.
-    parser.add_argument("--scale", type=float, default=0.25,
+    parser.add_argument("--scale", type=_positive_float, default=0.25,
                         help="workload scale factor (default 0.25)")
 
 
@@ -71,6 +71,18 @@ def _positive_int(text: str) -> int:
             f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text}")
     return value
 
 
@@ -229,26 +241,17 @@ def cmd_audit(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    from repro.obs import collect_metrics, metrics_records, write_jsonl
+    from repro.obs import collect_metrics
 
     system = _system_under_test(args)
     metrics = collect_metrics(system, waive=tuple(args.waive))
     print(metrics.format())
-    if args.json:
-        count = write_jsonl(args.json, metrics_records(metrics))
-        print(f"\n[{count} records written to {args.json}]")
     failures = metrics.failures
     if failures:
         detail = ", ".join(f"{c.name} = {c.value}" for c in failures)
         print(f"\nINTEGRITY FAILURE: {detail}")
         return 1
     return 0
-
-
-def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the report as JSONL records")
-    _add_waive(parser)
 
 
 def cmd_fuzz(args) -> int:
@@ -328,10 +331,10 @@ def _add_fuzz_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="Hypothesis seed (default 0; runs are "
                         "deterministic per seed)")
-    parser.add_argument("--max-examples", type=int, default=100,
+    parser.add_argument("--max-examples", type=_positive_int, default=100,
                         help="total state-machine examples across the "
                         "selected profiles (default 100)")
-    parser.add_argument("--steps", type=int, default=8,
+    parser.add_argument("--steps", type=_positive_int, default=8,
                         help="rules per example (default 8)")
     parser.add_argument("--corpus", default=None, metavar="DIR",
                         help="replay every recorded trace in DIR instead "
@@ -403,7 +406,7 @@ _COMMANDS = {
     "attacks": (cmd_attacks, [_add_platform]),
     "audit": (cmd_audit, [_add_platform, _add_scale]),
     "fuzz": (cmd_fuzz, [_add_fuzz_args]),
-    "metrics": (cmd_metrics, [_add_platform, _add_scale, _add_metrics_args]),
+    "metrics": (cmd_metrics, [_add_platform, _add_scale, _add_waive]),
     "report": (cmd_report, [_add_platform, _add_scale, _add_runner]),
     "cache": (cmd_cache, [_add_cache_args]),
 }

@@ -29,7 +29,7 @@ class DecisionUnit:
         self.costs = costs
         self.raise_irq = raise_irq
         #: Optional detection observer ``(paddr, value, queued)``; wiring
-        #: for :class:`repro.obs.export.DetectionTrace`.  A plain
+        #: for :class:`repro.obs.detections.DetectionTrace`.  A plain
         #: attribute (not an EventHook) keeps the no-observer hot path at
         #: one attribute load.
         self.on_hit: Optional[Callable[[int, Optional[int], bool], None]] = None

@@ -64,17 +64,6 @@ class BusTransaction:
         """True for any transaction that modifies memory."""
         return self.kind in (TxnKind.WRITE, TxnKind.WRITEBACK, TxnKind.BLOCK_WRITE)
 
-    def as_dict(self) -> dict:
-        """JSON-ready form (``kind`` flattened to its string value);
-        consumed by the JSONL exporters in :mod:`repro.obs.export`."""
-        return {
-            "kind": self.kind.value,
-            "paddr": self.paddr,
-            "value": self.value,
-            "nwords": self.nwords,
-            "initiator": self.initiator,
-        }
-
 
 Snooper = Callable[[BusTransaction], None]
 

@@ -8,23 +8,18 @@ state, so results are byte-identical with or without it):
   :class:`~repro.utils.stats.StatSet`, derived gauges (FIFO high-water
   vs depth, ring occupancy, bitmap-cache hit rate, IRQs per detection)
   and hard *integrity checks* that make silent event loss in the MBM
-  pipeline fail a run loudly unless explicitly waived.
+  pipeline fail a run loudly unless explicitly waived.  The experiment
+  runner enforces them on every cell payload, cached, in-process or
+  from a pool worker (``tests/test_obs.py::TestPayloadIntegrity``).
 * :mod:`repro.obs.profiler` — cycle attribution: splits ``sim_cycles``
   into exactly-recoverable fixed-cost buckets (stage-1 vs stage-2 walk
   descriptors, hypercall/trap round trips, world switches, ...) plus
   the MBM's off-critical-path occupancy.
-* :mod:`repro.obs.export` — machine-readable JSONL export for
-  :class:`~repro.tools.trace.BusTracer` traces, MBM detection streams
-  and metric reports.
+* :mod:`repro.obs.detections` — :class:`DetectionTrace`: every MBM
+  detection with its cycle stamp and whether the ring queued it.
 """
 
-from repro.obs.export import (
-    DetectionTrace,
-    bus_trace_records,
-    jsonl_dumps,
-    metrics_records,
-    write_jsonl,
-)
+from repro.obs.detections import DetectionTrace
 from repro.obs.metrics import (
     INTEGRITY_CHECK_SPECS,
     IntegrityCheck,
@@ -41,10 +36,6 @@ __all__ = [
     "IntegrityCheck",
     "RunMetrics",
     "attribute_cycles",
-    "bus_trace_records",
     "collect_metrics",
-    "jsonl_dumps",
-    "metrics_records",
     "verify_payload_integrity",
-    "write_jsonl",
 ]

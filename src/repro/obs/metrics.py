@@ -117,20 +117,6 @@ class RunMetrics:
         """One component counter (0 when absent)."""
         return self.components.get(component, {}).get(key, 0)
 
-    def raise_on_failure(self, context: str = "") -> None:
-        """Raise :class:`IntegrityError` naming every failed check."""
-        failures = self.failures
-        if not failures:
-            return
-        where = f"{context}: " if context else ""
-        detail = ", ".join(
-            f"{check.name} = {check.value}" for check in failures
-        )
-        raise IntegrityError(
-            f"{where}run integrity check failed on {self.system!r}: {detail} "
-            f"(waive with the check name(s) to accept lossy monitoring)"
-        )
-
     # ------------------------------------------------------------------
     # Serialization (must stay JSON-clean and deterministic: these dicts
     # travel inside runner payloads through worker processes into the
@@ -361,8 +347,8 @@ def verify_payload_integrity(
     """Enforce the integrity checks carried in runner payloads.
 
     ``labels`` and ``payloads`` run in parallel (one label per cell);
-    payloads without a ``"metrics"`` key — pre-observability cache
-    entries or non-cell results — are skipped.  Raises
+    payloads without a ``"metrics"`` key (the runner's test-only
+    ``selftest`` cells) are skipped.  Raises
     :class:`IntegrityError` naming every failing cell and check.
     """
     problems: List[str] = []

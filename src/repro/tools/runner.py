@@ -62,10 +62,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import PlatformConfig
 
-#: Cache-key schema version; bump when the key recipe or payload
-#: layout changes so stale entries can never be misread.
-CACHE_SCHEMA = 1
-
 #: Default per-job timeout (seconds).  Generous: a paper-scale cell is
 #: minutes of work; the timeout exists to surface a hung worker instead
 #: of stalling the pool forever.
@@ -76,8 +72,9 @@ KIND_EXECUTORS: Dict[str, str] = {
     "table1": "repro.analysis.tables:execute_cell",
     "figure6": "repro.analysis.figures:execute_cell",
     "table2": "repro.analysis.monitoring:execute_cell",
-    # Test-only workload used by the runner's own test suite: echoes,
-    # fails, fails-once (marker file) or sleeps on demand.
+    # Test-only workload used by the runner's own test suite: echoes
+    # (with an optional ``metrics`` block), fails, fails-once (marker
+    # file) or sleeps on demand.
     "selftest": "repro.tools.runner:execute_selftest_cell",
 }
 
@@ -135,7 +132,11 @@ def execute_selftest_cell(cell: Cell) -> Dict[str, Any]:
     """Executor for the test-only ``selftest`` kind."""
     mode = cell.spec.get("mode", "echo")
     if mode == "echo":
-        return {"value": cell.spec.get("value"), "accesses": 0, "sim_cycles": 0}
+        payload = {"value": cell.spec.get("value"), "accesses": 0,
+                   "sim_cycles": 0}
+        if "metrics" in cell.spec:
+            payload["metrics"] = cell.spec["metrics"]
+        return payload
     if mode == "fail":
         raise RuntimeError(f"injected failure for {cell.label()}")
     if mode == "fail_until_marker":
@@ -175,9 +176,9 @@ def source_digest() -> str:
     """SHA-256 over the sorted relative paths and bytes of the package's
     ``*.py`` files.
 
-    Cache keys and snapshot manifests carry it instead of a hand-set version
-    string, so any source edit misses the cache.  Computed lazily, once
-    per process.
+    Cache keys carry it instead of a hand-set version string, so any
+    source edit (this module's own key recipe included) misses the
+    cache.  Computed lazily, once per process.
     """
     root = pathlib.Path(__file__).resolve().parent.parent
     digest = hashlib.sha256()
@@ -208,7 +209,6 @@ def cost_fingerprint(platform_config: Optional[PlatformConfig]) -> Dict[str, Any
 def cache_key(cell: Cell) -> str:
     """Content hash for a cell."""
     document = {
-        "schema": CACHE_SCHEMA,
         "source": source_digest(),
         "kind": cell.kind,
         "environment": cell.environment,
@@ -246,7 +246,7 @@ class CellCache:
         except (OSError, json.JSONDecodeError):
             self.misses += 1
             return None
-        if entry.get("schema") != CACHE_SCHEMA or "payload" not in entry:
+        if "payload" not in entry:
             self.misses += 1
             return None
         self.hits += 1
@@ -255,7 +255,7 @@ class CellCache:
     def store(self, cell: Cell, payload: Dict[str, Any]) -> bool:
         path = self._path(cache_key(cell))
         blob = json.dumps(
-            {"schema": CACHE_SCHEMA, "cell": cell.label(), "payload": payload},
+            {"cell": cell.label(), "payload": payload},
             indent=2,
         )
         # A private temp file per store, then an atomic rename: concurrent

@@ -18,7 +18,7 @@ buffer.  Used for debugging monitors and for the examples' narratives
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from repro.config import PAGE_BYTES, WORD_BYTES
@@ -37,10 +37,6 @@ class TraceRecord:
     value: Optional[int]
     nwords: int
     initiator: str
-
-    def as_dict(self) -> dict:
-        """JSON-ready form, one record per JSONL line (repro.obs.export)."""
-        return asdict(self)
 
     def covers(self, paddr: int) -> bool:
         """Whether this transaction's span includes the word at ``paddr``.

@@ -15,7 +15,7 @@ reports).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.config import PAGE_BYTES
 from repro.core.hypernel import System
@@ -203,9 +203,3 @@ class LmbenchSuite:
             per_op /= 2
         return OpResult(name, self.system.cycles_to_us(int(per_op)),
                         self.iterations)
-
-    def run_all(self) -> List[OpResult]:
-        """Measure every Table 1 operation, in the paper's order."""
-        if self._init_task is None:
-            self.setup()
-        return [self.run_op(name) for name in LMBENCH_OPS]

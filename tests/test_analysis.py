@@ -6,9 +6,7 @@ from repro.analysis import paper
 from repro.analysis.compare import (
     arithmetic_mean,
     format_table,
-    geometric_mean,
     overhead_percent,
-    shape_report,
 )
 from repro.analysis.tables import Table1Result
 from repro.analysis.monitoring import Table2Result
@@ -25,15 +23,6 @@ class TestMath:
         with pytest.raises(ValueError):
             overhead_percent(1.0, 0)
 
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_guards(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
-
     def test_arithmetic_mean(self):
         assert arithmetic_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
         with pytest.raises(ValueError):
@@ -44,10 +33,6 @@ class TestMath:
         lines = text.splitlines()
         assert len(lines) == 4
         assert all(len(line) == len(lines[0]) for line in lines)
-
-    def test_shape_report(self):
-        text = shape_report({"kvm": 10.0}, {"kvm": 15.5})
-        assert "+10.0%" in text and "+15.5%" in text
 
 
 class TestPaperConstants:

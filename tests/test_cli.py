@@ -237,6 +237,29 @@ class TestCli:
                                  ["fuzz", "--jsonl", "fuzz.jsonl"],
                                  "unrecognized arguments: --jsonl fuzz.jsonl")
 
+    def test_removed_metrics_json_flag_is_a_usage_error(self, monkeypatch,
+                                                        capsys):
+        # No gate, CI step or harness read the JSONL export.
+        self._assert_usage_error(monkeypatch, capsys,
+                                 ["metrics", "--json", "x"],
+                                 "unrecognized arguments: --json x")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["info", "--dram-mb", "0"], "must be at least 1, got 0"),
+        (["info", "--dram-mb", "-5"], "must be at least 1, got -5"),
+        (["table2", "--scale", "0"], "must be a positive number, got 0"),
+        (["table2", "--scale", "-1"], "must be a positive number, got -1"),
+        (["table2", "--scale", "nan"], "must be a positive number, got nan"),
+        (["fuzz", "--steps", "0"], "must be at least 1, got 0"),
+        (["fuzz", "--max-examples", "0"], "must be at least 1, got 0"),
+    ])
+    def test_nonpositive_number_is_a_usage_error(self, monkeypatch, capsys,
+                                                 argv, message):
+        # Rejected at parse time, naming the option and the value,
+        # before any machine is built.
+        self._assert_usage_error(monkeypatch, capsys, argv,
+                                 f"argument {argv[1]}: {message}")
+
     def test_removed_metrics_snapshot_flag_is_a_usage_error(self, monkeypatch,
                                                             capsys):
         self._assert_usage_error(monkeypatch, capsys,

@@ -19,8 +19,6 @@ EXAMPLES = {
     "rootkit_detection.py": [],
     "atra_attack.py": [],
     "bus_observability.py": [],
-    "monitoring_efficiency.py": ["--scale", "0.05", "--dram-mb", "96"],
-    "performance_comparison.py": ["--skip-apps", "--dram-mb", "96"],
 }
 
 

@@ -7,7 +7,6 @@ unchanged rerun must hit without dispatching any work.
 """
 
 import dataclasses
-import json
 import os
 import pathlib
 import shutil
@@ -20,7 +19,6 @@ import pytest
 
 from repro.config import CostModel, PlatformConfig
 from repro.tools.runner import (
-    CACHE_SCHEMA,
     Cell,
     CellCache,
     cache_contents,
@@ -180,14 +178,12 @@ class TestCacheBehaviour:
         path.write_text("{not json")
         assert cache.lookup(cell) is None
 
-    def test_schema_mismatch_is_a_miss(self, tmp_path):
+    def test_entry_without_payload_is_a_miss(self, tmp_path):
         cache = CellCache(tmp_path)
         cell = echo_cell()
         run_cells([cell], cache=cache)
         path = cache._path(cache_key(cell))
-        entry = json.loads(path.read_text())
-        entry["schema"] = CACHE_SCHEMA + 1
-        path.write_text(json.dumps(entry))
+        path.write_text('{"cell": "%s"}' % cell.label())
         assert cache.lookup(cell) is None
 
     def test_concurrent_stores_of_one_key_all_succeed(self, tmp_path,
@@ -233,7 +229,7 @@ def seed_cache_dir(tmp_path, ages_days):
 
 
 class TestCacheMaintenance:
-    def test_contents_inventories_results_and_snapshots(self, tmp_path):
+    def test_contents_inventories_result_entries(self, tmp_path):
         seed_cache_dir(tmp_path, {"aa": 1, "bb": 2})
         inventory = cache_contents(tmp_path)
         assert [os.path.basename(e["path"]) for e in inventory["entries"]] == [
