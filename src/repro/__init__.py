@@ -17,25 +17,34 @@ the paper's tables/figures are regenerated by
 and :func:`repro.analysis.run_table2` (see ``benchmarks/``).
 """
 
-from repro.config import CostModel, PlatformConfig, juno_r1, juno_r1_daughterboard
-from repro.core.hypernel import (
-    System,
-    build_hypernel,
-    build_kvm_guest,
-    build_native,
-    build_system,
-)
-from repro.core.hypersec import Hypersec
-from repro.core.mbm import MemoryBusMonitor
-from repro.errors import ArchFault, SecurityViolation, SimulationError
-from repro.kernel import Kernel, KernelConfig
-from repro.security import (
-    CredIntegrityMonitor,
-    DentryIntegrityMonitor,
-    ExternalOnlyMonitor,
-    SecurityApp,
-    WholeObjectMonitor,
-)
+from repro.utils.lazy import lazy_exports
+
+#: public name -> the module that defines it.  Names resolve on first
+#: access (PEP 562), so ``python -m repro`` and a cache-served table
+#: never import the simulator they do not run (DESIGN.md §5b).
+_EXPORTS = {
+    "CostModel": "repro.config",
+    "PlatformConfig": "repro.config",
+    "juno_r1": "repro.config",
+    "juno_r1_daughterboard": "repro.config",
+    "System": "repro.core.hypernel",
+    "build_hypernel": "repro.core.hypernel",
+    "build_kvm_guest": "repro.core.hypernel",
+    "build_native": "repro.core.hypernel",
+    "build_system": "repro.core.hypernel",
+    "Hypersec": "repro.core.hypersec",
+    "MemoryBusMonitor": "repro.core.mbm",
+    "ArchFault": "repro.errors",
+    "SecurityViolation": "repro.errors",
+    "SimulationError": "repro.errors",
+    "Kernel": "repro.kernel",
+    "KernelConfig": "repro.kernel",
+    "CredIntegrityMonitor": "repro.security",
+    "DentryIntegrityMonitor": "repro.security",
+    "ExternalOnlyMonitor": "repro.security",
+    "SecurityApp": "repro.security",
+    "WholeObjectMonitor": "repro.security",
+}
 
 __version__ = "1.2.0"
 
@@ -62,3 +71,6 @@ __all__ = [
     "juno_r1",
     "juno_r1_daughterboard",
 ]
+
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -10,11 +10,20 @@
 * :mod:`repro.analysis.compare` — overhead math and table formatting.
 """
 
-from repro.analysis.compare import overhead_percent
-from repro.analysis.figures import Figure6Result, run_figure6
-from repro.analysis.monitoring import Table2Result, run_table2
-from repro.analysis.report import generate_report
-from repro.analysis.tables import Table1Result, run_table1
+from repro.utils.lazy import lazy_exports
+
+#: public name -> defining module, imported on first access (PEP 562):
+#: loading one runner never imports the others or the simulator.
+_EXPORTS = {
+    "Figure6Result": "repro.analysis.figures",
+    "Table1Result": "repro.analysis.tables",
+    "Table2Result": "repro.analysis.monitoring",
+    "generate_report": "repro.analysis.report",
+    "overhead_percent": "repro.analysis.compare",
+    "run_figure6": "repro.analysis.figures",
+    "run_table1": "repro.analysis.tables",
+    "run_table2": "repro.analysis.monitoring",
+}
 
 __all__ = [
     "Figure6Result",
@@ -26,3 +35,5 @@ __all__ = [
     "run_table1",
     "run_table2",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

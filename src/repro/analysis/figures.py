@@ -12,11 +12,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.config import PlatformConfig
-from repro.core.hypernel import build_system
 from repro.analysis import paper
 from repro.analysis.compare import arithmetic_mean, format_table
 from repro.tools.runner import Cell, CellCache, run_cells
-from repro.workloads.apps import default_applications
 
 SYSTEMS = ["native", "kvm-guest", "hypernel"]
 
@@ -92,7 +90,9 @@ def figure6_cells(
 
 def execute_cell(cell: Cell) -> Dict[str, Any]:
     """Worker body: build one system, run every application."""
+    from repro.core.hypernel import build_system
     from repro.obs import collect_metrics
+    from repro.workloads.apps import default_applications
 
     kwargs: Dict[str, Any] = {}
     if cell.environment == "hypernel":

@@ -16,14 +16,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.config import PlatformConfig
-from repro.core.hypernel import build_system
 from repro.analysis import paper
 from repro.analysis.compare import format_table
-from repro.security.baseline_page import WholeObjectMonitor
-from repro.security.cred_monitor import CredIntegrityMonitor
-from repro.security.dentry_monitor import DentryIntegrityMonitor
 from repro.tools.runner import Cell, CellCache, run_cells
-from repro.workloads.apps import default_applications
 
 GRANULARITIES = ["page", "word"]
 
@@ -105,7 +100,12 @@ def table2_cells(
 
 def execute_cell(cell: Cell) -> Dict[str, Any]:
     """Worker body: one monitored Hypernel system, all applications."""
+    from repro.core.hypernel import build_system
     from repro.obs import collect_metrics
+    from repro.security.baseline_page import WholeObjectMonitor
+    from repro.security.cred_monitor import CredIntegrityMonitor
+    from repro.security.dentry_monitor import DentryIntegrityMonitor
+    from repro.workloads.apps import default_applications
 
     if cell.environment == "page":
         monitors = [WholeObjectMonitor(("cred", "dentry"))]

@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.config import PlatformConfig
-from repro.core.hypernel import build_system
 from repro.analysis import paper
 from repro.analysis.compare import arithmetic_mean, format_table, overhead_percent
 from repro.tools.runner import Cell, CellCache, run_cells
-from repro.workloads.lmbench import LMBENCH_OPS, LmbenchSuite
+from repro.workloads.lmbench import LMBENCH_OPS
 
 SYSTEMS = ["native", "kvm-guest", "hypernel"]
 
@@ -82,7 +81,9 @@ def table1_cells(
 
 def execute_cell(cell: Cell) -> Dict[str, Any]:
     """Worker body: build one system, run its LMbench sweep."""
+    from repro.core.hypernel import build_system
     from repro.obs import collect_metrics
+    from repro.workloads.lmbench import LmbenchSuite
 
     kwargs: Dict[str, Any] = {}
     if cell.environment == "hypernel":

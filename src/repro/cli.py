@@ -34,6 +34,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -44,15 +45,72 @@ from repro.config import PlatformConfig
 from repro.errors import IntegrityError
 
 
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _finite_float(allow_zero: bool):
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid float value: {text!r}") from None
+        in_range = value >= 0 if allow_zero else value > 0
+        if not (math.isfinite(value) and in_range):
+            raise argparse.ArgumentTypeError(
+                f"must be a {'non-negative' if allow_zero else 'positive'} "
+                f"number, got {text}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+_positive_float = _finite_float(allow_zero=False)
+_nonnegative_float = _finite_float(allow_zero=True)
+
+
 def _platform_config(args) -> PlatformConfig:
+    return _platform_for(args.dram_mb)
+
+
+def _platform_for(dram_mb: int) -> PlatformConfig:
     return PlatformConfig(
-        dram_bytes=args.dram_mb * 1024 * 1024,
-        secure_bytes=max(16, args.dram_mb // 8) * 1024 * 1024,
+        dram_bytes=dram_mb * 1024 * 1024,
+        secure_bytes=max(16, dram_mb // 8) * 1024 * 1024,
     )
 
 
+def _boots(dram_mb: int) -> bool:
+    base, limit = _platform_for(dram_mb).page_pool()
+    return base < limit
+
+
+def _dram_mb(text: str) -> int:
+    value = _positive_int(text)
+    if not _boots(value):
+        # Usable DRAM grows with --dram-mb, so the first size that
+        # boots is the smallest.
+        smallest = next(mb for mb in itertools.count(value + 1) if _boots(mb))
+        raise argparse.ArgumentTypeError(
+            f"{value} MB is too small to boot; the smallest size that "
+            f"boots is {smallest} MB")
+    return value
+
+
 def _add_platform(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dram-mb", type=_positive_int, default=192,
+    parser.add_argument("--dram-mb", type=_dram_mb, default=192,
                         help="simulated DRAM size in MB (default 192)")
 
 
@@ -61,29 +119,6 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
     # runs fixed LMbench op counts and takes no scale.
     parser.add_argument("--scale", type=_positive_float, default=0.25,
                         help="workload scale factor (default 0.25)")
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive number, got {text}")
-    return value
 
 
 def _add_runner(parser: argparse.ArgumentParser) -> None:
@@ -390,11 +425,13 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     prune.add_argument("--dir", default=None,
                        help="cache directory (default REPRO_CACHE_DIR or "
                        "benchmarks/.cache)")
-    prune.add_argument("--max-age", type=float, default=None, metavar="DAYS",
-                       help="drop entries older than DAYS")
-    prune.add_argument("--max-bytes", type=int, default=None,
+    prune.add_argument("--max-age", type=_nonnegative_float, default=None,
+                       metavar="DAYS",
+                       help="drop entries older than DAYS (0 drops every "
+                       "entry)")
+    prune.add_argument("--max-bytes", type=_nonnegative_int, default=None,
                        help="evict oldest entries until the cache fits "
-                       "in this many bytes")
+                       "in this many bytes (0 empties it)")
 
 
 #: command name -> (handler, extra-argument installers).

@@ -17,6 +17,7 @@ hypercall vs VM-exit round trips) is what drives the reproduced results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Tuple
 
 
 #: Bytes per machine word.  The MBM bitmap maps one *word* to one bit.
@@ -33,6 +34,10 @@ SECTION_BYTES = 2 * 1024 * 1024
 
 #: Cache line size used by all cache models.
 LINE_BYTES = 64
+
+#: DRAM the kernel reserves at the bottom for its image and boot
+#: translation tables (``KernelConfig.image_reserve_bytes``).
+KERNEL_IMAGE_BYTES = 24 * 1024 * 1024
 
 
 @dataclass
@@ -97,6 +102,44 @@ class CostModel:
 
 
 @dataclass
+class OpCosts:
+    """Base compute costs (cycles) for kernel work the simulator does
+    not model access-by-access.
+
+    Calibrated so the *Native* column of Table 1 lands near the paper's
+    Native column on the default platform; the KVM and Hypernel columns
+    are then emergent (see DESIGN.md section 5).
+    """
+
+    slab_alloc: int = 40
+    slab_free: int = 30
+    fault_entry: int = 1300
+    path_component: int = 120
+    stat_base: int = 1400
+    open_base: int = 500
+    close_base: int = 200
+    rw_base: int = 400
+    create_base: int = 900
+    unlink_base: int = 700
+    attr_base: int = 300
+    sigaction_base: int = 400
+    signal_deliver_base: int = 2100
+    sigreturn_base: int = 500
+    pipe_create_base: int = 2000
+    pipe_rw_base: int = 2200
+    socket_create_base: int = 4500
+    socket_rw_base: int = 5200
+    context_switch_base: int = 6000
+    fork_base: int = 222000
+    exec_base: int = 14000
+    exit_base: int = 62000
+    wait_base: int = 9000
+    mmap_base: int = 8000
+    munmap_base: int = 8000
+    syscall_dispatch: int = 250
+
+
+@dataclass
 class PlatformConfig:
     """Static description of the simulated platform.
 
@@ -149,6 +192,15 @@ class PlatformConfig:
     def secure_base(self) -> int:
         """Base physical address of the reserved secure region."""
         return self.dram_limit - self.secure_bytes
+
+    def page_pool(self, image_bytes: int = KERNEL_IMAGE_BYTES) -> Tuple[int, int]:
+        """``(base, limit)`` of the pages the kernel allocates from: DRAM
+        above a kernel image of ``image_bytes``, below the secure region.
+        The kernel cannot boot when the pool is empty (``base >= limit``).
+        """
+        base = self.dram_base + image_bytes
+        base += -base % PAGE_BYTES  # round up to a page boundary
+        return base, self.secure_base
 
     def cycles_to_us(self, cycles: int) -> float:
         """Convert a cycle count to microseconds at the CPU frequency."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.config import WORD_BYTES
 from repro.errors import MemoryRangeError
@@ -175,6 +175,23 @@ class PhysicalMemory:
             # writes, which locate (or reject) each remaining address.
             for addr in range(span_end, end, WORD_BYTES):
                 self.write_word(addr, value)
+
+    def write_words(self, paddr: int, values: Sequence[int]) -> None:
+        """Store ``values`` (64-bit words) consecutively from ``paddr``."""
+        if not values:
+            return
+        require_aligned(paddr, WORD_BYTES)
+        chunks = (
+            self._last_chunks
+            if self._last_base <= paddr < self._last_limit
+            else self._locate(paddr)
+        )
+        if paddr + len(values) * WORD_BYTES <= self._last_limit:
+            self._write_span(chunks, paddr - self._last_base,
+                             struct.pack(f"<{len(values)}Q", *values))
+            return
+        for index, value in enumerate(values):
+            self.write_word(paddr + index * WORD_BYTES, value)
 
     def _fill_span(self, chunks: Dict[int, bytearray], offset: int,
                    nwords: int, value: int) -> None:

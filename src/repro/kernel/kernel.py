@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.config import PAGE_BYTES, WORD_BYTES
+from repro.config import KERNEL_IMAGE_BYTES, WORD_BYTES, OpCosts
 from repro.errors import ConfigurationError, PermissionFault, SecurityViolation
 from repro.hw.platform import Platform
 from repro.arch.cpu import CPUCore
@@ -37,47 +37,8 @@ from repro.kernel.slab import SlabRegistry
 from repro.kernel.sockets import SocketManager
 from repro.kernel.vfs import VFS
 from repro.kernel.vmm import UserVmm
-from repro.utils.bitops import align_up
 from repro.utils.events import EventHook
 from repro.utils.stats import StatSet
-
-
-@dataclass
-class OpCosts:
-    """Base compute costs (cycles) for kernel work the simulator does
-    not model access-by-access.
-
-    Calibrated so the *Native* column of Table 1 lands near the paper's
-    Native column on the default platform; the KVM and Hypernel columns
-    are then emergent (see DESIGN.md section 5).
-    """
-
-    slab_alloc: int = 40
-    slab_free: int = 30
-    fault_entry: int = 1300
-    path_component: int = 120
-    stat_base: int = 1400
-    open_base: int = 500
-    close_base: int = 200
-    rw_base: int = 400
-    create_base: int = 900
-    unlink_base: int = 700
-    attr_base: int = 300
-    sigaction_base: int = 400
-    signal_deliver_base: int = 2100
-    sigreturn_base: int = 500
-    pipe_create_base: int = 2000
-    pipe_rw_base: int = 2200
-    socket_create_base: int = 4500
-    socket_rw_base: int = 5200
-    context_switch_base: int = 6000
-    fork_base: int = 222000
-    exec_base: int = 14000
-    exit_base: int = 62000
-    wait_base: int = 9000
-    mmap_base: int = 8000
-    munmap_base: int = 8000
-    syscall_dispatch: int = 250
 
 
 @dataclass
@@ -87,7 +48,7 @@ class KernelConfig:
     #: ``"section"`` (vanilla) or ``"page"`` (Hypernel-patched, §6.2).
     linear_map_mode: str = "section"
     #: DRAM reserved at the bottom for the kernel image + boot tables.
-    image_reserve_bytes: int = 24 * 1024 * 1024
+    image_reserve_bytes: int = KERNEL_IMAGE_BYTES
     op_costs: OpCosts = field(default_factory=OpCosts)
 
 
@@ -148,8 +109,7 @@ class Kernel:
         table_pool_base = image_base + 2 * 1024 * 1024
         root = self.linear_map.build(table_pool_base, image_limit)
         self.allocator = PageAllocator(
-            align_up(image_limit, PAGE_BYTES), self.platform.secure_base
-        )
+            *config.page_pool(self.config.image_reserve_bytes))
         self.cpu.msr("TTBR1_EL1", root)
         self.cpu.msr("SCTLR_EL1", self.cpu.regs.read("SCTLR_EL1") | SCTLR_M)
         self.slab = SlabRegistry(self)

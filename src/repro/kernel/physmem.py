@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.config import PAGE_BYTES, SECTION_BYTES
+from repro.config import PAGE_BYTES, PAGE_WORDS, SECTION_BYTES
 from repro.errors import AllocationError, ConfigurationError
 from repro.hw.platform import Platform
 from repro.arch.pagetable import (
@@ -129,8 +129,7 @@ class LinearMap:
         paddr = self._table_cursor
         self._table_cursor += PAGE_BYTES
         self.table_pages.add(paddr)
-        for offset in range(0, PAGE_BYTES, 8):
-            self.platform.bus.poke(paddr + offset, 0)
+        self.platform.bus.memory.fill(paddr, PAGE_WORDS, 0)
         return paddr
 
     def build(self, table_pool_base: int, table_pool_limit: int) -> int:
@@ -148,7 +147,6 @@ class LinearMap:
         bus = self.platform.bus
 
         l2_tables: Dict[int, int] = {}
-        l3_tables: Dict[int, int] = {}
 
         def l2_for(offset: int) -> int:
             index = index_for_level(offset, 1)
@@ -165,18 +163,18 @@ class LinearMap:
                 desc = make_block_desc(paddr, writable=True, cacheable=True)
                 bus.poke(l2 + index_for_level(offset, 2) * 8, desc)
         else:
-            for paddr in range(base, limit, PAGE_BYTES):
-                offset = paddr - base
+            # One level-3 table per section, stored whole: leaf i of the
+            # table starting at ``section`` maps ``section + i`` pages.
+            flags = make_page_desc(base, writable=True, cacheable=True) ^ base
+            for section in range(base, limit, SECTION_BYTES):
+                offset = section - base
                 l2 = l2_for(offset)
-                section_index = offset // SECTION_BYTES
-                if section_index not in l3_tables:
-                    table = self._alloc_table()
-                    bus.poke(
-                        l2 + index_for_level(offset, 2) * 8, make_table_desc(table)
-                    )
-                    l3_tables[section_index] = table
-                desc = make_page_desc(paddr, writable=True, cacheable=True)
-                bus.poke(l3_tables[section_index] + index_for_level(offset, 3) * 8, desc)
+                table = self._alloc_table()
+                bus.poke(l2 + index_for_level(offset, 2) * 8, make_table_desc(table))
+                bus.memory.write_words(table, [
+                    paddr | flags for paddr in range(
+                        section, min(limit, section + SECTION_BYTES), PAGE_BYTES)
+                ])
         return self.root
 
     # ------------------------------------------------------------------

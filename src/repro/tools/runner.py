@@ -31,15 +31,17 @@ machinery:
 :class:`CellCache`
     A content-addressed on-disk cache (default ``benchmarks/.cache/``).
     Keys hash the cell parameters together with every
-    :class:`~repro.config.CostModel` and
-    :class:`~repro.kernel.kernel.OpCosts` constant and a digest of the
+    :class:`~repro.config.CostModel` and :class:`~repro.config.OpCosts`
+    constant and a digest of the
     package's source files (:func:`source_digest`), so edits that can
     change cycle accounting invalidate cached results automatically.
 
 The executor for a cell is resolved from :data:`KIND_EXECUTORS` by
 dotted path at execution time (in the worker process), which keeps this
 module import-light and works under both ``fork`` and ``spawn`` start
-methods.
+methods.  ``concurrent.futures`` (and with it ``multiprocessing``) is
+imported only when a pool is built, so a run served from the cache
+never loads it (DESIGN.md §5b).
 """
 
 from __future__ import annotations
@@ -54,13 +56,11 @@ import signal
 import sys
 import tempfile
 import time
-from concurrent.futures import TimeoutError as _FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.config import PlatformConfig
+from repro.config import OpCosts, PlatformConfig
 
 #: Default per-job timeout (seconds).  Generous: a paper-scale cell is
 #: minutes of work; the timeout exists to surface a hung worker instead
@@ -197,8 +197,6 @@ def cost_fingerprint(platform_config: Optional[PlatformConfig]) -> Dict[str, Any
     compute costs come from :class:`OpCosts` defaults (cells always
     build kernels with the default :class:`KernelConfig`).
     """
-    from repro.kernel.kernel import OpCosts
-
     config = platform_config if platform_config is not None else PlatformConfig()
     return {
         "platform": dataclasses.asdict(config),
@@ -436,6 +434,9 @@ def run_cells(
     if pending:
         pool = None
         if jobs > 1 and len(pending) > 1:
+            from concurrent.futures import TimeoutError as FutureTimeout
+            from concurrent.futures.process import BrokenProcessPool
+
             factory = executor_factory or _default_executor_factory
             try:
                 pool = factory(min(jobs, len(pending)))
@@ -452,7 +453,7 @@ def run_cells(
                     cell = cells[index]
                     try:
                         results[index] = future.result(timeout=timeout)
-                    except _FutureTimeout:
+                    except FutureTimeout:
                         raise RunnerError(
                             f"cell {cell.label()} timed out after {timeout:.0f}s",
                             cell,

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.core.hypernel import System
-from repro.kernel.process import Task
+if TYPE_CHECKING:
+    from repro.core.hypernel import System
+    from repro.kernel.process import Task
 
 
 @dataclass

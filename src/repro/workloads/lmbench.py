@@ -15,11 +15,13 @@ reports).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.config import PAGE_BYTES
-from repro.core.hypernel import System
-from repro.kernel.process import Task
+
+if TYPE_CHECKING:
+    from repro.core.hypernel import System
+    from repro.kernel.process import Task
 
 #: Table 1 row names, in the paper's order.
 LMBENCH_OPS = [

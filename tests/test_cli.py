@@ -260,6 +260,22 @@ class TestCli:
         self._assert_usage_error(monkeypatch, capsys, argv,
                                  f"argument {argv[1]}: {message}")
 
+    @pytest.mark.parametrize("command", ["info", "table1", "attacks"])
+    @pytest.mark.parametrize("dram_mb", ["1", "40"])
+    def test_dram_too_small_to_boot_is_a_usage_error(self, monkeypatch,
+                                                     capsys, command, dram_mb):
+        # The kernel image and the secure region leave no page to
+        # allocate: rejected at parse time with the smallest size that
+        # boots, instead of a ConfigurationError traceback.
+        self._assert_usage_error(
+            monkeypatch, capsys, [command, "--dram-mb", dram_mb],
+            f"argument --dram-mb: {dram_mb} MB is too small to boot; "
+            "the smallest size that boots is 41 MB")
+
+    def test_smallest_bootable_dram_boots(self, capsys):
+        assert main(["info", "--dram-mb", "41"]) == 0
+        assert "DRAM: 41 MB" in capsys.readouterr().out
+
     def test_removed_metrics_snapshot_flag_is_a_usage_error(self, monkeypatch,
                                                             capsys):
         self._assert_usage_error(monkeypatch, capsys,
@@ -357,6 +373,30 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "pruned 1 entries; 1 remain (256 bytes)" in out
         assert not (tmp_path / "bbbb.json").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--max-age", "-1"], "must be a non-negative number, got -1"),
+        (["--max-age", "nan"], "must be a non-negative number, got nan"),
+        (["--max-age", "inf"], "must be a non-negative number, got inf"),
+        (["--max-bytes", "-1"], "must be at least 0, got -1"),
+    ])
+    def test_negative_prune_limit_is_a_usage_error(self, monkeypatch, capsys,
+                                                   tmp_path, argv, message):
+        # A negative limit used to delete every entry and exit 0.
+        self._seed(tmp_path)
+        TestCli._assert_usage_error(
+            monkeypatch, capsys,
+            ["cache", "prune", "--dir", str(tmp_path), *argv],
+            f"argument {argv[0]}: {message}")
+        assert len(list(tmp_path.glob("*.json"))) == 2
+
+    @pytest.mark.parametrize("limit", ["--max-age", "--max-bytes"])
+    def test_cache_prune_zero_empties_the_cache(self, capsys, tmp_path, limit):
+        self._seed(tmp_path)
+        assert main(["cache", "prune", "--dir", str(tmp_path),
+                     limit, "0"]) == 0
+        assert "pruned 2 entries; 0 remain" in capsys.readouterr().out
+        assert not list(tmp_path.glob("*.json"))
 
     def test_cache_requires_action(self):
         with pytest.raises(SystemExit):

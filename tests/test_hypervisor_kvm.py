@@ -57,6 +57,39 @@ class TestStage2DemandFaulting:
         assert system.kvm.stats.get("stage2_faults") == faults_before
 
 
+class TestBulkPrepopulate:
+    @pytest.mark.parametrize("skip_head,skip_tail", [(0, 0), (5, 3)])
+    def test_matches_mapping_page_by_page(self, platform_config, skip_head,
+                                          skip_tail):
+        """``prepopulate`` writes the same stage-2 tables, charges the
+        same cycles and counts the same events as ``map_ipa`` on every
+        page in turn, also for a range that starts and ends mid-line."""
+        from repro.core.hypernel import build_kvm_guest
+        from repro.obs import collect_metrics
+
+        bulk, ref = (build_kvm_guest(platform_config=platform_config)
+                     for _ in range(2))
+        base = bulk.kvm.guest_base + skip_head * PAGE_BYTES
+        limit = bulk.kvm.guest_limit - skip_tail * PAGE_BYTES
+        bulk.kvm.prepopulate(base, limit)
+        for ipa in range(base, limit, PAGE_BYTES):
+            ref.kvm.map_ipa(ipa)
+        ref.cpu.mmu.invalidate_stage2()
+
+        assert bulk.platform.clock.now == ref.platform.clock.now
+        assert bulk.count_accesses() == ref.count_accesses()
+        assert (collect_metrics(bulk).to_dict()
+                == collect_metrics(ref).to_dict())
+        for level in ("l1", "l2"):
+            assert (getattr(bulk.platform.caches, level)._sets
+                    == getattr(ref.platform.caches, level)._sets)
+        table_base = bulk.platform.secure_base
+        assert bulk.kvm._table_cursor == ref.kvm._table_cursor
+        words = (bulk.kvm._table_cursor - table_base) // 8
+        assert (bulk.platform.bus.memory.read_words(table_base, words)
+                == ref.platform.bus.memory.read_words(table_base, words))
+
+
 class TestNestedWalkCost:
     def test_nested_walks_fetch_more_descriptors(self, system, native_system):
         native_system.spawn_init()

@@ -148,6 +148,29 @@ class TestLinearMap:
         span = SECTION_BYTES if level == 2 else PAGE_BYTES
         assert (raw & ~0xFFF & ((1 << 48) - 1)) == paddr - paddr % span
 
+    @pytest.mark.parametrize("secure_mb", [8, 7])
+    def test_page_mode_leaf_for_every_page(self, secure_mb):
+        # The tables are stored a section at a time; every page below
+        # the secure region still gets exactly its own leaf, including
+        # the pages of a last, partly used table (secure_mb=7).
+        from repro.arch.pagetable import make_page_desc
+
+        platform = small_platform(secure_bytes=secure_mb * 1024 * 1024)
+        linear = LinearMap(platform, "page")
+        base = platform.config.dram_base
+        linear.build(base + 2 * 1024 * 1024, base + 24 * 1024 * 1024)
+        limit = platform.secure_base
+        for paddr in range(base, limit, PAGE_BYTES):
+            desc_addr, level = linear.leaf_desc_addr(paddr)
+            assert level == 3
+            assert platform.bus.peek(desc_addr) == make_page_desc(paddr)
+        last_table = linear.leaf_desc_addr(limit - PAGE_BYTES)[0] & ~0xFFF
+        unused = range(linear.leaf_desc_addr(limit - PAGE_BYTES)[0] + 8,
+                       last_table + PAGE_BYTES, 8)
+        assert all(platform.bus.peek(addr) == 0 for addr in unused)
+        sections = -(-(limit - base) // SECTION_BYTES)
+        assert len(linear.table_pages) == 1 + 1 + sections
+
     def test_leaf_desc_addr_outside_map_rejected(self):
         platform, linear, _ = self._mapped_cpu("page")
         with pytest.raises(AllocationError):

@@ -1,7 +1,7 @@
 """Property tests: vectorized bulk memory paths vs word-at-a-time models.
 
 The bulk fast paths (``PhysicalMemory.fill``/``copy_words``/
-``read_words``, ``Caches.touch_block``'s batched read-miss and
+``read_words``/``write_words``, ``Caches.touch_block``'s batched read-miss and
 streaming-store loops, ``MemoryBus.write_block``'s coalesced bitmap
 scan, ``MemoryBus.peek_words``, the invariant checkers' whole-table and
 whole-bitmap reads, and their per-table fast accept) are pure
@@ -104,6 +104,10 @@ _mem_ops = st.lists(
             st.just("write"), _edge_offsets,
             st.integers(0, (1 << 64) - 1), st.just(0),
         ),
+        st.tuples(
+            st.just("store"), _edge_offsets, st.integers(1, 3 * CHUNK_WORDS),
+            st.sampled_from([0, 1, 0xDEAD_BEEF_0BAD_F00D, (1 << 64) - 1]),
+        ),
     ),
     min_size=1,
     max_size=12,
@@ -137,6 +141,14 @@ class TestPhysicalMemoryBulkOps:
                         BASE + (dst + i) * WORD,
                         ref.read_word(BASE + (src + i) * WORD),
                     )
+            elif op[0] == "store":
+                # A run of distinct words with zeros among them.
+                _, off, n, seed = op
+                n = min(n, WINDOW_WORDS - off)
+                values = [(seed * i) % (1 << 64) for i in range(n)]
+                fast.write_words(BASE + off * WORD, values)
+                for i, value in enumerate(values):
+                    ref.write_word(BASE + (off + i) * WORD, value)
             else:
                 _, off, value, _ = op
                 fast.write_word(BASE + off * WORD, value)
