@@ -75,6 +75,11 @@ def _finite_float(allow_zero: bool):
     return parse
 
 
+class _UsageError(Exception):
+    """Arguments that parse one by one but not together; ``main``
+    reports it as the command's usage error (exit 2)."""
+
+
 _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 _positive_float = _finite_float(allow_zero=False)
@@ -301,6 +306,11 @@ def cmd_fuzz(args) -> int:
     )
 
     profiles = list(PROFILES) if args.profile == "both" else [args.profile]
+    if not args.corpus and args.max_examples < len(profiles):
+        raise _UsageError(
+            f"argument --max-examples: {args.max_examples} is fewer than "
+            f"the {len(profiles)} selected profiles; the minimum is "
+            f"{len(profiles)}")
     totals: dict = {}
     failure: Optional[str] = None
     started = time.time()
@@ -317,13 +327,16 @@ def cmd_fuzz(args) -> int:
             failure = str(exc)
             merge(FUZZ_STATS)
     else:
-        per_profile = max(1, args.max_examples // len(profiles))
-        for profile in profiles:
-            print(f"fuzzing {profile!r} profile: {per_profile} examples, "
+        # The shares add up to --max-examples; the earlier profile takes
+        # the remainder.
+        quotient, remainder = divmod(args.max_examples, len(profiles))
+        for index, profile in enumerate(profiles):
+            share = quotient + (index < remainder)
+            print(f"fuzzing {profile!r} profile: {share} examples, "
                   f"{args.steps} steps each, seed {args.seed} ...")
             try:
                 merge(run_fuzz(profile=profile, seed=args.seed,
-                               max_examples=per_profile, steps=args.steps))
+                               max_examples=share, steps=args.steps))
             except FuzzViolation as exc:
                 failure = f"[{profile}] {exc}"
                 merge(FUZZ_STATS)
@@ -368,7 +381,9 @@ def _add_fuzz_args(parser: argparse.ArgumentParser) -> None:
                         "deterministic per seed)")
     parser.add_argument("--max-examples", type=_positive_int, default=100,
                         help="total state-machine examples across the "
-                        "selected profiles (default 100)")
+                        "selected profiles, split evenly with the "
+                        "remainder going to the earlier profile; at "
+                        "least one per profile (default 100)")
     parser.add_argument("--steps", type=_positive_int, default=8,
                         help="rules per example (default 8)")
     parser.add_argument("--corpus", default=None, metavar="DIR",
@@ -463,6 +478,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except _UsageError as exc:
+        subparsers.choices[args.command].error(str(exc))
     except IntegrityError as exc:
         print(f"INTEGRITY FAILURE: {exc}")
         return 1

@@ -766,15 +766,10 @@ class Hypersec(EL2Vector):
                 if self.mbm is not None
                 else nullcontext()
             )
+            span = SECTION_BYTES if level == 2 else PAGE_BYTES
             with flush:
-                if level == 2:
-                    section = align_down(page_paddr, SECTION_BYTES)
-                    for off in range(0, SECTION_BYTES, PAGE_BYTES):
-                        self.platform.caches.clean_invalidate_page(
-                            section + off
-                        )
-                else:
-                    self.platform.caches.clean_invalidate_page(page_paddr)
+                self.platform.caches.clean_invalidate_range(
+                    align_down(page_paddr, span), span)
         if level == 2:
             self.cpu.tlbi_all()
         else:

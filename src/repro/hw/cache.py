@@ -107,12 +107,25 @@ class Cache:
         if lines is not None and line_addr in lines:
             lines[line_addr] = True
 
-    def remove(self, line_addr: int) -> Optional[bool]:
-        """Invalidate a line; returns its dirty bit, or ``None`` if absent."""
-        lines = self._sets.get(self._set_index(line_addr))
-        if lines is None:
-            return None
-        return lines.pop(line_addr, None)
+    def remove_range(self, first: int, limit: int) -> Dict[int, bool]:
+        """Invalidate every resident line in ``[first, limit)``; returns
+        ``{line: dirty}`` for the lines removed.
+
+        Visits each set the range maps to once and scans only that
+        set's resident lines, so a range larger than the cache costs
+        what the cache holds rather than one probe per line.
+        """
+        removed: Dict[int, bool] = {}
+        sets = self._sets
+        num_sets = self.num_sets
+        start = first // self.line_bytes
+        touched = min((limit - first) // self.line_bytes, num_sets)
+        for index in range(start, start + touched):
+            lines = sets.get(index % num_sets)
+            if lines:
+                for line in [line for line in lines if first <= line < limit]:
+                    removed[line] = lines.pop(line)
+        return removed
 
     def invalidate_all(self) -> None:
         """Drop every line without writeback (power-on state)."""
@@ -448,21 +461,30 @@ class CacheHierarchy:
     # Cache maintenance
     # ------------------------------------------------------------------
     def clean_invalidate_page(self, page_paddr: int) -> int:
-        """Clean+invalidate every line of the 4 KB page at ``page_paddr``.
+        """Clean+invalidate every line of the 4 KB page at ``page_paddr``;
+        returns the number of lines written back."""
+        return self.clean_invalidate_range(page_paddr, PAGE_BYTES)
 
-        Used by Hypersec when it turns a page non-cacheable: resident
-        dirty lines are written back, clean lines dropped.  Returns the
-        number of lines written back.
+    def clean_invalidate_range(self, base: int, nbytes: int) -> int:
+        """Clean+invalidate every line of the ``nbytes`` (a multiple of
+        4 KB) starting at the page holding ``base``.
+
+        Used by Hypersec when it turns memory non-cacheable: the range's
+        resident lines leave L1 and L2 in one pass over each level's
+        sets, then the dirty ones (dirty in either level) are written
+        back in ascending address order, clean ones dropped.  Bus
+        traffic, clock and stats equal a page-by-page, line-by-line
+        flush; ``page_maintenance_ops`` counts one per 4 KB page.
+        Returns the number of lines written back.
         """
-        base = align_down(page_paddr, PAGE_BYTES)
-        written_back = 0
-        for offset in range(0, PAGE_BYTES, self.l1.line_bytes):
-            line = base + offset
-            l1_dirty = self.l1.remove(line)
-            l2_dirty = self.l2.remove(line)
-            dirty = bool(l1_dirty) or bool(l2_dirty)
-            if dirty:
-                self.bus.writeback_line(line)
-                written_back += 1
-        self.stats.add("page_maintenance_ops")
-        return written_back
+        first = align_down(base, PAGE_BYTES)
+        limit = first + nbytes
+        dirty = self.l1.remove_range(first, limit)
+        for line, was_dirty in self.l2.remove_range(first, limit).items():
+            dirty[line] = dirty.get(line, False) or was_dirty
+        written_back = sorted(line for line, was_dirty in dirty.items()
+                              if was_dirty)
+        for line in written_back:
+            self.bus.writeback_line(line)
+        self.stats.add("page_maintenance_ops", nbytes // PAGE_BYTES)
+        return len(written_back)

@@ -44,7 +44,10 @@ yields each table's 512 raw words as it reads them, and builds no
 words *fast-accepts* the whole table when no entry is writable and
 executable at kernel level, maps a page overlapping the secure region,
 or maps a registered table page writable; an accepted table only adds
-its valid-word count to ``leaves_checked``.  That pass is a filter, not
+its valid-word count to ``leaves_checked``.  Verdicts are remembered
+by geometry, table-page set and a digest of the valid words, so a
+table unchanged since an audit over the same table pages costs one
+hash.  That pass is a filter, not
 a second spec: every level-1/2 block leaf, and every leaf of a table it
 does not accept, goes through the ``LEAF_INVARIANTS`` predicate objects,
 so each finding (and its order) still comes from the shared predicates.
@@ -52,11 +55,14 @@ so each finding (and its order) still comes from the shared predicates.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from itertools import compress
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Optional,
@@ -407,12 +413,32 @@ def accepts_page_table(geometry: Geometry, valid: List[int],
         for raw in valid])
 
 
+#: Recent ``accepts_page_table`` verdicts, keyed by everything a verdict
+#: depends on: the geometry, the audit's table pages (one frozenset per
+#: audit, shared by its keys) and a digest of the table's valid words.
+#: An unchanged table is then one hash per audit.  Holds at most
+#: PAGE_WORDS entries; the oldest leaves first.
+_PAGE_TABLE_VERDICTS: Dict[Tuple[Geometry, FrozenSet[int], bytes], bool] = {}
+
+
+def _accepts_page_table_cached(geometry: Geometry, valid: List[int],
+                               table_pages: FrozenSet[int]) -> bool:
+    key = (geometry, table_pages, blake2b(array("Q", valid)).digest())
+    verdict = _PAGE_TABLE_VERDICTS.get(key)
+    if verdict is None:
+        verdict = accepts_page_table(geometry, valid, table_pages)
+        if len(_PAGE_TABLE_VERDICTS) >= PAGE_WORDS:
+            del _PAGE_TABLE_VERDICTS[next(iter(_PAGE_TABLE_VERDICTS))]
+        _PAGE_TABLE_VERDICTS[key] = verdict
+    return verdict
+
+
 def run_invariants(evidence: Evidence) -> InvariantReport:
     """Run every invariant check against ``evidence``."""
     report = InvariantReport()
     _check_ttbrs(evidence, report)
     geometry = evidence.geometry
-    table_pages = evidence.table_pages()
+    table_pages = frozenset(evidence.table_pages())
     reached: Set[int] = set()
     for root in evidence.roots():
         # Leaf findings wait until the walk is over, so a root's
@@ -424,7 +450,7 @@ def run_invariants(evidence: Evidence) -> InvariantReport:
             if level == 3:
                 valid = [raw for raw in words if raw & DESC_VALID]
                 report.leaves_checked += len(valid)
-                if accepts_page_table(geometry, valid, table_pages):
+                if _accepts_page_table_cached(geometry, valid, table_pages):
                     continue
                 leaves = [(index, raw) for index, raw in enumerate(words)
                           if raw & DESC_VALID]
@@ -509,6 +535,8 @@ def _check_bitmap(evidence: Evidence, report: InvariantReport) -> None:
     for start in range(0, nwords, _BITMAP_WINDOW):
         words = evidence.peek_words(bitmap_base + start * WORD_BYTES,
                                     min(_BITMAP_WINDOW, nwords - start))
+        if words.count(0) == len(words):
+            continue  # nothing set: the usual window
         for index in compress(range(len(words)), words):
             actual_at[start + index] = words[index]
     wanted_at: Dict[int, int] = {}

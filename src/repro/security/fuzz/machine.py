@@ -41,6 +41,20 @@ exercised end to end, but the machine stays in the envelope where
 "accepted + dirty audit" can only mean a genuine Hypersec bug.
 Predicted-deny requests are never tamed — they must bounce off the
 policy unchanged.
+
+**Inputs depend on the source text.**  A seed fixes the inputs only
+together with the code Hypothesis can see: its "local constants"
+feature collects the literals of every loaded module outside
+site-packages and the standard library, and answers about 5% of
+integer draws with one of them.  Hypothesis skips integers between
+-100 and 100, so an added integer literal up to ``2**16`` (the
+``index`` range) in a module ``fuzz`` imports, or a change in which
+``repro`` modules it imports, can change what ``fuzz --seed N`` runs.
+Such a change must re-check the fuzz golden
+(``benchmarks/e2e/expected/fuzz-seed0.txt``); name a bound through an
+existing constant instead of a new literal where that will do.  The
+same feature parses the ``repro`` sources on a cold run (about 0.2 s)
+and caches the result in ``./.hypothesis/constants``.
 """
 
 from __future__ import annotations
@@ -808,7 +822,9 @@ def fuzz_machine(profile: str = "section"):
             # other, so only the cyclic collector frees them.  Collect
             # it here rather than whenever allocation volume next
             # triggers a full collection, so discarded machines do not
-            # pile up and raise peak memory.
+            # pile up and raise peak memory.  ``run_fuzz`` froze the
+            # heap it started with, so this walks only what the run
+            # allocated since.
             gc.collect()
             self.ctx = FuzzContext(restore_from_snapshot(boot))
 
@@ -923,16 +939,32 @@ def run_fuzz(profile: str = "section", seed: int = 0,
 
     reset_stats()
     machine = fuzz_machine(profile)
-    run_state_machine_as_test(
-        hypothesis_seed(seed)(machine),
-        settings=settings(
-            max_examples=max_examples,
-            stateful_step_count=steps,
-            deadline=None,
-            database=None,
-            suppress_health_check=list(HealthCheck),
-        ),
-    )
+
+    # Hypothesis digests the factory's source for a database key it
+    # never uses here (``database=None``): a function's source is its
+    # own few lines, a nested class's means parsing this whole module.
+    def new_machine():
+        return machine()
+
+    # Everything alive now (the boot images, the imported modules,
+    # Hypothesis itself) outlives the run: move it out of the
+    # collector's reach, so each example's collection walks only the
+    # objects the run allocated.
+    gc.collect()
+    gc.freeze()
+    try:
+        run_state_machine_as_test(
+            hypothesis_seed(seed)(new_machine),
+            settings=settings(
+                max_examples=max_examples,
+                stateful_step_count=steps,
+                deadline=None,
+                database=None,
+                suppress_health_check=list(HealthCheck),
+            ),
+        )
+    finally:
+        gc.unfreeze()
     return dict(FUZZ_STATS)
 
 

@@ -238,6 +238,8 @@ class SnapshotEvidence(Evidence):
                 for start in range(0, nwords, _READ_WINDOW):
                     words = self.peek_words(base + start * WORD_BYTES,
                                             min(_READ_WINDOW, nwords - start))
+                    if words.count(0) == len(words):
+                        continue  # nothing set: the usual window
                     for index, raw in enumerate(words, start):
                         while raw:
                             bit = (raw & -raw).bit_length() - 1

@@ -6,16 +6,22 @@ benchmarks (whetstone, dhrystone, untar, iozone, apache) used in
 Figure 6 and Table 2.
 """
 
-from repro.workloads.apps import (
-    ApacheWorkload,
-    ApplicationWorkload,
-    DhrystoneWorkload,
-    IozoneWorkload,
-    UntarWorkload,
-    WhetstoneWorkload,
-    default_applications,
-)
-from repro.workloads.lmbench import LMBENCH_OPS, LmbenchSuite
+from repro.utils.lazy import lazy_exports
+
+#: public name -> defining module, imported on first access (PEP 562):
+#: Table 1, which needs only the LMbench names, never loads the
+#: application models.
+_EXPORTS = {
+    "ApacheWorkload": "repro.workloads.apps",
+    "ApplicationWorkload": "repro.workloads.apps",
+    "DhrystoneWorkload": "repro.workloads.apps",
+    "IozoneWorkload": "repro.workloads.apps",
+    "LMBENCH_OPS": "repro.workloads.lmbench",
+    "LmbenchSuite": "repro.workloads.lmbench",
+    "UntarWorkload": "repro.workloads.apps",
+    "WhetstoneWorkload": "repro.workloads.apps",
+    "default_applications": "repro.workloads.apps",
+}
 
 __all__ = [
     "ApacheWorkload",
@@ -28,3 +34,5 @@ __all__ = [
     "WhetstoneWorkload",
     "default_applications",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

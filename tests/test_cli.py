@@ -276,6 +276,46 @@ class TestCli:
         assert main(["info", "--dram-mb", "41"]) == 0
         assert "DRAM: 41 MB" in capsys.readouterr().out
 
+    @staticmethod
+    def _spy_run_fuzz(monkeypatch):
+        """Replace ``run_fuzz`` with a recorder of (profile, examples)."""
+        from repro.security.fuzz import machine
+
+        calls = []
+
+        def run_fuzz(profile, seed, max_examples, steps):
+            calls.append((profile, max_examples))
+            return {"examples": max_examples, "ops": max_examples}
+
+        monkeypatch.setattr(machine, "run_fuzz", run_fuzz)
+        return calls
+
+    @pytest.mark.parametrize("argv,shares", [
+        (["--max-examples", "10"], [("section", 5), ("page", 5)]),
+        (["--max-examples", "3"], [("section", 2), ("page", 1)]),
+        (["--max-examples", "2"], [("section", 1), ("page", 1)]),
+        (["--max-examples", "1", "--profile", "page"], [("page", 1)]),
+    ])
+    def test_fuzz_max_examples_is_the_total(self, monkeypatch, capsys, argv,
+                                            shares):
+        # The profiles' shares add up to --max-examples; the earlier
+        # profile takes the remainder.
+        calls = self._spy_run_fuzz(monkeypatch)
+        assert main(["fuzz", *argv]) == 0
+        assert calls == shares
+        out = capsys.readouterr().out
+        for profile, share in shares:
+            assert f"fuzzing {profile!r} profile: {share} examples" in out
+
+    def test_fuzz_fewer_examples_than_profiles_is_a_usage_error(
+            self, monkeypatch, capsys):
+        calls = self._spy_run_fuzz(monkeypatch)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", "--max-examples", "1"])
+        assert excinfo.value.code == 2 and calls == []
+        assert ("argument --max-examples: 1 is fewer than the 2 selected "
+                "profiles; the minimum is 2") in capsys.readouterr().err
+
     def test_removed_metrics_snapshot_flag_is_a_usage_error(self, monkeypatch,
                                                             capsys):
         self._assert_usage_error(monkeypatch, capsys,

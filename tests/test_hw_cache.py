@@ -36,13 +36,12 @@ class TestCacheBasics:
         cache = Cache("c", 4096, 2)
         cache.insert(0x1000, dirty=True)
         cache.insert(0x1000, dirty=False)
-        dirty = cache.remove(0x1000)
-        assert dirty is True
+        assert cache.remove_range(0x1000, 0x1040) == {0x1000: True}
 
     def test_mark_dirty_absent_line_noop(self):
         cache = Cache("c", 4096, 2)
         cache.mark_dirty(0x2000)
-        assert cache.remove(0x2000) is None
+        assert cache.remove_range(0x2000, 0x2040) == {}
 
     def test_eviction_reports_dirtiness(self):
         cache = Cache("c", 64, 1)  # single line
@@ -143,3 +142,85 @@ class TestHierarchy:
             reference[paddr] = value
         for paddr, value in reference.items():
             assert platform.caches.read(paddr, cacheable=True) == value
+
+
+class TestRangeFlush:
+    """One ``clean_invalidate_range`` over a 2 MB block is the
+    page-by-page flush it replaced, on a booted machine's warm caches."""
+
+    @staticmethod
+    def _busiest_section(system):
+        """The 2 MB block with the most dirty resident L2 lines."""
+        from collections import Counter
+
+        from repro.config import SECTION_BYTES
+
+        dirty = Counter(line - line % SECTION_BYTES
+                        for lines in system.platform.l2._sets.values()
+                        for line, was_dirty in lines.items() if was_dirty)
+        return dirty.most_common(1)[0][0]
+
+    @staticmethod
+    def _flush(system, section, single, expected):
+        from contextlib import nullcontext
+
+        from repro.config import PAGE_BYTES, SECTION_BYTES
+        from repro.tools.trace import BusTracer
+
+        platform = system.platform
+        caches = platform.caches
+        bracket = system.mbm.expected_flush() if expected else nullcontext()
+        with BusTracer(platform, kinds=[TxnKind.WRITEBACK]) as tracer, \
+                bracket:
+            if single:
+                caches.clean_invalidate_range(section, SECTION_BYTES)
+            else:
+                for offset in range(0, SECTION_BYTES, PAGE_BYTES):
+                    caches.clean_invalidate_page(section + offset)
+        return {
+            "now": platform.clock.now,
+            "writebacks": tracer.records,
+            "l1": {index: list(lines.items())
+                   for index, lines in platform.l1._sets.items()},
+            "l2": {index: list(lines.items())
+                   for index, lines in platform.l2._sets.items()},
+            "stats": {owner.stats.name: owner.stats.snapshot()
+                      for owner in (caches, platform.l1, platform.l2,
+                                    platform.dram, platform.bus,
+                                    system.mbm)},
+        }
+
+    @pytest.mark.parametrize("expected", [True, False])
+    def test_single_call_equals_512_page_flushes(self, expected):
+        import pickle
+
+        from repro.config import PAGE_BYTES, SECTION_BYTES
+        from repro.security.fuzz.machine import (
+            boot_snapshot,
+            restore_from_snapshot,
+        )
+
+        warm = restore_from_snapshot(boot_snapshot("section"))
+        section = self._busiest_section(warm)
+        # Arm the MBM over the first half of the block, so writebacks
+        # land in flushed_writebacks (inside Hypersec's bracket) or in
+        # writeback_hazards (outside it).
+        for word_addr, mask in warm.mbm.bitmap.words_for_range(
+                section, SECTION_BYTES // 2):
+            warm.platform.bus.poke(
+                word_addr, warm.platform.bus.peek(word_addr) | mask)
+        ops_before = warm.platform.caches.stats.get("page_maintenance_ops")
+        image = pickle.dumps(warm)
+        single = self._flush(pickle.loads(image), section, True, expected)
+        paged = self._flush(pickle.loads(image), section, False, expected)
+        assert single == paged
+        assert len(single["writebacks"]) > 1000
+        mbm = single["stats"]["mbm"]
+        counted = "flushed_writebacks" if expected else "writeback_hazards"
+        assert mbm.get(counted, 0) > 0
+        ops = single["stats"]["cache_hierarchy"]["page_maintenance_ops"]
+        assert ops == ops_before + SECTION_BYTES // PAGE_BYTES
+        assert not any(section <= line < section + SECTION_BYTES
+                       for cache in ("l1", "l2")
+                       for lines in single[cache].values()
+                       for line, _dirty in lines)

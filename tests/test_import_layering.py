@@ -37,6 +37,7 @@ with open(out, "w") as handle:
     json.dump({"code": code, "modules": sorted(sys.modules)}, handle)
 """
 
+TABLE1 = ["table1", "--dram-mb", "64"]
 TABLE2 = ["table2", "--dram-mb", "64", "--scale", "0.02"]
 
 
@@ -67,17 +68,27 @@ def _assert_lean(modules):
     assert heavy == []
 
 
-@pytest.fixture(scope="module")
-def warm_cache(tmp_path_factory):
-    """A cache directory holding TABLE2's cells, and the cold stdout."""
+def _fill_cache(tmp_path_factory, args, cells):
+    """A cache directory holding the cells of ``args``, and the cold
+    stdout."""
     cache_dir = tmp_path_factory.mktemp("cache")
     cold = subprocess.run(
-        [sys.executable, "-m", "repro", *TABLE2], env=_env(cache_dir),
+        [sys.executable, "-m", "repro", *args], env=_env(cache_dir),
         capture_output=True, text=True, timeout=600,
     )
     assert cold.returncode == 0, cold.stderr
-    assert len(list(cache_dir.glob("*.json"))) == 2
+    assert len(list(cache_dir.glob("*.json"))) == cells
     return cache_dir, cold.stdout
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    return _fill_cache(tmp_path_factory, TABLE2, 2)
+
+
+@pytest.fixture(scope="module")
+def warm_table1_cache(tmp_path_factory):
+    return _fill_cache(tmp_path_factory, TABLE1, 3)
 
 
 class TestCacheHitStaysLean:
@@ -87,6 +98,18 @@ class TestCacheHitStaysLean:
         assert code == 0
         assert stdout == cold_stdout
         assert "repro.analysis.monitoring" in modules
+        _assert_lean(modules)
+
+    def test_warm_table1_imports_no_application_models(
+            self, warm_table1_cache, tmp_path):
+        # Table 1 formats LMbench rows only; the five application
+        # models stay unloaded behind repro.workloads' lazy exports.
+        cache_dir, cold_stdout = warm_table1_cache
+        stdout, code, modules = _probe(TABLE1, cache_dir, tmp_path)
+        assert code == 0
+        assert stdout == cold_stdout
+        assert "repro.workloads.lmbench" in modules
+        assert "repro.workloads.apps" not in modules
         _assert_lean(modules)
 
     def test_help_imports_no_simulator(self, tmp_path):

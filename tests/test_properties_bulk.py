@@ -940,6 +940,53 @@ class TestFastAcceptAgainstPerLeafReference:
             assert (accepted, rejected) == (1, 1)
 
 
+class TestPageTableVerdictCache:
+    """``run_invariants`` reuses a level-3 table's fast-accept verdict
+    only while the geometry, the audit's table pages and the table's
+    valid words are all unchanged."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        leaves=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(_SECURE_EDGES) + [
+                    "benign", "wx", "wx_user", "table_alias", "table_ro"]),
+                st.integers(0, 20),
+                st.sampled_from(_BENIGN_ATTRS),
+            ),
+            max_size=PAGE_WORDS,
+        ),
+        tables=st.sets(st.integers(0, IMG_PAGES - 1), max_size=8),
+    )
+    def test_cached_verdict_equals_accepts_page_table(self, leaves, tables):
+        geometry = _ImageEvidence.geometry
+        valid = [_full_leaf(kind, target, attrs)
+                 for kind, target, attrs in leaves]
+        table_pages = {_page(index) for index in tables}
+        expected = accepts_page_table(geometry, valid, table_pages)
+        for _ in range(2):   # a miss that stores, then a hit
+            assert invariants._accepts_page_table_cached(
+                geometry, valid, frozenset(table_pages)) == expected
+
+    def test_registering_a_writable_target_revokes_the_verdict(self):
+        evidence = _build_full_image(
+            {"tables": 1, "benign": 1, "plants": []})
+        assert run_invariants(evidence).clean
+        table = _page(2)
+        slot, raw = next(
+            (slot, raw) for slot, raw in enumerate(
+                evidence.peek_words(table, PAGE_WORDS))
+            if raw & DESC_AP_WRITE)
+        target = Descriptor(raw).address
+        evidence._tables.add(target)
+        report = run_invariants(evidence)
+        assert _summary(report) == _summary(_reference_invariants(evidence))
+        assert ("NO_WRITABLE_TABLE_ALIAS", table + slot * WORD) in [
+            (f.invariant, f.location) for f in report.findings]
+        assert {f.invariant for f in report.findings} == {
+            "NO_WRITABLE_TABLE_ALIAS"}
+
+
 _WINDOW = invariants._BITMAP_WINDOW
 
 

@@ -12,6 +12,7 @@ Covers the three legs of the subsystem:
   caught immediately (the fuzzer is not vacuous).
 """
 
+import gc
 import json
 
 import pytest
@@ -123,6 +124,26 @@ class TestFuzzMachine:
         stats = run_fuzz(profile="page", seed=99, max_examples=10, steps=6)
         assert stats.get("violations", 0) == 0
         assert stats["differential_gates"] == stats["examples"]
+
+    def test_run_leaves_no_frozen_heap(self):
+        # run_fuzz freezes the heap it starts with for the run only.
+        run_fuzz(profile="section", seed=0, max_examples=1, steps=1)
+        assert gc.get_freeze_count() == 0
+
+    def test_failing_run_leaves_no_frozen_heap(self, monkeypatch):
+        from repro.security.fuzz import machine
+
+        class Dirty:
+            clean = False
+
+            def __str__(self):
+                return "planted disagreement"
+
+        monkeypatch.setattr(machine, "differential_audit",
+                            lambda system: Dirty())
+        with pytest.raises(FuzzViolation, match="planted disagreement"):
+            run_fuzz(profile="section", seed=0, max_examples=1, steps=1)
+        assert gc.get_freeze_count() == 0
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
