@@ -18,6 +18,7 @@ from repro import (
     build_hypernel,
 )
 from repro.kernel.objects import CRED
+from repro.obs import collect_metrics
 
 
 def main() -> None:
@@ -69,7 +70,13 @@ def main() -> None:
         print(f"  ALERT: {alert.reason} at {alert.addr:#x} "
               f"(observed {alert.observed}, expected {alert.expected})")
 
-    print("\nsystem counters:", system.stats_summary())
+    metrics = collect_metrics(system)
+    print("\nsystem counters:", {
+        "cycles": metrics.sim_cycles,
+        "hypercalls": metrics.counter("cpu", "hvc"),
+        "trapped_msr": metrics.counter("cpu", "trapped_msr"),
+        "mbm_events": int(metrics.gauges["events_detected"]),
+    })
     assert monitor.alerts, "the exploit should have been detected"
     print("\nOK: the unauthorized credential change was detected.")
 

@@ -26,7 +26,6 @@ _EXPORTS = {
     "CostModel": "repro.config",
     "PlatformConfig": "repro.config",
     "juno_r1": "repro.config",
-    "juno_r1_daughterboard": "repro.config",
     "System": "repro.core.hypernel",
     "build_hypernel": "repro.core.hypernel",
     "build_kvm_guest": "repro.core.hypernel",
@@ -69,7 +68,6 @@ __all__ = [
     "build_native",
     "build_system",
     "juno_r1",
-    "juno_r1_daughterboard",
 ]
 
 

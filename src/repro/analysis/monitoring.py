@@ -47,10 +47,9 @@ class Table2Result:
             return 0.0
         return total_word / total_page * 100.0
 
-    def format(self, include_paper: bool = True) -> str:
-        headers = ["benchmark", "page-granularity", "word-granularity", "ratio"]
-        if include_paper:
-            headers += ["paper page", "paper word", "paper ratio"]
+    def format(self) -> str:
+        headers = ["benchmark", "page-granularity", "word-granularity", "ratio",
+                   "paper page", "paper word", "paper ratio"]
         body = []
         for app, row in self.counts.items():
             line = [
@@ -59,7 +58,7 @@ class Table2Result:
                 str(row["word"]),
                 f"{self.ratio_percent(app):.1f}%",
             ]
-            if include_paper and app in paper.TABLE2:
+            if app in paper.TABLE2:
                 p = paper.TABLE2[app]
                 line += [str(p["page"]), str(p["word"]),
                          f"{p['word'] / p['page'] * 100:.1f}%"]

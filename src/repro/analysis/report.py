@@ -110,7 +110,6 @@ def health_lines(sections: Dict[str, Dict[str, dict]]) -> List[str]:
 def generate_report(
     scale: float = 0.25,
     platform_config: Optional[PlatformConfig] = None,
-    include_attacks: bool = True,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
     waive: tuple = (),
@@ -196,9 +195,8 @@ def generate_report(
         f"Overall word/page ratio: {table2.mean_ratio_percent():.1f}% "
         f"(paper {paper.TABLE2_MEAN_RATIO:.1f}%).",
     ]
-    if include_attacks:
-        lines += ["", "## Attack matrix", ""]
-        lines += _attack_matrix(platform_config)
+    lines += ["", "## Attack matrix", ""]
+    lines += _attack_matrix(platform_config)
     lines += ["", "## Run health", ""]
     lines += health_lines(
         {

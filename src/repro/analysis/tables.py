@@ -38,16 +38,14 @@ class Table1Result:
         ]
         return arithmetic_mean(overheads)
 
-    def format(self, include_paper: bool = True) -> str:
-        headers = ["Test"] + [f"{s} (µs)" for s in SYSTEMS]
-        if include_paper:
-            headers += [f"paper {s}" for s in SYSTEMS]
-        body = []
-        for op in self.rows:
-            row = [op] + [f"{self.rows[op][s]:.2f}" for s in SYSTEMS]
-            if include_paper:
-                row += [f"{paper.TABLE1[op][s]:.2f}" for s in SYSTEMS]
-            body.append(row)
+    def format(self) -> str:
+        headers = (["Test"] + [f"{s} (µs)" for s in SYSTEMS]
+                   + [f"paper {s}" for s in SYSTEMS])
+        body = [
+            [op] + [f"{self.rows[op][s]:.2f}" for s in SYSTEMS]
+            + [f"{paper.TABLE1[op][s]:.2f}" for s in SYSTEMS]
+            for op in self.rows
+        ]
         table = format_table(headers, body)
         footer = (
             f"\naverage overhead vs native: "

@@ -127,14 +127,13 @@ class CPUCore:
             if entry.cacheable:
                 caches._cached_reads += 1
                 l1 = caches.l1
-                if l1._line_shift is not None:
-                    line = paddr & caches._line_mask
-                    lines = l1._sets.get((line >> l1._line_shift) & l1._set_mask)
-                    if lines is not None and line in lines:
-                        lines.move_to_end(line)
-                        l1._hits += 1
-                        self.clock.advance(self.costs.l1_hit)
-                        return self.platform.bus.memory.read_word(paddr)
+                line = paddr & caches._line_mask
+                lines = l1._sets.get((line >> l1._line_shift) & l1._set_mask)
+                if lines is not None and line in lines:
+                    lines.move_to_end(line)
+                    l1._hits += 1
+                    self.clock.advance(self.costs.l1_hit)
+                    return self.platform.bus.memory.read_word(paddr)
                 caches._ensure_resident(paddr, "cpu")
                 return self.platform.bus.memory.read_word(paddr)
             caches._uncached_reads += 1
@@ -170,18 +169,17 @@ class CPUCore:
                 if entry.cacheable:
                     caches._cached_writes += 1
                     l1 = caches.l1
-                    if l1._line_shift is not None:
-                        line = paddr & caches._line_mask
-                        lines = l1._sets.get((line >> l1._line_shift) & l1._set_mask)
-                        if lines is not None and line in lines:
-                            lines.move_to_end(line)
-                            lines[line] = True
-                            l1._hits += 1
-                            self.clock.advance(self.costs.l1_hit)
-                            self.platform.bus.memory.write_word(paddr, value)
-                            return
+                    line = paddr & caches._line_mask
+                    lines = l1._sets.get((line >> l1._line_shift) & l1._set_mask)
+                    if lines is not None and line in lines:
+                        lines.move_to_end(line)
+                        lines[line] = True
+                        l1._hits += 1
+                        self.clock.advance(self.costs.l1_hit)
+                        self.platform.bus.memory.write_word(paddr, value)
+                        return
                     caches._ensure_resident(paddr, "cpu")
-                    caches.l1.mark_dirty(paddr & caches._line_mask)
+                    l1.mark_dirty(line)
                     self.platform.bus.memory.write_word(paddr, value)
                     return
                 caches._uncached_writes += 1

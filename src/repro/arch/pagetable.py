@@ -108,10 +108,6 @@ class Descriptor:
         return not (self.raw & DESC_NC)
 
     @property
-    def cow(self) -> bool:
-        return bool(self.raw & DESC_COW)
-
-    @property
     def user(self) -> bool:
         return bool(self.raw & DESC_USER)
 

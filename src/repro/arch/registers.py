@@ -89,14 +89,6 @@ class SystemRegisters:
         """OR ``mask_value`` into the register."""
         self.write(name, self.read(name) | mask_value)
 
-    def clear_bits(self, name: str, mask_value: int) -> None:
-        """Clear the bits of ``mask_value`` in the register."""
-        self.write(name, self.read(name) & ~mask_value)
-
-    def test_bits(self, name: str, mask_value: int) -> bool:
-        """True if all bits of ``mask_value`` are set in the register."""
-        return (self.read(name) & mask_value) == mask_value
-
     def _require(self, name: str) -> None:
         if name not in self._values:
             raise KeyError(f"unknown system register {name!r}")

@@ -206,23 +206,7 @@ class PlatformConfig:
         """Convert a cycle count to microseconds at the CPU frequency."""
         return cycles / self.cpu_freq_hz * 1e6
 
-    def us_to_cycles(self, us: float) -> int:
-        """Convert microseconds to (rounded) CPU cycles."""
-        return int(round(us * 1e-6 * self.cpu_freq_hz))
-
 
 def juno_r1() -> PlatformConfig:
     """The default platform: Juno r1 big core, 2 GB DRAM (paper section 7)."""
     return PlatformConfig()
-
-
-def juno_r1_daughterboard() -> PlatformConfig:
-    """The 128 MB LogicTile SDRAM configuration of paper section 6.
-
-    The paper's *monitoring* experiments (Table 2) ran with system memory
-    placed on the daughterboard so the MBM could observe all traffic.
-    """
-    return PlatformConfig(
-        dram_bytes=128 * 1024 * 1024,
-        secure_bytes=16 * 1024 * 1024,
-    )

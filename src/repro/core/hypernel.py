@@ -14,7 +14,7 @@ the workloads and benchmarks need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.config import PlatformConfig
 from repro.hw.platform import Platform
@@ -69,21 +69,6 @@ class System:
             if app.name == name:
                 return app
         raise KeyError(f"no monitor named {name!r} on system {self.name}")
-
-    def stats_summary(self) -> Dict[str, int]:
-        """Headline counters for reports and debugging."""
-        summary = {
-            "cycles": self.now,
-            "tlb_misses": self.cpu.mmu.tlb.stats.get("misses"),
-            "stage1_walks": self.cpu.mmu.stats.get("stage1_walks"),
-            "stage2_desc_fetches": self.cpu.mmu.stats.get("stage2_desc_fetches"),
-            "vm_exits": self.cpu.stats.get("vm_exits"),
-            "hypercalls": self.cpu.stats.get("hvc"),
-            "trapped_msr": self.cpu.stats.get("trapped_msr"),
-        }
-        if self.mbm is not None:
-            summary["mbm_events"] = self.mbm.events_detected
-        return summary
 
     def count_accesses(self) -> int:
         """Simulated memory accesses performed so far on this system.

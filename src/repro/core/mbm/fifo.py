@@ -79,7 +79,3 @@ class CaptureFifo:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def clear_overrun(self) -> None:
-        """Acknowledge a previously latched overrun."""
-        self.overrun = False

@@ -34,18 +34,18 @@ class Cache:
                 f"{name}: size {size_bytes} not divisible by ways*line "
                 f"({ways}*{line_bytes})"
             )
+        num_sets = size_bytes // (ways * line_bytes)
+        for what, value in (("line size", line_bytes), ("set count", num_sets)):
+            if value < 1 or value & (value - 1):
+                raise ConfigurationError(
+                    f"{name}: {what} {value} is not a power of two"
+                )
         self.name = name
         self.line_bytes = line_bytes
         self.ways = ways
-        self.num_sets = size_bytes // (ways * line_bytes)
-        # Precomputed shift/mask set indexing for the (usual) power-of-two
-        # geometry; ``None`` falls back to divide/modulo.
-        if line_bytes & (line_bytes - 1) == 0 and self.num_sets & (self.num_sets - 1) == 0:
-            self._line_shift: Optional[int] = line_bytes.bit_length() - 1
-            self._set_mask = self.num_sets - 1
-        else:
-            self._line_shift = None
-            self._set_mask = 0
+        self.num_sets = num_sets
+        self._line_shift = line_bytes.bit_length() - 1
+        self._set_mask = num_sets - 1
         # Per-set LRU ordering: maps line base address -> dirty flag.
         # OrderedDict order is LRU -> MRU.
         self._sets: Dict[int, "OrderedDict[int, bool]"] = {}
@@ -63,9 +63,7 @@ class Cache:
             self.stats.add("misses", misses)
 
     def _set_index(self, line_addr: int) -> int:
-        if self._line_shift is not None:
-            return (line_addr >> self._line_shift) & self._set_mask
-        return (line_addr // self.line_bytes) % self.num_sets
+        return (line_addr >> self._line_shift) & self._set_mask
 
     def _set_for(self, line_addr: int) -> "OrderedDict[int, bool]":
         return self._sets.setdefault(self._set_index(line_addr), OrderedDict())
@@ -117,19 +115,15 @@ class Cache:
         """
         removed: Dict[int, bool] = {}
         sets = self._sets
-        num_sets = self.num_sets
-        start = first // self.line_bytes
-        touched = min((limit - first) // self.line_bytes, num_sets)
+        set_mask = self._set_mask
+        start = first >> self._line_shift
+        touched = min((limit - first) >> self._line_shift, self.num_sets)
         for index in range(start, start + touched):
-            lines = sets.get(index % num_sets)
+            lines = sets.get(index & set_mask)
             if lines:
                 for line in [line for line in lines if first <= line < limit]:
                     removed[line] = lines.pop(line)
         return removed
-
-    def invalidate_all(self) -> None:
-        """Drop every line without writeback (power-on state)."""
-        self._sets.clear()
 
 
 class CacheHierarchy:
@@ -209,14 +203,13 @@ class CacheHierarchy:
         # ``_ensure_resident`` (lookup-touch, batched hit counter, one
         # l1_hit charge) without the call chain.
         l1 = self.l1
-        if l1._line_shift is not None:
-            line = paddr & self._line_mask
-            lines = l1._sets.get((line >> l1._line_shift) & l1._set_mask)
-            if lines is not None and line in lines:
-                lines.move_to_end(line)
-                l1._hits += 1
-                self.bus.clock.advance(self.costs.l1_hit)
-                return self.bus.memory.read_word(paddr)
+        line = paddr & self._line_mask
+        lines = l1._sets.get((line >> l1._line_shift) & l1._set_mask)
+        if lines is not None and line in lines:
+            lines.move_to_end(line)
+            l1._hits += 1
+            self.bus.clock.advance(self.costs.l1_hit)
+            return self.bus.memory.read_word(paddr)
         self._ensure_resident(paddr, initiator)
         return self.bus.memory.read_word(paddr)
 
@@ -233,18 +226,17 @@ class CacheHierarchy:
             return
         self._cached_writes += 1
         l1 = self.l1
-        if l1._line_shift is not None:
-            line = paddr & self._line_mask
-            lines = l1._sets.get((line >> l1._line_shift) & l1._set_mask)
-            if lines is not None and line in lines:
-                lines.move_to_end(line)
-                lines[line] = True
-                l1._hits += 1
-                self.bus.clock.advance(self.costs.l1_hit)
-                self.bus.memory.write_word(paddr, value)
-                return
+        line = paddr & self._line_mask
+        lines = l1._sets.get((line >> l1._line_shift) & l1._set_mask)
+        if lines is not None and line in lines:
+            lines.move_to_end(line)
+            lines[line] = True
+            l1._hits += 1
+            self.bus.clock.advance(self.costs.l1_hit)
+            self.bus.memory.write_word(paddr, value)
+            return
         self._ensure_resident(paddr, initiator)
-        self.l1.mark_dirty(paddr & self._line_mask)
+        l1.mark_dirty(line)
         self.bus.memory.write_word(paddr, value)
 
     def touch_block(self, paddr: int, nwords: int, is_write: bool) -> None:
@@ -264,7 +256,7 @@ class CacheHierarchy:
         and event order (fills, writebacks, DRAM row transitions) are
         identical to the per-line reference paths ``_ensure_resident``
         (reads, see ``_read_lines``) and ``_install_dirty`` (writes),
-        which remain the fallback for non-power-of-two geometries.
+        which the property tests compare them against.
         """
         if nwords <= 0:
             return
@@ -273,13 +265,6 @@ class CacheHierarchy:
         last = (paddr + (nwords - 1) * WORD_BYTES) & self._line_mask
         l1 = self.l1
         l2 = self.l2
-        if l1._line_shift is None or l2._line_shift is None:
-            for line in range(first, last + 1, line_bytes):
-                if is_write:
-                    self._install_dirty(line)
-                else:
-                    self._ensure_resident(line, initiator="cpu")
-            return
         if not is_write:
             self._read_lines(first, last)
             return
@@ -347,11 +332,10 @@ class CacheHierarchy:
     def _read_lines(self, first: int, last: int) -> None:
         """Batched read stream over the lines ``first..last``.
 
-        Equivalent to ``_ensure_resident`` on each line in turn, for
-        power-of-two geometries of both levels.  Pending latency is
-        charged to the clock before every line fill and writeback, so
-        each bus transaction sees the clock value, and DRAM the request
-        order, of the per-line path.
+        Equivalent to ``_ensure_resident`` on each line in turn.  Pending
+        latency is charged to the clock before every line fill and
+        writeback, so each bus transaction sees the clock value, and DRAM
+        the request order, of the per-line path.
         """
         l1 = self.l1
         l2 = self.l2
@@ -460,11 +444,6 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     # Cache maintenance
     # ------------------------------------------------------------------
-    def clean_invalidate_page(self, page_paddr: int) -> int:
-        """Clean+invalidate every line of the 4 KB page at ``page_paddr``;
-        returns the number of lines written back."""
-        return self.clean_invalidate_range(page_paddr, PAGE_BYTES)
-
     def clean_invalidate_range(self, base: int, nbytes: int) -> int:
         """Clean+invalidate every line of the ``nbytes`` (a multiple of
         4 KB) starting at the page holding ``base``.

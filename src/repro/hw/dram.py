@@ -67,7 +67,3 @@ class DramModel:
         total += nwords - 1
         self._burst_words += nwords
         return total
-
-    def reset(self) -> None:
-        """Close all rows (e.g. across benchmark iterations)."""
-        self._open_rows.clear()

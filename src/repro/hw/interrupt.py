@@ -1,11 +1,11 @@
 """GIC-like interrupt controller.
 
-The simulation is synchronous, so an unmasked interrupt is dispatched
-immediately when raised: the registered handler runs inline (charging
-whatever cycles it models).  If a line is masked, or a handler for the
-same line is already in service, the interrupt is *pended* and delivered
-when the line is unmasked / the handler returns — matching level-style
-behaviour closely enough for the MBM's notification path.
+The simulation is synchronous, so an interrupt is dispatched immediately
+when raised: the registered handler runs inline (charging whatever
+cycles it models).  If a handler for the same line is already in
+service, the interrupt is *pended* and delivered when the handler
+returns — matching level-style behaviour closely enough for the MBM's
+notification path.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ class InterruptController:
 
     def __init__(self):
         self._handlers: Dict[int, Handler] = {}
-        self._masked: Dict[int, bool] = {}
         self._pending: Dict[int, int] = {}
         self._in_service: Dict[int, bool] = {}
         self.stats = StatSet("gic")
@@ -33,20 +32,8 @@ class InterruptController:
         if irq in self._handlers:
             raise ConfigurationError(f"IRQ {irq} already has a handler")
         self._handlers[irq] = handler
-        self._masked[irq] = False
         self._pending[irq] = 0
         self._in_service[irq] = False
-
-    def mask(self, irq: int) -> None:
-        """Mask a line; raised interrupts accumulate as pending."""
-        self._require(irq)
-        self._masked[irq] = True
-
-    def unmask(self, irq: int) -> None:
-        """Unmask a line, delivering anything that pended while masked."""
-        self._require(irq)
-        self._masked[irq] = False
-        self._drain(irq)
 
     def raise_irq(self, irq: int) -> None:
         """Assert IRQ line ``irq``."""
@@ -55,21 +42,16 @@ class InterruptController:
         self._pending[irq] += 1
         self._drain(irq)
 
-    def pending(self, irq: int) -> int:
-        """Number of undelivered assertions on the line."""
-        self._require(irq)
-        return self._pending[irq]
-
     # ------------------------------------------------------------------
     def _require(self, irq: int) -> None:
         if irq not in self._handlers:
             raise ConfigurationError(f"IRQ {irq} has no registered handler")
 
     def _drain(self, irq: int) -> None:
-        if self._masked[irq] or self._in_service[irq]:
+        if self._in_service[irq]:
             return
         handler = self._handlers[irq]
-        while self._pending[irq] > 0 and not self._masked[irq]:
+        while self._pending[irq] > 0:
             self._pending[irq] -= 1
             self._in_service[irq] = True
             try:

@@ -105,11 +105,6 @@ class PhysicalMemory:
         index = bisect_right(self._bases, paddr) - 1
         return index >= 0 and paddr < self._ranges[index][1]
 
-    def check(self, paddr: int) -> None:
-        """Raise :class:`MemoryRangeError` unless ``paddr`` is installed."""
-        if not self.contains(paddr):
-            raise MemoryRangeError(f"physical address {paddr:#x} is not backed")
-
     @property
     def ranges(self) -> List[Tuple[int, int]]:
         """Installed ``(base, limit)`` pairs, sorted by base."""

@@ -19,10 +19,6 @@ which the paper cites as [9]):
 * **context switch** — guest scheduling drags the hypervisor in for
   virtual-timer and vGIC state synchronisation; a small per-switch
   overhead.
-* **IPI** — cross-core wakeups need SGI emulation: two world-switch
-  round trips.  (The paper's Table 1/Figure 6 runs were pinned to one
-  A57 core, so the Table 1 operations never take this path; the
-  multi-core attack scenarios and examples can.)
 """
 
 from __future__ import annotations
@@ -53,11 +49,6 @@ class ExecutionEnvironment:
     def process_fork(self) -> None:
         """A process was forked."""
         self.stats.add("forks")
-
-    def interprocessor_interrupt(self) -> None:
-        """Cost of signalling and taking one IPI on another core."""
-        self.stats.add("ipis")
-        self.cpu.compute(self.costs.irq_entry + self.costs.irq_exit)
 
     def block_io(self, nbytes: int) -> None:
         """One storage request: DMA setup + completion interrupt."""
@@ -113,15 +104,6 @@ class KvmGuestEnvironment(ExecutionEnvironment):
         (see DESIGN.md section 5)."""
         self.stats.add("forks")
         self.cpu.compute(self.costs.kvm_fork_overhead)
-
-    def interprocessor_interrupt(self) -> None:
-        self.stats.add("ipis")
-        self.stats.add("vm_exits", 2)
-        self.cpu.compute(
-            2 * (self.costs.vm_exit + self.costs.vm_enter)
-            + self.costs.irq_entry
-            + self.costs.irq_exit
-        )
 
     def block_io(self, nbytes: int) -> None:
         """virtio-blk: the doorbell kick exits to the host, and the

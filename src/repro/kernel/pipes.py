@@ -50,12 +50,6 @@ class PipeManager:
         self.stats.add("created")
         return Pipe(pipe_pa=pipe_pa, buf_page=buf_page)
 
-    def destroy(self, pipe: Pipe) -> None:
-        kernel = self.kernel
-        kernel.allocator.free(pipe.buf_page)
-        kernel.slab.cache(PIPE).free(pipe.pipe_pa)
-        self.stats.add("destroyed")
-
     def write(self, pipe: Pipe, nbytes: int) -> None:
         """Copy ``nbytes`` from user space into the pipe buffer."""
         if nbytes > PAGE_BYTES:

@@ -4,8 +4,7 @@ fork() is the page-table-heaviest kernel operation: it duplicates the
 parent's address space (every child PTE installed and every writable
 parent PTE re-armed for COW goes through the page-table writer — one
 verified hypercall each under Hypernel), copies the credentials (cred
-object writes, visible to the MBM when monitored) and reschedules (IPI
-to the sibling core, a world-switch-expensive event under KVM).
+object writes, visible to the MBM when monitored) and reschedules.
 """
 
 from __future__ import annotations

@@ -51,14 +51,6 @@ class SocketManager:
         self.stats.add("created")
         return pair
 
-    def destroy(self, pair: SocketPair) -> None:
-        kernel = self.kernel
-        kernel.allocator.free(pair.a_buf)
-        kernel.allocator.free(pair.b_buf)
-        kernel.slab.cache(PIPE).free(pair.a_pa)
-        kernel.slab.cache(PIPE).free(pair.b_pa)
-        self.stats.add("destroyed")
-
     def _transfer(self, sock_pa: int, buf_page: int, nbytes: int,
                   is_send: bool) -> None:
         kernel = self.kernel

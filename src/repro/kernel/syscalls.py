@@ -93,34 +93,10 @@ class SyscallLayer:
         self.kernel.vfs.create(path, mode=mode, uid=uid)
         self._exit()
 
-    def mkdir(self, task: Task, path: str) -> None:
-        self._enter("mkdir")
-        self.kernel.cpu.compute(self.kernel.op_costs.create_base)
-        self.kernel.vfs.create(path, is_dir=True)
-        self._exit()
-
     def unlink(self, task: Task, path: str) -> None:
         self._enter("unlink")
         self.kernel.cpu.compute(self.kernel.op_costs.unlink_base)
         self.kernel.vfs.unlink(path)
-        self._exit()
-
-    def chmod(self, task: Task, path: str, mode: int) -> None:
-        self._enter("chmod")
-        self.kernel.cpu.compute(self.kernel.op_costs.attr_base)
-        self.kernel.vfs.chmod(path, mode)
-        self._exit()
-
-    def chown(self, task: Task, path: str, uid: int, gid: int) -> None:
-        self._enter("chown")
-        self.kernel.cpu.compute(self.kernel.op_costs.attr_base)
-        self.kernel.vfs.chown(path, uid, gid)
-        self._exit()
-
-    def utimes(self, task: Task, path: str) -> None:
-        self._enter("utimes")
-        self.kernel.cpu.compute(self.kernel.op_costs.attr_base)
-        self.kernel.vfs.utimes(path, self.kernel.uptime())
         self._exit()
 
     # fd-based attribute calls (no path walk — what tar actually uses).

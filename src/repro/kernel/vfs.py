@@ -238,22 +238,6 @@ class VFS:
         kernel.slab.cache(DENTRY).free(node.dentry_pa)
         self.stats.add("unlinks")
 
-    def rename(self, old_path: str, new_name: str) -> None:
-        """Rename within the same directory (writes d_name/d_seq)."""
-        node = self.lookup(old_path)
-        if node is None or node.parent is None:
-            raise AllocationError(f"cannot rename {old_path}")
-        kernel = self.kernel
-        seq = kernel.read_field(node.dentry_pa, DENTRY, "d_seq")
-        kernel.write_field(node.dentry_pa, DENTRY, "d_seq", seq + 1)
-        kernel.write_field(node.dentry_pa, DENTRY, "d_name",
-                           name_hash(new_name))
-        kernel.write_field(node.dentry_pa, DENTRY, "d_seq", seq + 2)
-        del node.parent.children[node.name]
-        node.parent.children[new_name] = node
-        node.name = new_name
-        self.stats.add("renames")
-
     # ------------------------------------------------------------------
     # stat / attributes
     # ------------------------------------------------------------------
@@ -265,25 +249,6 @@ class VFS:
             for name in ("i_mode", "i_uid", "i_gid", "i_size",
                          "i_mtime", "i_nlink")
         }
-
-    def chmod(self, path: str, mode: int) -> None:
-        node = self.lookup(path)
-        if node is None:
-            raise AllocationError(f"no such file: {path}")
-        self.kernel.write_field(node.inode_pa, INODE, "i_mode", mode)
-
-    def chown(self, path: str, uid: int, gid: int) -> None:
-        node = self.lookup(path)
-        if node is None:
-            raise AllocationError(f"no such file: {path}")
-        self.kernel.write_field(node.inode_pa, INODE, "i_uid", uid)
-        self.kernel.write_field(node.inode_pa, INODE, "i_gid", gid)
-
-    def utimes(self, path: str, mtime: int) -> None:
-        node = self.lookup(path)
-        if node is None:
-            raise AllocationError(f"no such file: {path}")
-        self.kernel.write_field(node.inode_pa, INODE, "i_mtime", mtime)
 
     # ------------------------------------------------------------------
     # File I/O

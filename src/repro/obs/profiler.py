@@ -11,16 +11,9 @@ without touching the hot path at all.  Whatever it cannot pin down
 stays in an explicit ``residual`` bucket rather than being smeared over
 the named ones.
 
-Two complements:
-
-* The MBM's occupancy (``mbm_busy_cycles``) is reported separately —
-  the monitor runs off the CPU's critical path, so its cycles are not
-  part of the global clock and must not be subtracted from it.
-* :meth:`repro.hw.clock.Clock.scope` charge scopes measure *elapsed*
-  cycles under a label while the simulation runs (e.g. "inside
-  fork()"); :func:`attribute_cycles` folds any accumulated scopes into
-  the report under ``scope:<label>`` keys.  Scopes overlap the derived
-  buckets, so they are excluded from the residual computation.
+The MBM's occupancy (``mbm_busy_cycles``) is reported separately: the
+monitor runs off the CPU's critical path, so its cycles are not part of
+the global clock and must not be subtracted from it.
 """
 
 from __future__ import annotations
@@ -40,8 +33,6 @@ class CycleAttribution:
     #: ``total - sum(buckets)``: memory traffic, modelled compute and
     #: calibrated per-op costs the profiler does not itemize.
     residual: int = 0
-    #: Clock charge-scope measurements (may overlap the buckets).
-    scopes: Dict[str, int] = field(default_factory=dict)
     #: MBM occupancy — off the critical path, not part of ``total``.
     mbm_busy_cycles: int = 0
 
@@ -50,15 +41,7 @@ class CycleAttribution:
         flat = dict(self.buckets)
         flat["residual"] = self.residual
         flat["mbm_busy_cycles"] = self.mbm_busy_cycles
-        for label, cycles in self.scopes.items():
-            flat[f"scope:{label}"] = cycles
         return flat
-
-    def fraction(self, bucket: str) -> float:
-        """A bucket's share of the total (0.0 on an empty clock)."""
-        if self.total == 0:
-            return 0.0
-        return self.buckets.get(bucket, 0) / self.total
 
 
 def attribute_cycles(system) -> CycleAttribution:
@@ -114,7 +97,6 @@ def attribute_cycles(system) -> CycleAttribution:
         total=total,
         buckets=buckets,
         residual=residual,
-        scopes=dict(platform.clock.attribution),
         mbm_busy_cycles=(
             system.mbm.busy_cycles if system.mbm is not None else 0
         ),

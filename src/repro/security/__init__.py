@@ -24,13 +24,11 @@ from repro.security.cred_monitor import CredIntegrityMonitor
 from repro.security.dentry_monitor import DentryIntegrityMonitor
 from repro.security.external_only import ExternalOnlyMonitor
 from repro.security.hooks import MonitorHookStub
-from repro.security.inode_monitor import InodeIntegrityMonitor
 
 __all__ = [
     "CredIntegrityMonitor",
     "DentryIntegrityMonitor",
     "ExternalOnlyMonitor",
-    "InodeIntegrityMonitor",
     "MonitorHookStub",
     "SecurityApp",
     "WholeObjectMonitor",

@@ -241,14 +241,14 @@ class CellCache:
         try:
             with open(path) as handle:
                 entry = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return None
-        if "payload" not in entry:
+        except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
+            entry = None
+        payload = entry.get("payload") if isinstance(entry, dict) else None
+        if not isinstance(payload, dict):
             self.misses += 1
             return None
         self.hits += 1
-        return entry["payload"]
+        return payload
 
     def store(self, cell: Cell, payload: Dict[str, Any]) -> bool:
         path = self._path(cache_key(cell))

@@ -5,11 +5,8 @@ from repro.utils.bitops import (
     align_up,
     bit,
     bits,
-    extract,
-    insert,
     is_aligned,
     mask,
-    sign_extend,
 )
 from repro.utils.events import EventHook
 from repro.utils.stats import StatSet
@@ -21,9 +18,6 @@ __all__ = [
     "align_up",
     "bit",
     "bits",
-    "extract",
-    "insert",
     "is_aligned",
     "mask",
-    "sign_extend",
 ]

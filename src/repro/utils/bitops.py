@@ -34,32 +34,6 @@ def bits(hi: int, lo: int) -> int:
     return mask(hi - lo + 1) << lo
 
 
-def extract(value: int, hi: int, lo: int) -> int:
-    """Extract the field ``value[hi:lo]`` (inclusive), right-aligned."""
-    if hi < lo:
-        raise ValueError(f"extract({hi}, {lo}): hi must be >= lo")
-    return (value >> lo) & mask(hi - lo + 1)
-
-
-def insert(value: int, hi: int, lo: int, field: int) -> int:
-    """Return ``value`` with bits ``hi:lo`` replaced by ``field``.
-
-    ``field`` must fit in the target width.
-    """
-    width = hi - lo + 1
-    if field < 0 or field > mask(width):
-        raise ValueError(f"field {field:#x} does not fit in bits({hi}, {lo})")
-    return (value & ~bits(hi, lo)) | (field << lo)
-
-
-def sign_extend(value: int, width: int) -> int:
-    """Sign-extend ``value`` of ``width`` bits to a Python integer."""
-    value &= mask(width)
-    if value & bit(width - 1):
-        return value - (1 << width)
-    return value
-
-
 def is_aligned(value: int, alignment: int) -> bool:
     """True if ``value`` is a multiple of ``alignment`` (a power of two)."""
     return (value & (alignment - 1)) == 0

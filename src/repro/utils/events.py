@@ -26,14 +26,6 @@ class EventHook:
         self._subscribers.append(callback)
         return callback
 
-    def unsubscribe(self, callback: Callable[..., Any]) -> None:
-        """Remove a previously registered callback.
-
-        Raises ``ValueError`` if the callback was never subscribed, since
-        that almost always indicates a wiring bug.
-        """
-        self._subscribers.remove(callback)
-
     def fire(self, *args: Any, **kwargs: Any) -> None:
         """Invoke every subscriber with the given arguments."""
         for callback in list(self._subscribers):

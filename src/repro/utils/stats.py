@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 
 
 class StatSet:
-    """A named bag of integer counters with a few convenience helpers."""
+    """A named bag of integer counters."""
 
     __slots__ = ("name", "_counters", "flush_hook")
 
@@ -48,22 +48,10 @@ class StatSet:
         self._flush()
         return self._counters.get(key, 0)
 
-    def reset(self) -> None:
-        """Zero every counter (including any deferred increments)."""
-        self._flush()
-        self._counters.clear()
-
     def snapshot(self) -> Dict[str, int]:
         """A plain-dict copy of all counters."""
         self._flush()
         return dict(self._counters)
-
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """``numerator / denominator`` as a float, 0.0 when undefined."""
-        denom = self.get(denominator)
-        if denom == 0:
-            return 0.0
-        return self.get(numerator) / denom
 
     def __iter__(self) -> Iterator[Tuple[str, int]]:
         self._flush()
@@ -73,11 +61,3 @@ class StatSet:
         body = ", ".join(f"{k}={v}" for k, v in self)
         return f"StatSet({self.name}: {body})"
 
-
-def merge(*stat_sets: StatSet) -> Dict[str, int]:
-    """Merge several stat sets into one dict, prefixing keys by set name."""
-    merged: Dict[str, int] = {}
-    for stats in stat_sets:
-        for key, value in stats:
-            merged[f"{stats.name}.{key}"] = value
-    return merged

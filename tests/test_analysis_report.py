@@ -5,7 +5,6 @@ import pathlib
 import pytest
 
 from repro.analysis.report import generate_report
-from tests.conftest import small_platform_config
 
 GOLDEN = (pathlib.Path(__file__).parent.parent / "benchmarks" / "e2e"
           / "expected" / "report.txt")
@@ -50,11 +49,3 @@ class TestReport:
                 while block < len(lines) and lines[block].startswith("|"):
                     assert lines[block].count("|") == columns, lines[block]
                     block += 1
-
-    def test_attacks_can_be_skipped(self):
-        text = generate_report(
-            scale=0.05,
-            platform_config=small_platform_config(),
-            include_attacks=False,
-        )
-        assert "## Attack matrix" not in text

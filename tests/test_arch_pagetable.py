@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.config import PAGE_BYTES, SECTION_BYTES
 from repro.errors import SimulationError
 from repro.arch.pagetable import (
+    DESC_COW,
     Descriptor,
     KERNEL_VA_BASE,
     USER_VA_LIMIT,
@@ -36,7 +37,7 @@ class TestDescriptorEncoding:
         assert desc.cacheable
         assert not desc.executable  # XN by default
         assert not desc.user
-        assert not desc.cow
+        assert not desc.raw & DESC_COW
 
     def test_page_desc_attributes(self):
         raw = make_page_desc(
@@ -52,7 +53,7 @@ class TestDescriptorEncoding:
         assert desc.executable
         assert not desc.cacheable
         assert desc.user
-        assert desc.cow
+        assert desc.raw & DESC_COW
 
     def test_block_desc_is_not_table(self):
         desc = Descriptor(make_block_desc(0x8020_0000 & ~(SECTION_BYTES - 1)))

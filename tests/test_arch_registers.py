@@ -39,10 +39,10 @@ class TestBasicAccess:
 class TestBitHelpers:
     def test_set_and_clear_bits(self, regs):
         regs.set_bits("HCR_EL2", HCR_TVM | HCR_VM)
-        assert regs.test_bits("HCR_EL2", HCR_TVM)
-        regs.clear_bits("HCR_EL2", HCR_VM)
-        assert not regs.test_bits("HCR_EL2", HCR_VM)
-        assert regs.test_bits("HCR_EL2", HCR_TVM)
+        assert regs.read("HCR_EL2") & (HCR_TVM | HCR_VM) == HCR_TVM | HCR_VM
+        regs.write("HCR_EL2", regs.read("HCR_EL2") & ~HCR_VM)
+        assert regs.read("HCR_EL2") & (HCR_TVM | HCR_VM) == HCR_TVM
+        assert regs.tvm_enabled and not regs.stage2_enabled
 
 
 class TestPredicates:

@@ -1,5 +1,5 @@
-"""The CLI's audit and fuzz output against the lines and goldens CI
-checks, so a changed verdict fails tier 1 too.
+"""The CLI's audit and fuzz output against their exact lines and
+goldens, so a changed verdict fails tier 1.
 
 The goldens under ``benchmarks/e2e/expected/`` are read, never written.
 ``tests/test_analysis_report.py`` diffs the report the same way.
@@ -16,7 +16,7 @@ from repro.cli import main
 
 EXPECTED = pathlib.Path(__file__).parent.parent / "benchmarks" / "e2e" / "expected"
 
-#: The fuzz summary line that carries wall time; CI drops it too.
+#: The fuzz summary line that carries wall time; the golden omits it.
 _TIMING = re.compile(r"^[0-9]+ example\(s\), .* in [0-9.]+s$")
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.hypernel import build_system
+from repro.obs import collect_metrics
 from tests.conftest import small_platform_config
 
 
@@ -71,7 +72,7 @@ class TestBuildSystem:
             build_system("xen")
 
     def test_stats_summary_keys(self, monitored_system):
-        summary = monitored_system.stats_summary()
-        assert "cycles" in summary
-        assert "hypercalls" in summary
-        assert "mbm_events" in summary
+        metrics = collect_metrics(monitored_system)
+        assert metrics.sim_cycles == monitored_system.now
+        assert "cpu" in metrics.components  # hvc, trapped_msr, vm_exits
+        assert "events_detected" in metrics.gauges

@@ -10,7 +10,6 @@ from repro.config import (
     SECTION_BYTES,
     WORD_BYTES,
     juno_r1,
-    juno_r1_daughterboard,
 )
 
 
@@ -30,10 +29,6 @@ class TestPlatformConfig:
         assert config.secure_base + config.secure_bytes == config.dram_limit
         assert config.secure_base > config.dram_base
 
-    def test_cycle_conversions_roundtrip(self):
-        config = PlatformConfig()
-        assert config.us_to_cycles(config.cycles_to_us(123456)) == 123456
-
     def test_cycles_to_us_at_rated_frequency(self):
         config = PlatformConfig(cpu_freq_hz=1e9)
         assert config.cycles_to_us(1000) == pytest.approx(1.0)
@@ -51,10 +46,6 @@ class TestPresets:
         config = juno_r1()
         assert config.dram_bytes == 2 * 1024 * 1024 * 1024  # 2 GB DRAM
         assert config.cpu_freq_hz == pytest.approx(1.15e9)  # A57 big core
-
-    def test_daughterboard_matches_paper_monitoring_setup(self):
-        config = juno_r1_daughterboard()
-        assert config.dram_bytes == 128 * 1024 * 1024  # LogicTile SDRAM
 
     def test_presets_are_independent_instances(self):
         assert juno_r1() is not juno_r1()

@@ -22,9 +22,9 @@ from repro.cli import _platform_config as _cli_platform_config
 from repro.config import PlatformConfig
 from repro.core.hypernel import build_hypernel, build_kvm_guest, build_native
 from repro.kernel.objects import CRED
+from repro.obs import collect_metrics
 from repro.security import CredIntegrityMonitor
 from repro.tools.runner import run_cells
-from repro.utils.stats import merge
 
 #: Exact per-cell counts of the paper's commands (read only; rewritten
 #: only by ``benchmarks/e2e/run.py --record``).
@@ -74,26 +74,9 @@ def _run_monitored_scenario():
         for offset in range(2 + 2 * min(system.mbm.ring.entries, 32))
     ]
     platform = system.platform
-    stats = merge(
-        system.cpu.stats,
-        system.cpu.mmu.stats,
-        system.cpu.mmu.tlb.stats,
-        system.cpu.mmu.stage2_tlb.stats,
-        platform.bus.stats,
-        platform.dram.stats,
-        platform.l1.stats,
-        platform.l2.stats,
-        platform.caches.stats,
-        system.mbm.stats,
-        system.mbm.snooper.stats,
-        system.mbm.translator.stats,
-        system.mbm.decision.stats,
-        system.mbm.ring.stats,
-    )
     return {
         "cycles": platform.clock.now,
-        "stats": stats,
-        "summary": system.stats_summary(),
+        "metrics": collect_metrics(system).to_dict(),
         "ring_words": ring_words,
         "alerts": [
             (alert.reason, alert.addr, alert.observed, alert.expected)
@@ -109,8 +92,7 @@ class TestDeterminism:
         first = _run_monitored_scenario()
         second = _run_monitored_scenario()
         assert first["cycles"] == second["cycles"]
-        assert first["stats"] == second["stats"]
-        assert first["summary"] == second["summary"]
+        assert first["metrics"] == second["metrics"]
         assert first["ring_words"] == second["ring_words"]
         assert first["alerts"] == second["alerts"]
         assert first["events"] == second["events"]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import PAGE_BYTES
 from repro.errors import ConfigurationError
 from repro.hw.bus import TxnKind
 from repro.hw.cache import Cache
@@ -16,6 +17,10 @@ class TestCacheBasics:
     def test_bad_geometry_rejected(self):
         with pytest.raises(ConfigurationError):
             Cache("bad", 1000, 3)
+        with pytest.raises(ConfigurationError):  # 3 sets
+            Cache("bad", 768, 4)
+        with pytest.raises(ConfigurationError):  # 96-byte lines
+            Cache("bad", 384, 2, line_bytes=96)
 
     def test_miss_then_hit(self):
         cache = Cache("c", 4096, 2)
@@ -49,12 +54,6 @@ class TestCacheBasics:
         evicted = cache.insert(0x40 * cache.num_sets)
         # num_sets == 1, so any other line address conflicts
         assert evicted == (0x0, True)
-
-    def test_invalidate_all(self):
-        cache = Cache("c", 4096, 2)
-        cache.insert(0x1000)
-        cache.invalidate_all()
-        assert not cache.lookup(0x1000, touch=False)
 
 
 class TestHierarchy:
@@ -112,7 +111,7 @@ class TestHierarchy:
 
     def test_clean_invalidate_page_writes_back_dirty_lines(self, platform):
         platform.caches.write(BASE + 0x40, 9, cacheable=True)
-        written_back = platform.caches.clean_invalidate_page(BASE)
+        written_back = platform.caches.clean_invalidate_range(BASE, PAGE_BYTES)
         assert written_back == 1
         # Line is gone: next read misses (fills again).
         fills_before = platform.bus.stats.get("line_fills")
@@ -121,7 +120,7 @@ class TestHierarchy:
 
     def test_touch_block_dirties_lines(self, platform):
         platform.caches.touch_block(BASE, 16, is_write=True)
-        written_back = platform.caches.clean_invalidate_page(BASE)
+        written_back = platform.caches.clean_invalidate_range(BASE, PAGE_BYTES)
         assert written_back == 2  # 16 words = 128 bytes = 2 lines
 
     @settings(max_examples=25, deadline=None)
@@ -176,7 +175,7 @@ class TestRangeFlush:
                 caches.clean_invalidate_range(section, SECTION_BYTES)
             else:
                 for offset in range(0, SECTION_BYTES, PAGE_BYTES):
-                    caches.clean_invalidate_page(section + offset)
+                    caches.clean_invalidate_range(section + offset, PAGE_BYTES)
         return {
             "now": platform.clock.now,
             "writebacks": tracer.records,

@@ -29,24 +29,6 @@ class TestDispatch:
         gic.raise_irq(1)
         assert fired == [1]
 
-    def test_masked_irq_pends(self, gic):
-        fired = []
-        gic.register(1, fired.append)
-        gic.mask(1)
-        gic.raise_irq(1)
-        assert fired == []
-        assert gic.pending(1) == 1
-
-    def test_unmask_drains_pending(self, gic):
-        fired = []
-        gic.register(1, fired.append)
-        gic.mask(1)
-        gic.raise_irq(1)
-        gic.raise_irq(1)
-        gic.unmask(1)
-        assert fired == [1, 1]
-        assert gic.pending(1) == 0
-
     def test_reentrant_raise_defers_until_handler_returns(self, gic):
         """An IRQ raised from inside its own handler runs after it."""
         depth = {"value": 0, "max": 0, "count": 0}
@@ -70,16 +52,3 @@ class TestDispatch:
         gic.raise_irq(1)
         assert gic.stats.get("raised") == 2
         assert gic.stats.get("dispatched") == 2
-
-    def test_mask_during_handler_stops_drain(self, gic):
-        fired = []
-
-        def handler(irq):
-            fired.append(irq)
-            gic.mask(irq)
-
-        gic.register(3, handler)
-        gic.raise_irq(3)
-        gic.raise_irq(3)
-        assert fired == [3]
-        assert gic.pending(3) == 1

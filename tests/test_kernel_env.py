@@ -41,12 +41,6 @@ class TestNativeEnvironment:
         assert charged == (costs.io_request_base + costs.irq_entry
                            + costs.irq_exit)
 
-    def test_ipi_charges_irq_costs(self, cpu):
-        env = ExecutionEnvironment(cpu)
-        before = cpu.clock.now
-        env.interprocessor_interrupt()
-        assert cpu.clock.now - before == cpu.costs.irq_entry + cpu.costs.irq_exit
-
 
 class TestKvmEnvironment:
     def test_af_faults_fire_periodically(self, cpu):
@@ -110,13 +104,3 @@ class TestKvmEnvironment:
         kvm.net_io()
         kvm_cost = cpu.clock.now - start
         assert kvm_cost == native_cost + cpu.costs.vm_exit + cpu.costs.vm_enter
-
-    def test_ipi_is_heavier_than_native(self, cpu):
-        native = ExecutionEnvironment(cpu)
-        start = cpu.clock.now
-        native.interprocessor_interrupt()
-        native_cost = cpu.clock.now - start
-        kvm = KvmGuestEnvironment(cpu)
-        start = cpu.clock.now
-        kvm.interprocessor_interrupt()
-        assert cpu.clock.now - start > 3 * native_cost

@@ -72,12 +72,6 @@ class TestPipes:
         with pytest.raises(SimulationError):
             kernel.pipes.write(pipe, 8192)
 
-    def test_destroy_releases_buffer(self, kernel, task):
-        pipe = kernel.pipes.create()
-        free_before = kernel.allocator.free_pages
-        kernel.pipes.destroy(pipe)
-        assert kernel.allocator.free_pages == free_before + 1
-
     def test_head_tail_advance_in_memory(self, kernel, task):
         pipe = kernel.pipes.create()
         kernel.pipes.write(pipe, 8)
@@ -110,9 +104,3 @@ class TestSockets:
         kernel.sockets.send(pair, "a", 8)
         socket_cost = kernel.platform.clock.now - start
         assert socket_cost > pipe_cost
-
-    def test_destroy_releases_buffers(self, kernel, task):
-        pair = kernel.sockets.socketpair()
-        free_before = kernel.allocator.free_pages
-        kernel.sockets.destroy(pair)
-        assert kernel.allocator.free_pages == free_before + 2

@@ -80,16 +80,12 @@ class TestNamespace:
         with pytest.raises(AllocationError):
             vfs.unlink("/missing")
 
-    def test_rename(self, kernel, vfs):
-        vfs.create("/old")
-        vfs.rename("/old", "new")
-        assert vfs.lookup("/old") is None
-        assert vfs.lookup("/new") is not None
-
     def test_chmod_chown(self, kernel, vfs):
-        node = vfs.create("/attrs")
-        vfs.chmod("/attrs", 0o600)
-        vfs.chown("/attrs", 42, 43)
+        task = kernel.procs.current
+        handle = vfs.open("/attrs", create=True)
+        kernel.sys.fchmod(task, handle, 0o600)
+        kernel.sys.fchown(task, handle, 42, 43)
+        node = vfs.lookup("/attrs")
         assert kernel.read_field(node.inode_pa, INODE, "i_mode") == 0o600
         assert kernel.read_field(node.inode_pa, INODE, "i_uid") == 42
         assert kernel.read_field(node.inode_pa, INODE, "i_gid") == 43

@@ -136,8 +136,6 @@ class TestCaptureFifo:
         assert not fifo.push(3, None)
         assert fifo.overrun
         assert len(fifo) == 2
-        fifo.clear_overrun()
-        assert not fifo.overrun
 
     def test_max_depth_statistic(self):
         fifo = CaptureFifo(depth=8)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import PAGE_BYTES
 from repro.hw.platform import Platform
 from repro.core.mbm.mbm import MemoryBusMonitor
 
@@ -158,7 +159,7 @@ class TestCacheabilityRequirement:
     def test_eventual_writeback_flags_hazard(self, platform, mbm):
         arm(mbm, TARGET, 8)
         platform.caches.write(TARGET, 0x99, cacheable=True)
-        platform.caches.clean_invalidate_page(TARGET & ~0xFFF)
+        platform.caches.clean_invalidate_range(TARGET & ~0xFFF, PAGE_BYTES)
         assert mbm.events_detected == 0  # values were not decodable
         assert mbm.stats.get("writeback_hazards") == 1
 

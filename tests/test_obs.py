@@ -295,13 +295,6 @@ class TestProfiler:
         )
         assert attribution.buckets["hypercall_round_trips"] > 0
 
-    def test_clock_scopes_are_attributed(self, monitored):
-        with monitored.platform.clock.scope("workload"):
-            monitored.kernel.sys.setuid(monitored.kernel.procs.current, 1000)
-        attribution = attribute_cycles(monitored)
-        assert attribution.scopes["workload"] > 0
-        assert attribution.as_flat_dict()["scope:workload"] > 0
-
 
 # ----------------------------------------------------------------------
 # MBM detection trace

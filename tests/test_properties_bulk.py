@@ -252,7 +252,7 @@ class TestTouchBlockAgainstPerLineReference:
             paddr = BASE + line_index * line_bytes + word_off * WORD
             # Vectorized path.
             fast_platform.caches.touch_block(paddr, nwords, is_write)
-            # Per-line reference path (the documented fallback).
+            # Per-line reference path.
             caches = ref_platform.caches
             first = paddr & caches._line_mask
             last = (paddr + (nwords - 1) * WORD) & caches._line_mask
@@ -268,13 +268,10 @@ class TestTouchBlockAgainstPerLineReference:
 
 #: Caches of one or two sets, so an 8-line window keeps both levels
 #: full and evicting: dirty L1 victims fold into a full L2 set and push
-#: its dirty lines out while the stream hits in L2.  "odd" has a
-#: non-power-of-two L2 (3 sets), so touch_block takes its per-line
-#: fallback.
+#: its dirty lines out while the stream hits in L2.
 _TINY_CACHES = {
     "one_set": dict(l1_bytes=128, l1_ways=2, l2_bytes=256, l2_ways=4),
     "two_sets": dict(l1_bytes=256, l1_ways=2, l2_bytes=512, l2_ways=4),
-    "odd": dict(l1_bytes=256, l1_ways=2, l2_bytes=768, l2_ways=4),
 }
 
 _stream_ops = st.lists(

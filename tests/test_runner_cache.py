@@ -186,6 +186,22 @@ class TestCacheBehaviour:
         path.write_text('{"cell": "%s"}' % cell.label())
         assert cache.lookup(cell) is None
 
+    @pytest.mark.parametrize("content", [
+        b"42", b"null", b'"payload"', b"[]", b'{"payload": 5}',
+        b'{"payload": null}', b'{"payload": [1]}', b"\xff\xfe",
+    ])
+    def test_malformed_entry_is_a_miss(self, tmp_path, content):
+        cache = CellCache(tmp_path)
+        cell = echo_cell()
+        expected = run_cells([cell], cache=cache)
+        cache._path(cache_key(cell)).write_bytes(content)
+        misses = cache.misses
+        assert cache.lookup(cell) is None
+        assert (cache.hits, cache.misses) == (0, misses + 1)
+        # A run recomputes the cell and replaces the entry.
+        assert run_cells([cell], cache=cache) == expected
+        assert cache.lookup(cell) == expected[0]
+
     def test_concurrent_stores_of_one_key_all_succeed(self, tmp_path,
                                                       monkeypatch):
         # Two writers of one key (e.g. two processes sharing a cache

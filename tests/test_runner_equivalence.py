@@ -40,9 +40,6 @@ class TestParallelEquivalence:
         parallel = _table1(jobs=4)
         assert parallel.rows == serial.rows
         assert parallel.format() == serial.format()
-        assert parallel.format(include_paper=False) == serial.format(
-            include_paper=False
-        )
 
     def test_figure6_parallel_matches_serial(self):
         serial = run_figure6(

@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 from repro.core.hypernel import build_native, build_system
 from repro.errors import SnapshotError
 from repro.kernel.objects import CRED
+from repro.obs import collect_metrics
 from repro.security import CredIntegrityMonitor, DentryIntegrityMonitor
 from repro.security.fuzz.invariants import run_invariants
 from repro.security.fuzz.snapshot_checker import (
     SnapshotEvidence,
     capture_snapshot,
 )
-from repro.utils.stats import merge
 from tests.conftest import small_platform_config
 
 
@@ -194,26 +194,9 @@ def _run_scenario(system):
         for offset in range(2 + 2 * min(system.mbm.ring.entries, 32))
     ]
     platform = system.platform
-    stats = merge(
-        system.cpu.stats,
-        system.cpu.mmu.stats,
-        system.cpu.mmu.tlb.stats,
-        system.cpu.mmu.stage2_tlb.stats,
-        platform.bus.stats,
-        platform.dram.stats,
-        platform.l1.stats,
-        platform.l2.stats,
-        platform.caches.stats,
-        system.mbm.stats,
-        system.mbm.snooper.stats,
-        system.mbm.translator.stats,
-        system.mbm.decision.stats,
-        system.mbm.ring.stats,
-    )
     return {
         "cycles": platform.clock.now,
-        "stats": stats,
-        "summary": system.stats_summary(),
+        "metrics": collect_metrics(system).to_dict(),
         "ring_words": ring_words,
         "alerts": [
             (alert.reason, alert.addr, alert.observed, alert.expected)

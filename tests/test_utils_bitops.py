@@ -10,12 +10,9 @@ from repro.utils.bitops import (
     align_up,
     bit,
     bits,
-    extract,
-    insert,
     is_aligned,
     mask,
     require_aligned,
-    sign_extend,
 )
 
 
@@ -56,38 +53,6 @@ class TestBits:
     def test_inverted_range_rejected(self):
         with pytest.raises(ValueError):
             bits(3, 7)
-
-
-class TestExtractInsert:
-    def test_extract_low_byte(self):
-        assert extract(0xABCD, 7, 0) == 0xCD
-
-    def test_extract_high_nibble(self):
-        assert extract(0xABCD, 15, 12) == 0xA
-
-    def test_insert_replaces_field(self):
-        assert insert(0xFFFF, 7, 4, 0x0) == 0xFF0F
-
-    def test_insert_rejects_oversized_field(self):
-        with pytest.raises(ValueError):
-            insert(0, 3, 0, 0x10)
-
-    @given(st.integers(0, mask(32)), st.integers(0, 31), st.integers(0, 31))
-    def test_roundtrip(self, value, a, b):
-        hi, lo = max(a, b), min(a, b)
-        field = extract(value, hi, lo)
-        assert insert(value, hi, lo, field) == value
-
-
-class TestSignExtend:
-    def test_positive_unchanged(self):
-        assert sign_extend(0x7F, 8) == 0x7F
-
-    def test_negative_extends(self):
-        assert sign_extend(0xFF, 8) == -1
-
-    def test_msb_only(self):
-        assert sign_extend(0x80, 8) == -128
 
 
 class TestAlignment:

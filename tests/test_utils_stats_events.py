@@ -1,9 +1,7 @@
 """Unit tests for repro.utils.stats and repro.utils.events."""
 
-import pytest
-
 from repro.utils.events import EventHook
-from repro.utils.stats import StatSet, merge
+from repro.utils.stats import StatSet
 
 
 class TestStatSet:
@@ -22,12 +20,6 @@ class TestStatSet:
         stats.add("bytes", 512)
         assert stats.get("bytes") == 512
 
-    def test_reset(self):
-        stats = StatSet("s")
-        stats.add("x", 5)
-        stats.reset()
-        assert stats.get("x") == 0
-
     def test_snapshot_is_a_copy(self):
         stats = StatSet("s")
         stats.add("x")
@@ -35,28 +27,11 @@ class TestStatSet:
         stats.add("x")
         assert snap["x"] == 1
 
-    def test_ratio(self):
-        stats = StatSet("s")
-        stats.add("hits", 3)
-        stats.add("total", 4)
-        assert stats.ratio("hits", "total") == pytest.approx(0.75)
-
-    def test_ratio_zero_denominator(self):
-        stats = StatSet("s")
-        assert stats.ratio("hits", "total") == 0.0
-
     def test_iteration_sorted(self):
         stats = StatSet("s")
         stats.add("b")
         stats.add("a")
         assert [k for k, _ in stats] == ["a", "b"]
-
-    def test_merge_prefixes_names(self):
-        one, two = StatSet("one"), StatSet("two")
-        one.add("x")
-        two.add("x", 2)
-        merged = merge(one, two)
-        assert merged == {"one.x": 1, "two.x": 2}
 
 
 class TestEventHook:
@@ -67,19 +42,6 @@ class TestEventHook:
         hook.subscribe(lambda v: seen.append(("b", v)))
         hook.fire(7)
         assert seen == [("a", 7), ("b", 7)]
-
-    def test_unsubscribe(self):
-        hook = EventHook("h")
-        seen = []
-        callback = hook.subscribe(seen.append)
-        hook.unsubscribe(callback)
-        hook.fire(1)
-        assert seen == []
-
-    def test_unsubscribe_unknown_raises(self):
-        hook = EventHook("h")
-        with pytest.raises(ValueError):
-            hook.unsubscribe(lambda: None)
 
     def test_len_counts_subscribers(self):
         hook = EventHook("h")
