@@ -128,8 +128,7 @@ def merge_figure6(
     for cell, payload in zip(cells, payloads):
         for app_name, microseconds in payload["raw_us"].items():
             result.raw_us.setdefault(app_name, {})[cell.environment] = microseconds
-        if "metrics" in payload:
-            result.health[cell.environment] = payload["metrics"]
+        result.health[cell.environment] = payload["metrics"]
     for app_name, row in result.raw_us.items():
         native = row["native"]
         result.normalized[app_name] = {
@@ -144,15 +143,13 @@ def run_figure6(
     apps: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    waive: tuple = (),
 ) -> Figure6Result:
     """Run each application on each system; normalize to native.
 
     ``jobs`` sizes the process pool (default: every available CPU;
     ``1`` runs serially in-process — see ``run_cells``).  The run fails
-    (IntegrityError) if any cell's monitoring pipeline lost events;
-    ``waive`` accepts named checks.
+    (IntegrityError) if any cell's monitoring pipeline lost events.
     """
     cells = figure6_cells(scale, platform_config, apps)
-    payloads = run_cells(cells, jobs=jobs, cache=cache, waive=waive)
+    payloads = run_cells(cells, jobs=jobs, cache=cache)
     return merge_figure6(cells, payloads)

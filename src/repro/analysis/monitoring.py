@@ -140,8 +140,7 @@ def merge_table2(
     for cell, payload in zip(cells, payloads):
         for app_name, delta in payload["counts"].items():
             result.counts.setdefault(app_name, {})[cell.environment] = delta
-        if "metrics" in payload:
-            result.health[cell.environment] = payload["metrics"]
+        result.health[cell.environment] = payload["metrics"]
     return result
 
 
@@ -151,16 +150,14 @@ def run_table2(
     apps: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    waive: tuple = (),
 ) -> Table2Result:
     """Run the five applications under both monitoring configurations.
 
     ``jobs`` sizes the process pool (default: every available CPU;
     ``1`` runs serially in-process — see ``run_cells``).  The run fails
     (IntegrityError) if the MBM pipeline lost events — for Table 2 that
-    means the trap counts themselves would be short; ``waive`` accepts
-    named checks.
+    means the trap counts themselves would be short.
     """
     cells = table2_cells(scale, platform_config, apps)
-    payloads = run_cells(cells, jobs=jobs, cache=cache, waive=waive)
+    payloads = run_cells(cells, jobs=jobs, cache=cache)
     return merge_table2(cells, payloads, scale)

@@ -66,9 +66,9 @@ def health_lines(sections: Dict[str, Dict[str, dict]]) -> List[str]:
 
     ``sections`` maps an experiment title to its result's ``health``
     attribute (cell name -> serialized RunMetrics).  Cells without an
-    MBM report ``n/a`` integrity; cells with one report ``ok``,
-    ``WAIVED`` or ``FAILED <check> = <value>`` per failing counter, so
-    a lossy run is visible (and nameable) straight from the report.
+    MBM report ``n/a`` integrity; cells with one report ``ok`` or
+    ``FAILED <check> = <value>`` per failing counter, so a lossy run is
+    visible (and nameable) straight from the report.
     """
     lines = [
         "| experiment | cell | integrity | events | lost | fifo high-water "
@@ -89,9 +89,6 @@ def health_lines(sections: Dict[str, Dict[str, dict]]) -> List[str]:
                 verdict = "FAILED " + ", ".join(
                     f"{check.name} = {check.value}" for check in failures
                 )
-            elif any(check.waived and not check.passed
-                     for check in metrics.checks):
-                verdict = "WAIVED"
             else:
                 verdict = "ok"
             gauges = metrics.gauges
@@ -112,7 +109,6 @@ def generate_report(
     platform_config: Optional[PlatformConfig] = None,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    waive: tuple = (),
 ) -> str:
     """Run the full evaluation and return it as a markdown document.
 
@@ -120,15 +116,14 @@ def generate_report(
     cell-based experiment runners (the attack matrix stays in-process:
     its scenarios share mutable victim systems).  The report
     always ends with a run-health section; generation fails with an
-    IntegrityError when the monitoring pipeline lost events
-    (``waive`` accepts named checks).
+    IntegrityError when the monitoring pipeline lost events.
     """
     if platform_config is None:
         platform_config = PlatformConfig(
             dram_bytes=192 * 1024 * 1024, secure_bytes=24 * 1024 * 1024
         )
     runner_kwargs = {"platform_config": platform_config, "jobs": jobs,
-                     "cache": cache, "waive": waive}
+                     "cache": cache}
     lines: List[str] = [
         "# Hypernel reproduction — evaluation report",
         "",

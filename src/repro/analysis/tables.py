@@ -119,8 +119,7 @@ def merge_table1(
     for cell, payload in zip(cells, payloads):
         for op in ops:
             result.rows[op][cell.environment] = payload["rows"][op]
-        if "metrics" in payload:
-            result.health[cell.environment] = payload["metrics"]
+        result.health[cell.environment] = payload["metrics"]
     return result
 
 
@@ -131,16 +130,14 @@ def run_table1(
     ops: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    waive: tuple = (),
 ) -> Table1Result:
     """Build each system, run the LMbench suite, collect Table 1.
 
     ``jobs`` sizes the process pool (default: every available CPU;
     ``1`` runs serially in-process — see ``run_cells``).  The run fails
-    (IntegrityError) if any cell's monitoring pipeline lost events;
-    ``waive`` accepts named checks.
+    (IntegrityError) if any cell's monitoring pipeline lost events.
     """
     ops = list(ops or LMBENCH_OPS)
     cells = table1_cells(platform_config, warmup, iterations, ops)
-    payloads = run_cells(cells, jobs=jobs, cache=cache, waive=waive)
+    payloads = run_cells(cells, jobs=jobs, cache=cache)
     return merge_table1(cells, payloads, ops)

@@ -8,9 +8,10 @@ Commands:
 * ``figure6`` — regenerate Figure 6 (application benchmarks).
 * ``table2`` — regenerate Table 2 (monitoring granularity).
 
-  These three and ``report`` exit non-zero when the monitoring pipeline
-  lost events in any cell, cached or computed, unless the check is
-  ``--waive``d (``tests/test_obs.py::TestPayloadIntegrity``).
+  These three and ``report`` exit 1 when the monitoring pipeline lost
+  events in any cell, cached or computed, naming the cell and check
+  (``tests/test_obs.py::TestPayloadIntegrity``), and exit 1 with one
+  stderr line naming the cell and cause when a cell fails.
 * ``attacks`` — run the attack/protection matrix and print verdicts.
 * ``audit`` — build a monitored Hypernel system, run a workload and
   verify every security invariant through both channels: the live
@@ -18,8 +19,8 @@ Commands:
   machine; then print the differential gate's verdict on the pair.
 * ``metrics`` — run a monitored workload and print the full
   observability report: component counters, gauges, cycle attribution
-  and the run-integrity checks (repro.obs).  Exits non-zero when the
-  monitoring pipeline lost events, unless the check is ``--waive``d.
+  and the run-integrity checks (repro.obs).  Exits 1 when the
+  monitoring pipeline lost events.
 * ``fuzz`` — adversarial hypercall fuzzing of Hypersec
   (repro.security.fuzz): a Hypothesis state machine drives random
   hypercall/trapped-register/attack sequences against a booted
@@ -42,7 +43,7 @@ import time
 from typing import List, Optional
 
 from repro.config import PlatformConfig
-from repro.errors import IntegrityError
+from repro.errors import IntegrityError, RunnerError
 
 
 def _int_at_least(minimum: int):
@@ -134,28 +135,6 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every cell, bypassing the "
                         "content-addressed result cache")
-    _add_waive(parser)
-
-
-def _integrity_check_name(text: str) -> str:
-    from repro.obs.metrics import INTEGRITY_CHECK_SPECS
-
-    known = [f"{component}.{counter}"
-             for component, counter, _ in INTEGRITY_CHECK_SPECS]
-    if text not in known:
-        raise argparse.ArgumentTypeError(
-            f"unknown integrity check {text!r}; known checks: "
-            + ", ".join(known))
-    return text
-
-
-def _add_waive(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--waive", action="append", default=[],
-                        type=_integrity_check_name, metavar="CHECK",
-                        help="accept a named integrity check (e.g. "
-                        "mbm_fifo.overrun) instead of failing the run "
-                        "when the monitoring pipeline lost events; "
-                        "repeatable")
 
 
 def _runner_kwargs(args):
@@ -163,7 +142,7 @@ def _runner_kwargs(args):
 
     cache = None if args.no_cache else CellCache(default_cache_dir())
     return {"platform_config": _platform_config(args), "jobs": args.jobs,
-            "cache": cache, "waive": tuple(args.waive)}
+            "cache": cache}
 
 
 def cmd_info(args) -> int:
@@ -284,7 +263,7 @@ def cmd_metrics(args) -> int:
     from repro.obs import collect_metrics
 
     system = _system_under_test(args)
-    metrics = collect_metrics(system, waive=tuple(args.waive))
+    metrics = collect_metrics(system)
     print(metrics.format())
     failures = metrics.failures
     if failures:
@@ -458,7 +437,7 @@ _COMMANDS = {
     "attacks": (cmd_attacks, [_add_platform]),
     "audit": (cmd_audit, [_add_platform, _add_scale]),
     "fuzz": (cmd_fuzz, [_add_fuzz_args]),
-    "metrics": (cmd_metrics, [_add_platform, _add_scale, _add_waive]),
+    "metrics": (cmd_metrics, [_add_platform, _add_scale]),
     "report": (cmd_report, [_add_platform, _add_scale, _add_runner]),
     "cache": (cmd_cache, [_add_cache_args]),
 }
@@ -482,6 +461,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         subparsers.choices[args.command].error(str(exc))
     except IntegrityError as exc:
         print(f"INTEGRITY FAILURE: {exc}")
+        return 1
+    except RunnerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

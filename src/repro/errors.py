@@ -1,6 +1,6 @@
 """Exception hierarchy for the Hypernel reproduction.
 
-Two families live here:
+Three families live here:
 
 * **Simulation errors** (:class:`SimulationError` and subclasses) signal
   misuse of the simulator itself — out-of-range physical addresses,
@@ -13,6 +13,10 @@ Two families live here:
   They are *control flow* inside the simulation: the CPU model catches
   them and routes them to the exception vector of the appropriate
   exception level, exactly as hardware would.
+
+* **Runner errors** (:class:`RunnerError`) fail an experiment run: a
+  cell raised, or its worker timed out.  The CLI reports one as a
+  single line naming the cell and the cause.
 """
 
 from __future__ import annotations
@@ -49,9 +53,18 @@ class ProtocolError(SimulationError):
 
 class IntegrityError(SimulationError):
     """A run-integrity check failed: the monitoring pipeline lost events
-    (FIFO overrun, ring overflow) during a run that did not waive the
-    check.  Raised by :mod:`repro.obs.metrics` so silent event loss
-    fails loudly instead of skewing Table 2."""
+    (FIFO overrun, ring overflow), or a cell's payload carried no
+    report to show it did not.  Raised by :mod:`repro.obs.metrics` so
+    silent event loss fails loudly instead of skewing Table 2."""
+
+
+class RunnerError(RuntimeError):
+    """A cell raised, crashed its worker and then raised in-process, or
+    timed out; ``cell`` is the :class:`~repro.tools.runner.Cell`."""
+
+    def __init__(self, message: str, cell=None):
+        super().__init__(message)
+        self.cell = cell
 
 
 class ArchFault(Exception):

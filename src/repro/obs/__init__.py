@@ -8,9 +8,9 @@ state, so results are byte-identical with or without it):
   :class:`~repro.utils.stats.StatSet`, derived gauges (FIFO high-water
   vs depth, ring occupancy, bitmap-cache hit rate, IRQs per detection)
   and hard *integrity checks* that make silent event loss in the MBM
-  pipeline fail a run loudly unless explicitly waived.  The experiment
-  runner enforces them on every cell payload, cached, in-process or
-  from a pool worker (``tests/test_obs.py::TestPayloadIntegrity``).
+  pipeline fail a run loudly, always.  The experiment runner enforces
+  them on every cell payload, cached, in-process or from a pool worker
+  (``tests/test_obs.py::TestPayloadIntegrity``).
 * :mod:`repro.obs.profiler` — cycle attribution: splits ``sim_cycles``
   into exactly-recoverable fixed-cost buckets (stage-1 vs stage-2 walk
   descriptors, hypercall/trap round trips, world switches, ...) plus

@@ -7,8 +7,7 @@ docstring warns must never happen.  :func:`collect_metrics` gathers
 every component :class:`~repro.utils.stats.StatSet` on a system into
 one serializable :class:`RunMetrics` report and turns the loss counters
 into hard *integrity checks*: any non-zero value fails the run loudly
-(:class:`~repro.errors.IntegrityError`) unless the caller explicitly
-waives that named check.
+(:class:`~repro.errors.IntegrityError`).
 
 Collection is read-only on the simulated machine: StatSet reads flush
 batched counters but never charge cycles, and the ring-occupancy gauge
@@ -19,7 +18,7 @@ cycle-for-cycle identical to one without.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import IntegrityError
 from repro.obs.profiler import attribute_cycles
@@ -49,29 +48,22 @@ class IntegrityCheck:
     component: str
     counter: str
     value: int
-    waived: bool = False
     description: str = ""
 
     @property
     def name(self) -> str:
-        """``component.counter`` — the handle used to waive the check."""
+        """``component.counter`` — the name failures report."""
         return f"{self.component}.{self.counter}"
 
     @property
     def passed(self) -> bool:
         return self.value == 0
 
-    @property
-    def failed(self) -> bool:
-        """True when the check fails the run (non-zero and not waived)."""
-        return not self.passed and not self.waived
-
     def to_dict(self) -> dict:
         return {
             "component": self.component,
             "counter": self.counter,
             "value": self.value,
-            "waived": self.waived,
             "description": self.description,
         }
 
@@ -81,7 +73,6 @@ class IntegrityCheck:
             component=str(data["component"]),
             counter=str(data["counter"]),
             value=int(data["value"]),
-            waived=bool(data.get("waived", False)),
             description=str(data.get("description", "")),
         )
 
@@ -99,12 +90,12 @@ class RunMetrics:
 
     @property
     def clean(self) -> bool:
-        """True when every integrity check passed or was waived."""
+        """True when every integrity check passed."""
         return not self.failures
 
     @property
     def failures(self) -> List[IntegrityCheck]:
-        return [check for check in self.checks if check.failed]
+        return [check for check in self.checks if not check.passed]
 
     def check(self, name: str) -> IntegrityCheck:
         """The check called ``component.counter`` (KeyError if absent)."""
@@ -137,12 +128,9 @@ class RunMetrics:
         }
 
     @classmethod
-    def from_dict(
-        cls, data: dict, waive: Iterable[str] = ()
-    ) -> "RunMetrics":
-        """Rehydrate a report; ``waive`` marks named checks as waived
-        (the consumer's waiver, applied on top of the collector's)."""
-        metrics = cls(
+    def from_dict(cls, data: dict) -> "RunMetrics":
+        """Rehydrate a report."""
+        return cls(
             system=str(data["system"]),
             sim_cycles=int(data["sim_cycles"]),
             components={
@@ -161,8 +149,6 @@ class RunMetrics:
                 for k, v in data.get("attribution", {}).items()
             },
         )
-        _apply_waivers(metrics.checks, waive)
-        return metrics
 
     # ------------------------------------------------------------------
     def format(self) -> str:
@@ -176,11 +162,7 @@ class RunMetrics:
         if not self.checks:
             lines.append("  (none: system has no MBM attached)")
         for check in self.checks:
-            status = (
-                "ok" if check.passed
-                else "WAIVED" if check.waived
-                else "FAILED"
-            )
+            status = "ok" if check.passed else "FAILED"
             lines.append(
                 f"  [{status:>6s}] {check.name} = {check.value}"
                 + (f"  ({check.description})" if not check.passed else "")
@@ -207,24 +189,6 @@ class RunMetrics:
                         f"({cycles / total * 100:5.1f}%)"
                     )
         return "\n".join(lines)
-
-
-def _apply_waivers(
-    checks: List[IntegrityCheck], waive: Iterable[str]
-) -> None:
-    waived = set(waive)
-    if not waived:
-        return
-    known = {check.name for check in checks}
-    unknown = waived - known
-    if unknown and checks:
-        raise IntegrityError(
-            f"cannot waive unknown integrity check(s) "
-            f"{sorted(unknown)}; known checks: {sorted(known)}"
-        )
-    for check in checks:
-        if check.name in waived:
-            check.waived = True
 
 
 # ----------------------------------------------------------------------
@@ -300,15 +264,12 @@ def _mbm_gauges(system) -> Dict[str, float]:
     return gauges
 
 
-def collect_metrics(
-    system, waive: Iterable[str] = ()
-) -> RunMetrics:
+def collect_metrics(system) -> RunMetrics:
     """Snapshot every observable counter on ``system`` into a report.
 
     Read-only on the machine: no cycles are charged, no component state
     changes, so a run that collects metrics produces byte-identical
-    tables to one that does not.  ``waive`` marks named integrity
-    checks (``"mbm_fifo.overrun"``-style) as accepted.
+    tables to one that does not.
     """
     components = {
         stats.name: stats.snapshot() for stats in component_stat_sets(system)
@@ -324,7 +285,6 @@ def collect_metrics(
                 IntegrityCheck(component, counter, value,
                                description=description)
             )
-        _apply_waivers(checks, waive)
     attribution = attribute_cycles(system)
     return RunMetrics(
         system=system.name,
@@ -340,32 +300,27 @@ def collect_metrics(
 # Payload-level enforcement (runner integration)
 # ----------------------------------------------------------------------
 def verify_payload_integrity(
-    labels: Sequence[str],
-    payloads: Sequence[Optional[dict]],
-    waive: Iterable[str] = (),
+    labels: Sequence[str], payloads: Sequence[dict]
 ) -> None:
     """Enforce the integrity checks carried in runner payloads.
 
-    ``labels`` and ``payloads`` run in parallel (one label per cell);
-    payloads without a ``"metrics"`` key (the runner's test-only
-    ``selftest`` cells) are skipped.  Raises
-    :class:`IntegrityError` naming every failing cell and check.
+    ``labels`` and ``payloads`` run in parallel (one label per cell).
+    Raises :class:`IntegrityError` naming every cell whose report has a
+    non-zero check, with the check, and every cell whose payload
+    carries no ``"metrics"`` report at all (its losses are unknown).
     """
     problems: List[str] = []
     for label, payload in zip(labels, payloads):
-        if not payload:
-            continue
         data = payload.get("metrics")
-        if not data:
+        if not isinstance(data, dict):
+            problems.append(f"{label}: no metrics report")
             continue
-        metrics = RunMetrics.from_dict(data, waive=waive)
         problems += [
             f"{label}: {check.name} = {check.value}"
-            for check in metrics.failures
+            for check in RunMetrics.from_dict(data).failures
         ]
     if problems:
         raise IntegrityError(
             "run integrity check failed — the monitoring pipeline lost "
-            "events: " + "; ".join(problems)
-            + " (re-run with the check name(s) waived to accept)"
+            "events or did not report: " + "; ".join(problems)
         )

@@ -19,22 +19,24 @@ machinery:
 :func:`run_cells`
     Runs the cells that miss the cache: over a
     ``ProcessPoolExecutor`` when ``jobs > 1`` and more than one cell is
-    pending, in-process otherwise — with a per-job timeout, one
-    in-process retry of a cell whose worker process crashed, and a
-    serial fallback on platforms that cannot start a pool.  ``jobs``
-    defaults to every CPU this process may run on
-    (:func:`available_cpus`).  Results come back in cell order, so
+    pending, in-process otherwise — with a per-job timeout
+    (:data:`DEFAULT_TIMEOUT`), one in-process retry of a cell whose
+    worker process crashed, and a serial fallback on platforms that
+    cannot start a pool.  ``jobs`` defaults to every CPU this process
+    may run on (:func:`available_cpus`).  Results come back in cell order, so
     merging is deterministic and the merged tables are byte-identical
-    at any ``jobs``.  Every payload, cached or computed, must pass the
-    run-integrity checks (:mod:`repro.obs`) unless they are waived.
+    at any ``jobs``.  Every payload, cached or computed, must carry a
+    run-metrics report whose integrity checks (:mod:`repro.obs`) all
+    read zero, or the run fails.
 
 :class:`CellCache`
     A content-addressed on-disk cache (default ``benchmarks/.cache/``).
-    Keys hash the cell parameters together with every
-    :class:`~repro.config.CostModel` and :class:`~repro.config.OpCosts`
-    constant and a digest of the
-    package's source files (:func:`source_digest`), so edits that can
-    change cycle accounting invalidate cached results automatically.
+    Keys hash the cell parameters together with its platform config
+    (every :class:`~repro.config.CostModel` constant included) and a
+    digest of the package's source files (:func:`source_digest`), so
+    edits that can change cycle accounting invalidate cached results
+    automatically.  A cached payload without a ``metrics`` report is a
+    miss.
 
 The executor for a cell is resolved from :data:`KIND_EXECUTORS` by
 dotted path at execution time (in the worker process), which keeps this
@@ -52,15 +54,15 @@ import hashlib
 import json
 import os
 import pathlib
-import signal
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.config import OpCosts, PlatformConfig
+from repro.config import PlatformConfig
+from repro.errors import RunnerError
 
 #: Default per-job timeout (seconds).  Generous: a paper-scale cell is
 #: minutes of work; the timeout exists to surface a hung worker instead
@@ -72,19 +74,7 @@ KIND_EXECUTORS: Dict[str, str] = {
     "table1": "repro.analysis.tables:execute_cell",
     "figure6": "repro.analysis.figures:execute_cell",
     "table2": "repro.analysis.monitoring:execute_cell",
-    # Test-only workload used by the runner's own test suite: echoes
-    # (with an optional ``metrics`` block), fails, fails-once (marker
-    # file) or sleeps on demand.
-    "selftest": "repro.tools.runner:execute_selftest_cell",
 }
-
-class RunnerError(RuntimeError):
-    """A cell raised, crashed its worker and then raised in-process, or
-    timed out."""
-
-    def __init__(self, message: str, cell: Optional["Cell"] = None):
-        super().__init__(message)
-        self.cell = cell
 
 
 @dataclass
@@ -128,41 +118,6 @@ def execute_cell(cell: Cell) -> Dict[str, Any]:
     return _resolve_executor(cell.kind)(cell)
 
 
-def execute_selftest_cell(cell: Cell) -> Dict[str, Any]:
-    """Executor for the test-only ``selftest`` kind."""
-    mode = cell.spec.get("mode", "echo")
-    if mode == "echo":
-        payload = {"value": cell.spec.get("value"), "accesses": 0,
-                   "sim_cycles": 0}
-        if "metrics" in cell.spec:
-            payload["metrics"] = cell.spec["metrics"]
-        return payload
-    if mode == "fail":
-        raise RuntimeError(f"injected failure for {cell.label()}")
-    if mode == "fail_until_marker":
-        marker = pathlib.Path(cell.spec["marker"])
-        if not marker.exists():
-            marker.write_text("first attempt failed\n")
-            raise RuntimeError(f"injected first-attempt failure for {cell.label()}")
-        return {"value": "ok on a later attempt", "accesses": 0,
-                "sim_cycles": 0}
-    if mode == "sleep":
-        time.sleep(float(cell.spec.get("seconds", 1.0)))
-        return {"value": "slept", "accesses": 0, "sim_cycles": 0}
-    if mode == "kill_until_marker":
-        # Pool fault injection: SIGKILL the worker mid-cell on the
-        # first attempt (no exception, no cleanup — the worker just
-        # vanishes).  Only meaningful in a pooled run; in a serial run
-        # this would kill the caller.  ``pid`` shows where the retry ran.
-        marker = pathlib.Path(cell.spec["marker"])
-        if not marker.exists():
-            marker.write_text("first attempt killed\n")
-            os.kill(os.getpid(), signal.SIGKILL)
-        return {"value": "ok after kill", "pid": os.getpid(),
-                "accesses": 0, "sim_cycles": 0}
-    raise RunnerError(f"unknown selftest mode {mode!r}", cell)
-
-
 # ----------------------------------------------------------------------
 # Content-addressed result cache
 # ----------------------------------------------------------------------
@@ -191,17 +146,15 @@ def source_digest() -> str:
 
 
 def cost_fingerprint(platform_config: Optional[PlatformConfig]) -> Dict[str, Any]:
-    """Every constant that can change cycle accounting.
+    """Every constant a cell can set that changes cycle accounting.
 
-    The platform config embeds its :class:`CostModel`; kernel base
-    compute costs come from :class:`OpCosts` defaults (cells always
-    build kernels with the default :class:`KernelConfig`).
+    The platform config embeds its :class:`CostModel`.  Kernel base
+    compute costs are :class:`OpCosts` defaults (cells always build
+    kernels with the default :class:`KernelConfig`), which are source
+    text and so already part of :func:`source_digest`.
     """
     config = platform_config if platform_config is not None else PlatformConfig()
-    return {
-        "platform": dataclasses.asdict(config),
-        "op_costs": dataclasses.asdict(OpCosts()),
-    }
+    return {"platform": dataclasses.asdict(config)}
 
 
 def cache_key(cell: Cell) -> str:
@@ -221,8 +174,9 @@ def cache_key(cell: Cell) -> str:
 class CellCache:
     """On-disk JSON store of cell payloads, one file per content hash.
 
-    The cache never costs a run its results: an unreadable entry is a
-    miss, and a store that fails (e.g. the directory is a file or not
+    The cache never costs a run its results: an unreadable entry, or
+    one whose payload carries no ``metrics`` report, is a miss, and a
+    store that fails (e.g. the directory is a file or not
     writable) is skipped with one warning on stderr per cache.
     """
 
@@ -244,7 +198,8 @@ class CellCache:
         except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
             entry = None
         payload = entry.get("payload") if isinstance(entry, dict) else None
-        if not isinstance(payload, dict):
+        if not (isinstance(payload, dict)
+                and isinstance(payload.get("metrics"), dict)):
             self.misses += 1
             return None
         self.hits += 1
@@ -384,27 +339,23 @@ def run_cells(
     cells: List[Cell],
     jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
-    timeout: Optional[float] = DEFAULT_TIMEOUT,
-    executor_factory: Optional[Callable[[int], Any]] = None,
-    waive: Tuple[str, ...] = (),
 ) -> List[Dict[str, Any]]:
     """Execute every cell and return payloads in cell order.
 
     * ``jobs`` alone picks how uncached cells run; ``None`` (the
       default) means :func:`available_cpus`.  With ``jobs > 1`` and
       more than one uncached cell, they go to a pool of
-      ``min(jobs, pending)`` workers built by ``executor_factory``
-      (default ``ProcessPoolExecutor``); otherwise — or if the pool
-      cannot be created (sandboxed host, no ``fork``) — they run
-      in-process.  The per-cell workload body is the same either way,
+      ``min(jobs, pending)`` workers (a ``ProcessPoolExecutor``);
+      otherwise — or if the pool cannot be created (sandboxed host,
+      no ``fork``) — they run in-process.  The per-cell workload body is the same either way,
       so merged results are byte-identical.
     * A cell that raises fails the run at once with a
       :class:`RunnerError` naming the cell: a cell is a deterministic
       simulation, so running it again would raise again.  Only a cell
       whose worker process crashed (``BrokenProcessPool``) runs once
-      more, in-process.  A job exceeding ``timeout`` seconds raises
-      :class:`RunnerError` immediately — a hung worker cannot be
-      retried without leaking it.
+      more, in-process.  A job exceeding :data:`DEFAULT_TIMEOUT`
+      seconds raises :class:`RunnerError` immediately — a hung worker
+      cannot be retried without leaking it.
     * With a ``cache``, cells are looked up first and computed payloads
       are stored back; a fully warm cache dispatches zero jobs (no
       worker process is ever started).
@@ -412,8 +363,7 @@ def run_cells(
       all cells are in: :class:`~repro.errors.IntegrityError` names the
       cell and check if the monitoring pipeline lost events —
       *including in cached payloads*, so a lossy result can never hide
-      in the cache.  ``waive`` names checks (``"mbm_fifo.overrun"``-
-      style) to accept.
+      in the cache — or the cell if its payload carries no report.
     """
     from repro.obs.metrics import verify_payload_integrity
 
@@ -437,9 +387,8 @@ def run_cells(
             from concurrent.futures import TimeoutError as FutureTimeout
             from concurrent.futures.process import BrokenProcessPool
 
-            factory = executor_factory or _default_executor_factory
             try:
-                pool = factory(min(jobs, len(pending)))
+                pool = _default_executor_factory(min(jobs, len(pending)))
             except (ImportError, NotImplementedError, OSError, PermissionError):
                 pool = None  # e.g. sandboxed host without fork: fall back
         if pool is None:
@@ -452,10 +401,11 @@ def run_cells(
                 for index, future in futures:
                     cell = cells[index]
                     try:
-                        results[index] = future.result(timeout=timeout)
+                        results[index] = future.result(timeout=DEFAULT_TIMEOUT)
                     except FutureTimeout:
                         raise RunnerError(
-                            f"cell {cell.label()} timed out after {timeout:.0f}s",
+                            f"cell {cell.label()} timed out after "
+                            f"{DEFAULT_TIMEOUT:.0f}s",
                             cell,
                         ) from None
                     except BrokenProcessPool:
@@ -475,7 +425,5 @@ def run_cells(
             for index in pending:
                 cache.store(cells[index], results[index])
 
-    verify_payload_integrity(
-        [cell.label() for cell in cells], results, waive=waive
-    )
+    verify_payload_integrity([cell.label() for cell in cells], results)
     return results  # type: ignore[return-value]

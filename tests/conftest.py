@@ -16,6 +16,21 @@ def small_platform_config() -> PlatformConfig:
 
 
 @pytest.fixture
+def selftest_kind(monkeypatch):
+    """Register the ``selftest`` cell kind (``tests.helpers``) with the
+    runner for one test.
+
+    Pool workers see the registration because they start by ``fork``,
+    the default start method on Linux, and so inherit this process's
+    ``KIND_EXECUTORS``; a ``spawn``ed worker would not.
+    """
+    from repro.tools import runner
+
+    monkeypatch.setitem(runner.KIND_EXECUTORS, "selftest",
+                        "tests.helpers:execute_selftest_cell")
+
+
+@pytest.fixture
 def platform_config():
     return small_platform_config()
 

@@ -1,6 +1,12 @@
-"""Shared test utilities: small platforms and hand-built page tables."""
+"""Shared test utilities: small platforms, hand-built page tables and
+the ``selftest`` cell kind for the runner's own tests."""
 
 from __future__ import annotations
+
+import os
+import pathlib
+import signal
+import time
 
 from repro.config import PAGE_BYTES, PlatformConfig
 from repro.hw.platform import Platform
@@ -111,3 +117,52 @@ def cpu_with_kernel_map(platform: Platform | None = None):
 def kva(platform: Platform, paddr: int) -> int:
     """Kernel linear-map VA for a physical address."""
     return KERNEL_VA_BASE + (paddr - platform.config.dram_base)
+
+
+#: The report a clean ``selftest`` payload carries: no MBM, no checks.
+CLEAN_METRICS = {"system": "selftest", "sim_cycles": 0}
+
+
+def _selftest_payload(value, metrics=CLEAN_METRICS, **extra) -> dict:
+    payload = {"value": value, "accesses": 0, "sim_cycles": 0, **extra}
+    if metrics is not None:
+        payload["metrics"] = metrics
+    return payload
+
+
+def execute_selftest_cell(cell) -> dict:
+    """Executor for the ``selftest`` cell kind (see the ``selftest_kind``
+    fixture): echoes, fails, fails once (marker file), sleeps or kills
+    its worker on demand.
+
+    An echo carries ``spec["metrics"]`` as its report when the spec has
+    one (``None`` leaves the report out), else :data:`CLEAN_METRICS`.
+    """
+    from repro.errors import RunnerError
+
+    mode = cell.spec.get("mode", "echo")
+    if mode == "echo":
+        return _selftest_payload(cell.spec.get("value"),
+                                 cell.spec.get("metrics", CLEAN_METRICS))
+    if mode == "fail":
+        raise RuntimeError(f"injected failure for {cell.label()}")
+    if mode == "fail_until_marker":
+        marker = pathlib.Path(cell.spec["marker"])
+        if not marker.exists():
+            marker.write_text("first attempt failed\n")
+            raise RuntimeError(f"injected first-attempt failure for {cell.label()}")
+        return _selftest_payload("ok on a later attempt")
+    if mode == "sleep":
+        time.sleep(float(cell.spec.get("seconds", 1.0)))
+        return _selftest_payload("slept")
+    if mode == "kill_until_marker":
+        # Pool fault injection: SIGKILL the worker mid-cell on the
+        # first attempt (no exception, no cleanup — the worker just
+        # vanishes).  Only meaningful in a pooled run; in a serial run
+        # this would kill the caller.  ``pid`` shows where the retry ran.
+        marker = pathlib.Path(cell.spec["marker"])
+        if not marker.exists():
+            marker.write_text("first attempt killed\n")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _selftest_payload("ok after kill", pid=os.getpid())
+    raise RunnerError(f"unknown selftest mode {mode!r}", cell)

@@ -331,31 +331,35 @@ class TestCli:
                                  [command, "--no-macroops"],
                                  "unrecognized arguments: --no-macroops")
 
-    @pytest.mark.parametrize("command",
-                             ["table1", "figure6", "table2", "report",
-                              "metrics"])
-    def test_unknown_waive_name_is_a_usage_error(self, monkeypatch, capsys,
-                                                 command):
-        # A mistyped check name fails at parse time, before any cell
-        # runs, and the message lists the checks that can be waived.
-        self._assert_usage_error(
-            monkeypatch, capsys, [command, "--waive", "nope.nope"],
-            "unknown integrity check 'nope.nope'; known checks: "
-            "mbm_fifo.overrun, mbm_fifo.dropped, mbm_ring.overflow_drops, "
-            "mbm_decision.lost_events, mbm.writeback_hazards")
-
     @pytest.mark.parametrize("argv", [
         ["table1", "--enforce-integrity"],
         ["figure6", "--enforce-integrity"],
         ["table2", "--enforce-integrity"],
         ["report", "--enforce-integrity"],
         ["metrics", "--no-enforce"],
+        ["table1", "--waive", "x"],
+        ["figure6", "--waive", "x"],
+        ["table2", "--waive", "x"],
+        ["report", "--waive", "x"],
+        ["metrics", "--waive", "x"],
     ], ids=" ".join)
     def test_removed_integrity_flags_are_usage_errors(self, monkeypatch,
                                                       capsys, argv):
-        # Integrity is always enforced; --waive CHECK is the only switch.
+        # Integrity is always enforced: no flag accepts a lost event.
         self._assert_usage_error(monkeypatch, capsys, argv,
-                                 f"unrecognized arguments: {argv[1]}")
+                                 "unrecognized arguments: "
+                                 + " ".join(argv[1:]))
+
+    def test_failing_cell_is_one_stderr_line(self, capsys):
+        # 41 MB boots, but the LMbench sweep runs out of physical
+        # pages: exit 1, the cell and the cause on stderr, no traceback.
+        assert main(["table1", "--dram-mb", "41", "--no-cache",
+                     "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cell table1:native:lmbench failed: "
+            "AllocationError('out of physical pages')\n")
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

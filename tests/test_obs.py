@@ -267,18 +267,6 @@ class TestRunMetrics:
         assert "mbm_fifo.overrun" in names
         assert "mbm_fifo.dropped" in names
 
-    def test_waiver_silences_named_checks_only(self, monitored):
-        force_fifo_overrun(monitored)
-        metrics = collect_metrics(
-            monitored, waive=("mbm_fifo.overrun", "mbm_fifo.dropped")
-        )
-        assert metrics.clean
-        assert metrics.check("mbm_fifo.overrun").waived
-
-    def test_unknown_waiver_name_raises(self, monitored):
-        with pytest.raises(IntegrityError, match="no_such.check"):
-            collect_metrics(monitored, waive=("no_such.check",))
-
 
 # ----------------------------------------------------------------------
 # Cycle attribution
@@ -327,10 +315,15 @@ class TestExport:
 # ----------------------------------------------------------------------
 # Payload-level enforcement (runner integration surface)
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("selftest_kind")
 class TestPayloadIntegrity:
-    def test_skips_payloads_without_metrics(self):
-        # ``selftest`` payloads may carry no report: tolerated.
-        verify_payload_integrity(["cell"], [{"rows": {}}])
+    def test_rejects_payloads_without_metrics(self):
+        # No report, no proof that no event was lost: the run fails,
+        # naming the cell.
+        with pytest.raises(IntegrityError,
+                           match="table1:native:lmbench: no metrics report"):
+            verify_payload_integrity(["table1:native:lmbench"],
+                                     [{"rows": {}}])
 
     def test_raises_naming_cell_and_check(self, monitored):
         force_fifo_overrun(monitored)
@@ -341,18 +334,10 @@ class TestPayloadIntegrity:
         assert "table1:hypernel:lmbench" in message
         assert "mbm_fifo.overrun" in message
 
-    def test_waiver_applies_at_verification_time(self, monitored):
-        force_fifo_overrun(monitored)
-        payload = {"metrics": collect_metrics(monitored).to_dict()}
-        verify_payload_integrity(
-            ["cell"], [payload],
-            waive=("mbm_fifo.overrun", "mbm_fifo.dropped"),
-        )
-
     def test_run_cells_rejects_lossy_cached_payload(self, tmp_path,
                                                     monitored):
-        # Enforcement is the only policy: a lossy payload already in the
-        # cache fails the run by default, and only a waiver accepts it.
+        # A lossy payload already in the cache fails the run: nothing
+        # accepts a named loss.
         from repro.tools.runner import Cell, CellCache, run_cells
 
         force_fifo_overrun(monitored)
@@ -367,18 +352,39 @@ class TestPayloadIntegrity:
         message = str(excinfo.value)
         assert "selftest:lossy:echo" in message
         assert "mbm_fifo.overrun" in message
-        [payload] = run_cells(
-            [cell], cache=cache,
-            waive=("mbm_fifo.overrun", "mbm_fifo.dropped"),
-        )
-        assert payload["value"] == 1
-        assert cache.hits == 2
+        assert cache.hits == 1
 
-    def test_run_cells_rejects_lossy_pool_payload(self, monitored):
+    def test_run_cells_rejects_lossy_in_process_payload(self, monitored):
+        from repro.tools.runner import Cell, run_cells
+
+        force_fifo_overrun(monitored)
+        cell = Cell(kind="selftest", environment="lossy", workload="echo",
+                    spec={"mode": "echo", "value": 1,
+                          "metrics": collect_metrics(monitored).to_dict()})
+        with pytest.raises(IntegrityError,
+                           match="selftest:lossy:echo: mbm_fifo.overrun = 1"):
+            run_cells([cell], jobs=1)
+
+    def test_run_cells_rejects_computed_payload_without_metrics(self):
+        from repro.tools.runner import Cell, run_cells
+
+        cells = [
+            Cell(kind="selftest", environment="bare", workload="echo",
+                 spec={"mode": "echo", "value": 1, "metrics": None}),
+            Cell(kind="selftest", environment="clean", workload="echo",
+                 spec={"mode": "echo", "value": 2}),
+        ]
+        with pytest.raises(IntegrityError) as excinfo:
+            run_cells(cells, jobs=1)
+        message = str(excinfo.value)
+        assert "selftest:bare:echo: no metrics report" in message
+        assert "selftest:clean:echo" not in message
+
+    def test_run_cells_rejects_lossy_pool_payload(self, monitored,
+                                                  monkeypatch):
         # A lossy payload computed in a pool worker process fails the
         # run just as a cached one does.
-        from concurrent.futures import ProcessPoolExecutor
-
+        from repro.tools import runner
         from repro.tools.runner import Cell, run_cells
 
         force_fifo_overrun(monitored)
@@ -388,13 +394,12 @@ class TestPayloadIntegrity:
                       spec={"mode": "echo", "value": i, "metrics": lossy})
                  for i in range(2)]
         pools = []
-
-        def spy_factory(jobs):
-            pools.append(jobs)
-            return ProcessPoolExecutor(max_workers=jobs)
-
+        real_factory = runner._default_executor_factory
+        monkeypatch.setattr(runner, "_default_executor_factory",
+                            lambda jobs: pools.append(jobs)
+                            or real_factory(jobs))
         with pytest.raises(IntegrityError) as excinfo:
-            run_cells(cells, jobs=2, executor_factory=spy_factory)
+            run_cells(cells, jobs=2)
         assert pools == [2]
         message = str(excinfo.value)
         assert "selftest:lossy0:echo" in message
@@ -462,22 +467,3 @@ class TestMetricsCli:
         assert "FAILED" in out  # the report prints before the exit
         assert "INTEGRITY FAILURE" in out
         assert "mbm_fifo.overrun = 1" in out
-
-    def test_waive_turns_failure_into_success(self, capsys, lossy):
-        from repro.cli import main
-
-        assert main([
-            "metrics",
-            "--waive", "mbm_fifo.overrun", "--waive", "mbm_fifo.dropped",
-        ]) == 0
-
-    def test_unknown_waiver_is_an_error(self, capsys, clean):
-        from repro.cli import main
-
-        # A usage error: the parser rejects the name before any system
-        # is built.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["metrics", "--waive", "nope.nope"])
-        assert excinfo.value.code == 2
-        assert "unknown integrity check 'nope.nope'" in (
-            capsys.readouterr().err)

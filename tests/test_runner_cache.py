@@ -1,8 +1,9 @@
 """Cache-key invalidation for the content-addressed result cache.
 
 The key recipe (DESIGN.md §5b) hashes the cell parameters together with
-every ``CostModel``/``OpCosts`` constant and a digest of the package's
-source files: anything that can change cycle accounting must miss; an
+its platform config (every ``CostModel`` constant) and a digest of the
+package's source files, which also fix the kernel's ``OpCosts``
+defaults: anything that can change cycle accounting must miss; an
 unchanged rerun must hit without dispatching any work.
 """
 
@@ -18,6 +19,7 @@ import time
 import pytest
 
 from repro.config import CostModel, PlatformConfig
+from repro.tools import runner
 from repro.tools.runner import (
     Cell,
     CellCache,
@@ -26,6 +28,9 @@ from repro.tools.runner import (
     prune_cache,
     run_cells,
 )
+from tests.helpers import CLEAN_METRICS
+
+pytestmark = pytest.mark.usefixtures("selftest_kind")
 
 
 def small_config(**cost_overrides):
@@ -134,31 +139,34 @@ class _CountingExecutor:
 
 
 class TestCacheBehaviour:
-    def test_unchanged_rerun_hits_with_zero_dispatches(self, tmp_path):
+    def test_unchanged_rerun_hits_with_zero_dispatches(self, tmp_path,
+                                                       monkeypatch):
         cache = CellCache(tmp_path)
         cells = [echo_cell(value=i, config=small_config()) for i in range(3)]
 
         first = _CountingExecutor()
-        cold = run_cells(cells, jobs=2, cache=cache, executor_factory=first)
+        monkeypatch.setattr(runner, "_default_executor_factory", first)
+        cold = run_cells(cells, jobs=2, cache=cache)
         assert first.submissions == 3
         assert cache.stores == 3
 
         second = _CountingExecutor()
-        warm = run_cells(cells, jobs=2, cache=cache, executor_factory=second)
+        monkeypatch.setattr(runner, "_default_executor_factory", second)
+        warm = run_cells(cells, jobs=2, cache=cache)
         assert second.submissions == 0, "warm cache must dispatch nothing"
         assert cache.hits == 3
         assert warm == cold
 
-    def test_cost_constant_perturbation_misses(self, tmp_path):
+    def test_cost_constant_perturbation_misses(self, tmp_path, monkeypatch):
         cache = CellCache(tmp_path)
         run_cells([echo_cell(config=small_config())], cache=cache)
         executor = _CountingExecutor()
+        monkeypatch.setattr(runner, "_default_executor_factory", executor)
         run_cells(
             [echo_cell(config=small_config(dram_row_hit=71)),
              echo_cell(config=small_config())],
             jobs=2,
             cache=cache,
-            executor_factory=executor,
         )
         # Perturbed cell recomputed; unchanged cell answered from cache.
         assert executor.submissions == 0  # single pending cell runs serially
@@ -189,6 +197,12 @@ class TestCacheBehaviour:
     @pytest.mark.parametrize("content", [
         b"42", b"null", b'"payload"', b"[]", b'{"payload": 5}',
         b'{"payload": null}', b'{"payload": [1]}', b"\xff\xfe",
+        # A payload without a metrics report cannot show its run lost
+        # no events: a miss, recomputed like any other.
+        b'{"cell": "selftest:test:echo", "payload": {}}',
+        b'{"payload": {"value": "x"}}',
+        b'{"payload": {"value": "x", "metrics": null}}',
+        b'{"payload": {"value": "x", "metrics": [1]}}',
     ])
     def test_malformed_entry_is_a_miss(self, tmp_path, content):
         cache = CellCache(tmp_path)
@@ -209,6 +223,10 @@ class TestCacheBehaviour:
         # runs entirely between the first one's write and its rename.
         cell = echo_cell()
         outer, inner = CellCache(tmp_path), CellCache(tmp_path)
+
+        def payload(value):
+            return {"value": value, "metrics": CLEAN_METRICS}
+
         real_replace = os.replace
         results = []
         nested = []
@@ -216,15 +234,15 @@ class TestCacheBehaviour:
         def interleaving_replace(src, dst, *args, **kwargs):
             if not nested:
                 nested.append(src)
-                results.append(inner.store(cell, {"value": "inner"}))
+                results.append(inner.store(cell, payload("inner")))
             return real_replace(src, dst, *args, **kwargs)
 
         monkeypatch.setattr(os, "replace", interleaving_replace)
-        results.append(outer.store(cell, {"value": "outer"}))
+        results.append(outer.store(cell, payload("outer")))
         monkeypatch.undo()
 
         assert results == [True, True]
-        assert CellCache(tmp_path).lookup(cell) == {"value": "outer"}
+        assert CellCache(tmp_path).lookup(cell) == payload("outer")
         assert list(tmp_path.glob("*.tmp")) == []
 
 

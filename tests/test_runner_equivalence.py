@@ -11,6 +11,7 @@ from repro.analysis.figures import run_figure6
 from repro.analysis.monitoring import run_table2
 from repro.analysis.tables import run_table1
 from repro.config import PlatformConfig
+from repro.tools import runner
 from repro.tools.runner import CellCache
 
 #: Reduced op set: keeps the three-systems sweep fast while still
@@ -110,52 +111,51 @@ class TestJobsPicksDispatch:
             ops=REDUCED_OPS,
         )
 
-    def test_paper_grid_at_jobs4_builds_one_pool_of_three(self):
-        from concurrent.futures import ProcessPoolExecutor
+    @staticmethod
+    def _spy_pools(monkeypatch):
+        """Record the size of every pool the runner builds."""
+        pools = []
+        real_factory = runner._default_executor_factory
+        monkeypatch.setattr(runner, "_default_executor_factory",
+                            lambda jobs: pools.append(jobs)
+                            or real_factory(jobs))
+        return pools
 
+    def test_paper_grid_at_jobs4_builds_one_pool_of_three(self,
+                                                          monkeypatch):
         from repro.tools.runner import run_cells
 
-        pools = []
-
-        def spy_factory(jobs):
-            pools.append(jobs)
-            return ProcessPoolExecutor(max_workers=jobs)
-
+        pools = self._spy_pools(monkeypatch)
         cells = self._cells()
-        payloads = run_cells(cells, jobs=4, executor_factory=spy_factory)
+        payloads = run_cells(cells, jobs=4)
         assert pools == [3]
         assert len(payloads) == len(cells)
         assert all(p is not None for p in payloads)
 
-    def test_factory_pool_is_capped_at_jobs(self):
-        # More uncached cells than jobs: the caller's factory is asked
-        # for ``jobs`` workers, and every cell still comes back in order.
-        from concurrent.futures import ProcessPoolExecutor
-
+    def test_factory_pool_is_capped_at_jobs(self, monkeypatch,
+                                            selftest_kind):
+        # More uncached cells than jobs: the factory is asked for
+        # ``jobs`` workers, and every cell still comes back in order.
         from repro.tools.runner import Cell, run_cells
 
-        pools = []
-
-        def spy_factory(jobs):
-            pools.append(jobs)
-            return ProcessPoolExecutor(max_workers=jobs)
-
+        pools = self._spy_pools(monkeypatch)
         cells = [Cell(kind="selftest", environment=f"c{i}", workload="echo",
                       spec={"mode": "echo", "value": i})
                  for i in range(5)]
-        payloads = run_cells(cells, jobs=2, executor_factory=spy_factory)
+        payloads = run_cells(cells, jobs=2)
         assert pools == [2]
         assert [p["value"] for p in payloads] == list(range(5))
 
-    def test_jobs1_never_builds_a_pool(self):
+    def test_jobs1_never_builds_a_pool(self, monkeypatch):
         from repro.tools.runner import run_cells
 
         def exploding_factory(jobs):  # pragma: no cover - must not run
             raise AssertionError("jobs=1 must stay serial")
 
+        monkeypatch.setattr(runner, "_default_executor_factory",
+                            exploding_factory)
         cells = self._cells()
-        payloads = run_cells(cells, jobs=1,
-                             executor_factory=exploding_factory)
+        payloads = run_cells(cells, jobs=1)
         assert len(payloads) == len(cells)
         assert all(p is not None for p in payloads)
 
@@ -171,7 +171,8 @@ class TestCacheEquivalence:
         assert warm.rows == cold.rows
         assert warm.format() == cold.format()
 
-    def test_warm_cache_parallel_run_dispatches_nothing(self, tmp_path):
+    def test_warm_cache_parallel_run_dispatches_nothing(self, tmp_path,
+                                                        monkeypatch):
         cache = CellCache(tmp_path)
         cold = _table1(jobs=1, cache=cache)
 
@@ -189,9 +190,9 @@ class TestCacheEquivalence:
             iterations=4,
             ops=REDUCED_OPS,
         )
-        payloads = run_cells(
-            cells, jobs=4, cache=cache, executor_factory=exploding_factory
-        )
+        monkeypatch.setattr(runner, "_default_executor_factory",
+                            exploding_factory)
+        payloads = run_cells(cells, jobs=4, cache=cache)
         assert [p["rows"] for p in payloads] == [
             {op: cold.rows[op][cell.environment] for op in REDUCED_OPS}
             for cell in cells

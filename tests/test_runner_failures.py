@@ -1,7 +1,7 @@
 """Worker-failure handling: a cell that raises fails loudly, naming the
 cell, on its first attempt; only a crashed worker's cell runs again.
 
-Fault injection uses the runner's test-only ``selftest`` cell kind,
+Fault injection uses the ``selftest`` cell kind (``tests/helpers.py``),
 whose ``fail_until_marker`` mode fails on the first attempt (dropping a
 marker file) and would succeed on a second one — so a test sees
 whether a second attempt ran, across processes too.  Its
@@ -12,7 +12,10 @@ import os
 
 import pytest
 
+from repro.tools import runner
 from repro.tools.runner import Cell, RunnerError, run_cells
+
+pytestmark = pytest.mark.usefixtures("selftest_kind")
 
 
 def fail_once_cell(tmp_path, name="flaky"):
@@ -98,14 +101,15 @@ class TestPoolFailures:
         with pytest.raises(RunnerError, match=r"selftest:one:fault-injection"):
             run_cells(cells, jobs=2)
 
-    def test_timeout_raises_runner_error_naming_cell(self):
+    def test_timeout_raises_runner_error_naming_cell(self, monkeypatch):
+        monkeypatch.setattr(runner, "DEFAULT_TIMEOUT", 0.2)
         cells = [
             Cell(kind="selftest", environment=f"sleepy{i}", workload="nap",
                  spec={"mode": "sleep", "seconds": 2.0})
             for i in range(2)
         ]
         with pytest.raises(RunnerError, match=r"selftest:sleepy0:nap.*timed out"):
-            run_cells(cells, jobs=2, timeout=0.2)
+            run_cells(cells, jobs=2)
 
     def test_first_attempt_failure_among_healthy_cells_fails(self,
                                                               tmp_path):
@@ -126,7 +130,9 @@ class TestPoolFailures:
         with pytest.raises(RunnerError, match=r"selftest:zeta:fault-injection"):
             run_cells(cells, jobs=3)
 
-    def test_timeout_after_a_finished_cell_names_the_slow_cell(self):
+    def test_timeout_after_a_finished_cell_names_the_slow_cell(
+            self, monkeypatch):
+        monkeypatch.setattr(runner, "DEFAULT_TIMEOUT", 0.5)
         cells = [
             echo_cell("quick", 1),
             Cell(kind="selftest", environment="sleepy", workload="nap",
@@ -134,7 +140,7 @@ class TestPoolFailures:
         ]
         with pytest.raises(RunnerError,
                            match=r"selftest:sleepy:nap.*timed out") as excinfo:
-            run_cells(cells, jobs=2, timeout=0.5)
+            run_cells(cells, jobs=2)
         assert excinfo.value.cell is cells[1]
 
     def test_worker_killed_mid_cell_is_retried_in_process(self, tmp_path):
@@ -172,19 +178,21 @@ class TestPoolFailures:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs a CPU affinity mask")
-    def test_default_jobs_on_a_one_cpu_mask_runs_serially(self):
+    def test_default_jobs_on_a_one_cpu_mask_runs_serially(self,
+                                                          monkeypatch):
         # What ``taskset -c 0`` does to a shell; the mask is per thread.
         from repro.tools.runner import available_cpus
 
         def exploding_factory(jobs):  # pragma: no cover - must not run
             raise AssertionError("a 1-CPU mask must stay serial")
 
+        monkeypatch.setattr(runner, "_default_executor_factory",
+                            exploding_factory)
         mask = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {min(mask)})
         try:
             assert available_cpus() == 1
-            payloads = run_cells([echo_cell("a", 1), echo_cell("b", 2)],
-                                 executor_factory=exploding_factory)
+            payloads = run_cells([echo_cell("a", 1), echo_cell("b", 2)])
         finally:
             os.sched_setaffinity(0, mask)
         assert [p["value"] for p in payloads] == [1, 2]
