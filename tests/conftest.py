@@ -31,6 +31,18 @@ def selftest_kind(monkeypatch):
 
 
 @pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every pool the runner builds, in order."""
+    from repro.tools import runner
+
+    pools = []
+    real_factory = runner._default_executor_factory
+    monkeypatch.setattr(runner, "_default_executor_factory",
+                        lambda jobs: pools.append(jobs) or real_factory(jobs))
+    return pools
+
+
+@pytest.fixture
 def platform_config():
     return small_platform_config()
 

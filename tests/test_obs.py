@@ -381,10 +381,9 @@ class TestPayloadIntegrity:
         assert "selftest:clean:echo" not in message
 
     def test_run_cells_rejects_lossy_pool_payload(self, monitored,
-                                                  monkeypatch):
+                                                  pool_sizes):
         # A lossy payload computed in a pool worker process fails the
         # run just as a cached one does.
-        from repro.tools import runner
         from repro.tools.runner import Cell, run_cells
 
         force_fifo_overrun(monitored)
@@ -393,14 +392,9 @@ class TestPayloadIntegrity:
                       workload="echo",
                       spec={"mode": "echo", "value": i, "metrics": lossy})
                  for i in range(2)]
-        pools = []
-        real_factory = runner._default_executor_factory
-        monkeypatch.setattr(runner, "_default_executor_factory",
-                            lambda jobs: pools.append(jobs)
-                            or real_factory(jobs))
         with pytest.raises(IntegrityError) as excinfo:
             run_cells(cells, jobs=2)
-        assert pools == [2]
+        assert pool_sizes == [2]
         message = str(excinfo.value)
         assert "selftest:lossy0:echo" in message
         assert "mbm_fifo.overrun" in message

@@ -111,39 +111,27 @@ class TestJobsPicksDispatch:
             ops=REDUCED_OPS,
         )
 
-    @staticmethod
-    def _spy_pools(monkeypatch):
-        """Record the size of every pool the runner builds."""
-        pools = []
-        real_factory = runner._default_executor_factory
-        monkeypatch.setattr(runner, "_default_executor_factory",
-                            lambda jobs: pools.append(jobs)
-                            or real_factory(jobs))
-        return pools
-
     def test_paper_grid_at_jobs4_builds_one_pool_of_three(self,
-                                                          monkeypatch):
+                                                          pool_sizes):
         from repro.tools.runner import run_cells
 
-        pools = self._spy_pools(monkeypatch)
         cells = self._cells()
         payloads = run_cells(cells, jobs=4)
-        assert pools == [3]
+        assert pool_sizes == [3]
         assert len(payloads) == len(cells)
         assert all(p is not None for p in payloads)
 
-    def test_factory_pool_is_capped_at_jobs(self, monkeypatch,
+    def test_factory_pool_is_capped_at_jobs(self, pool_sizes,
                                             selftest_kind):
         # More uncached cells than jobs: the factory is asked for
         # ``jobs`` workers, and every cell still comes back in order.
         from repro.tools.runner import Cell, run_cells
 
-        pools = self._spy_pools(monkeypatch)
         cells = [Cell(kind="selftest", environment=f"c{i}", workload="echo",
                       spec={"mode": "echo", "value": i})
                  for i in range(5)]
         payloads = run_cells(cells, jobs=2)
-        assert pools == [2]
+        assert pool_sizes == [2]
         assert [p["value"] for p in payloads] == list(range(5))
 
     def test_jobs1_never_builds_a_pool(self, monkeypatch):
