@@ -26,10 +26,14 @@ Commands:
   hypercall/trapped-register/attack sequences against a booted
   machine, predicts every verdict from the shared invariant spec, and
   cross-checks the live auditor against the snapshot-grounded
-  differential gate after every example.  ``--corpus DIR`` replays
-  recorded traces instead.
+  differential gate after every example.  A failure prints the
+  shrunk reproducer as a corpus file; ``--corpus DIR`` replays the
+  files saved under ``DIR`` instead.
 * ``cache`` — inspect (``cache info``) or garbage-collect
-  (``cache prune``) the content-addressed result cache.
+  (``cache prune``) the content-addressed result cache in
+  ``REPRO_CACHE_DIR`` (default ``benchmarks/.cache``).  Pruning deletes
+  exactly the entries the current source can never hit: those written
+  by a different source, and unreadable ones.
 """
 
 from __future__ import annotations
@@ -46,34 +50,27 @@ from repro.config import PlatformConfig
 from repro.errors import IntegrityError, RunnerError
 
 
-def _int_at_least(minimum: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {minimum}, got {value}")
-        return value
-    return parse
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-def _finite_float(allow_zero: bool):
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid float value: {text!r}") from None
-        in_range = value >= 0 if allow_zero else value > 0
-        if not (math.isfinite(value) and in_range):
-            raise argparse.ArgumentTypeError(
-                f"must be a {'non-negative' if allow_zero else 'positive'} "
-                f"number, got {text}")
-        return value
-    return parse
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text}")
+    return value
 
 
 class _UsageError(Exception):
@@ -81,10 +78,8 @@ class _UsageError(Exception):
     reports it as the command's usage error (exit 2)."""
 
 
-_positive_int = _int_at_least(1)
-_nonnegative_int = _int_at_least(0)
-_positive_float = _finite_float(allow_zero=False)
-_nonnegative_float = _finite_float(allow_zero=True)
+#: Rules per fuzz example.
+_FUZZ_STEPS = 8
 
 
 def _platform_config(args) -> PlatformConfig:
@@ -281,7 +276,7 @@ def cmd_fuzz(args) -> int:
         FuzzViolation,
         replay_corpus,
         run_fuzz,
-        save_trace,
+        trace_document,
     )
 
     profiles = list(PROFILES) if args.profile == "both" else [args.profile]
@@ -312,10 +307,10 @@ def cmd_fuzz(args) -> int:
         for index, profile in enumerate(profiles):
             share = quotient + (index < remainder)
             print(f"fuzzing {profile!r} profile: {share} examples, "
-                  f"{args.steps} steps each, seed {args.seed} ...")
+                  f"{_FUZZ_STEPS} steps each, seed {args.seed} ...")
             try:
                 merge(run_fuzz(profile=profile, seed=args.seed,
-                               max_examples=share, steps=args.steps))
+                               max_examples=share, steps=_FUZZ_STEPS))
             except FuzzViolation as exc:
                 failure = f"[{profile}] {exc}"
                 merge(FUZZ_STATS)
@@ -324,13 +319,12 @@ def cmd_fuzz(args) -> int:
                 merge(FUZZ_STATS)
             if failure:
                 if LAST_TRACE:
+                    # A corpus file as it stands: save it under DIR and
+                    # ``--corpus DIR`` replays it.
                     print("minimized reproducer:")
-                    print(json.dumps([e["op"] for e in LAST_TRACE],
-                                     indent=2, sort_keys=True))
-                if args.save_failing:
-                    save_trace(args.save_failing, profile,
-                               note="minimized by hypothesis shrinking")
-                    print(f"reproducer saved to {args.save_failing}")
+                    document = trace_document(
+                        profile, note="minimized by hypothesis shrinking")
+                    print(json.dumps(document, indent=2, sort_keys=True))
                 break
 
     elapsed = time.time() - started
@@ -363,41 +357,28 @@ def _add_fuzz_args(parser: argparse.ArgumentParser) -> None:
                         "selected profiles, split evenly with the "
                         "remainder going to the earlier profile; at "
                         "least one per profile (default 100)")
-    parser.add_argument("--steps", type=_positive_int, default=8,
-                        help="rules per example (default 8)")
     parser.add_argument("--corpus", default=None, metavar="DIR",
                         help="replay every recorded trace in DIR instead "
                         "of running the random state machine")
-    parser.add_argument("--save-failing", default=None, metavar="PATH",
-                        help="save the minimized failing trace as a "
-                        "corpus file")
 
 
 def cmd_cache(args) -> int:
-    from repro.tools.runner import cache_contents, default_cache_dir, prune_cache
+    from repro.tools.runner import cache_contents, prune_cache
 
-    directory = args.dir or default_cache_dir()
     if args.action == "info":
-        inventory = cache_contents(directory)
+        inventory = cache_contents()
         entries = inventory["entries"]
         print(f"cache directory: {inventory['directory']}")
         print(f"  result entries: {len(entries)} "
               f"({inventory['total_bytes']} bytes)")
-        if args.verbose:
-            for entry in sorted(entries, key=lambda e: e["mtime"]):
-                age_days = (time.time() - entry["mtime"]) / 86400.0
-                print(f"  {entry['bytes']:>10d} B {age_days:6.1f} d  "
-                      f"{entry['path']}")
+        print(f"  stale entries: {sum(e['stale'] for e in entries)} "
+              "(different source or unreadable; cache prune deletes them)")
         return 0
     if args.action == "prune":
-        removed = prune_cache(
-            directory,
-            max_age_days=args.max_age,
-            max_bytes=args.max_bytes,
-        )
+        removed = prune_cache()
         for path in removed:
             print(f"removed {path}")
-        remaining = cache_contents(directory)
+        remaining = cache_contents()
         print(f"pruned {len(removed)} entries; {len(remaining['entries'])} "
               f"remain ({remaining['total_bytes']} bytes)")
         return 0
@@ -406,26 +387,12 @@ def cmd_cache(args) -> int:
 
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     actions = parser.add_subparsers(dest="action", required=True)
-    info = actions.add_parser(
-        "info", help="summarize cached results")
-    info.add_argument("--dir", default=None,
-                      help="cache directory (default REPRO_CACHE_DIR or "
-                      "benchmarks/.cache)")
-    info.add_argument("--verbose", action="store_true",
-                      help="list every entry with size and age")
-    prune = actions.add_parser(
-        "prune", help="delete old entries; everything pruned is safely "
-        "recomputable (content-addressed)")
-    prune.add_argument("--dir", default=None,
-                       help="cache directory (default REPRO_CACHE_DIR or "
-                       "benchmarks/.cache)")
-    prune.add_argument("--max-age", type=_nonnegative_float, default=None,
-                       metavar="DAYS",
-                       help="drop entries older than DAYS (0 drops every "
-                       "entry)")
-    prune.add_argument("--max-bytes", type=_nonnegative_int, default=None,
-                       help="evict oldest entries until the cache fits "
-                       "in this many bytes (0 empties it)")
+    actions.add_parser(
+        "info", help="summarize cached results (directory: "
+        "REPRO_CACHE_DIR or benchmarks/.cache)")
+    actions.add_parser(
+        "prune", help="delete every entry the current source can never "
+        "hit: written by a different source, or unreadable")
 
 
 #: command name -> (handler, extra-argument installers).

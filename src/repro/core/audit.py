@@ -12,8 +12,8 @@ The invariant definitions and the checking engine live in
 :mod:`repro.security.fuzz.invariants`, shared with the offline snapshot
 checker and the hypercall fuzzer; this module contributes the *live*
 evidence channel — the adapter that lets the shared engine read the
-running platform — and keeps the historical
-``HypersecAuditor``/``AuditReport`` interface.
+running platform, which :meth:`~repro.core.hypersec.Hypersec.audit`
+runs.
 
 Invariants audited (each maps to a paper claim):
 
@@ -51,16 +51,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.config import PAGE_BYTES
 from repro.errors import AllocationError, MemoryRangeError
 from repro.arch.pagetable import Descriptor
-from repro.security.fuzz.invariants import (
-    Evidence,
-    Finding as AuditFinding,
-    Geometry,
-    InvariantReport as AuditReport,
-    run_invariants,
-)
-from repro.utils.stats import StatSet
+from repro.security.fuzz.invariants import Evidence, Geometry
 
-__all__ = ["AuditFinding", "AuditReport", "HypersecAuditor", "LiveEvidence"]
+__all__ = ["LiveEvidence"]
 
 
 class LiveEvidence(Evidence):
@@ -155,21 +148,3 @@ class LiveEvidence(Evidence):
     def recorded_root_tables(self) -> Set[int]:
         return set(self.hypersec.root_tables)
 
-
-class HypersecAuditor:
-    """Checks Hypernel's invariants against live machine state."""
-
-    def __init__(self, hypersec):
-        self.hypersec = hypersec
-        self.platform = hypersec.platform
-        self.stats = StatSet("auditor")
-
-    def audit(self) -> AuditReport:
-        """Run every invariant check; returns the findings."""
-        self.stats.add("audits")
-        report = run_invariants(LiveEvidence(self.hypersec))
-        # A modest flat cost: real audits would be periodic EL2 work.
-        # (The walk itself uses backdoor reads: the auditor is EL2
-        # software and charges per-audit, not per-access.)
-        self.hypersec.cpu.compute(200 + report.leaves_checked // 4)
-        return report

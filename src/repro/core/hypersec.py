@@ -31,7 +31,7 @@ from repro.config import PAGE_BYTES, PAGE_WORDS, SECTION_BYTES, WORD_BYTES
 from repro.errors import SecurityViolation, SimulationError
 from repro.hw.platform import Platform
 from repro.arch.cpu import CPUCore
-from repro.arch.exceptions import EL2, EL2Vector
+from repro.arch.exceptions import EL2Vector
 from repro.arch.pagetable import (
     DESC_AP_WRITE,
     DESC_NC,
@@ -157,25 +157,6 @@ class Hypersec(EL2Vector):
                 )
 
     # ------------------------------------------------------------------
-    # EL2 memory helpers (identity map; charged to the caller's clock)
-    # ------------------------------------------------------------------
-    def _el2_write(self, paddr: int, value: int, cacheable: bool = True) -> None:
-        saved = self.cpu.current_el
-        self.cpu.current_el = EL2
-        try:
-            self.platform.caches.write(paddr, value, cacheable)
-        finally:
-            self.cpu.current_el = saved
-
-    def _el2_read(self, paddr: int, cacheable: bool = True) -> int:
-        saved = self.cpu.current_el
-        self.cpu.current_el = EL2
-        try:
-            return self.platform.caches.read(paddr, cacheable)
-        finally:
-            self.cpu.current_el = saved
-
-    # ------------------------------------------------------------------
     # EL2Vector: hypercalls
     # ------------------------------------------------------------------
     #: func -> (min_args, max_args).  A hostile caller may pass any
@@ -297,7 +278,7 @@ class Hypersec(EL2Vector):
                 self._table_refs.get(desc.address, 0) + 1
             )
             self._table_levels.setdefault(desc.address, level + 1)
-        self._el2_write(desc_paddr, value)
+        self.platform.caches.write(desc_paddr, value, cacheable=True)
         return hc.HVC_OK
 
     def _check_leaf(self, desc_paddr: int, desc: Descriptor, level: int,
@@ -527,7 +508,7 @@ class Hypersec(EL2Vector):
             if level == 2:
                 self.gap_sections.add(align_down(page_paddr, SECTION_BYTES))
             new = raw & ~DESC_AP_WRITE
-        self._el2_write(desc_addr, new)
+        self.platform.caches.write(desc_addr, new, cacheable=True)
         if level == 2:
             # The block leaf covers 2 MB: stale entries for *any* page
             # of the section must go (the TLB is page-granular here).
@@ -552,7 +533,7 @@ class Hypersec(EL2Vector):
             self._alert("emulate_table_write", target=dest_paddr)
             return hc.HVC_DENIED
         self.stats.add("gap_emulated_writes")
-        self._el2_write(dest_paddr, value)
+        self.platform.caches.write(dest_paddr, value, cacheable=True)
         return hc.HVC_OK
 
     def _h_emulate_write_block(self, dest_paddr: int, nwords: int) -> int:
@@ -580,12 +561,7 @@ class Hypersec(EL2Vector):
                 self._alert("emulate_table_write", target=page)
                 return hc.HVC_DENIED
         self.cpu.compute(nwords * self.costs.hypersec_verify_pte // 8)
-        saved = self.cpu.current_el
-        self.cpu.current_el = EL2
-        try:
-            self.platform.caches.touch_block(dest_paddr, nwords, is_write=True)
-        finally:
-            self.cpu.current_el = saved
+        self.platform.caches.touch_block(dest_paddr, nwords, is_write=True)
         self.stats.add("gap_emulated_writes", nwords)
         return hc.HVC_OK
 
@@ -660,9 +636,10 @@ class Hypersec(EL2Vector):
             self._alert("register_duplicate", base=base_pa, sid=sid)
             return hc.HVC_DENIED
         # Enable the bitmap bits (uncached stores the MBM snoops).
+        caches = self.platform.caches
         for word_addr, mask in self.mbm.bitmap.words_for_range(base_pa, size):
-            current = self._el2_read(word_addr, cacheable=False)
-            self._el2_write(word_addr, current | mask, cacheable=False)
+            current = caches.read(word_addr, cacheable=False)
+            caches.write(word_addr, current | mask, cacheable=False)
         # Index the range and make its pages non-cacheable.
         for page in self.mbm.bitmap.pages_for_range(base_pa, size):
             self._region_index.setdefault(page, []).append((base_pa, end_pa, sid))
@@ -700,11 +677,11 @@ class Hypersec(EL2Vector):
         # The bitmap words are shared state: another registered region
         # may overlap the very same bits, so clear only what no
         # surviving region still needs.
+        caches = self.platform.caches
         for word_addr, mask in self.mbm.bitmap.words_for_range(base_pa, size):
             keep = self._surviving_mask(word_addr) & mask
-            current = self._el2_read(word_addr, cacheable=False)
-            self._el2_write(word_addr, (current & ~mask) | keep,
-                            cacheable=False)
+            current = caches.read(word_addr, cacheable=False)
+            caches.write(word_addr, (current & ~mask) | keep, cacheable=False)
         for page in pages:
             refs = self._monitored_page_refs.get(page, 1) - 1
             if refs <= 0:
@@ -754,7 +731,7 @@ class Hypersec(EL2Vector):
                 return
         raw = self.platform.bus.peek(desc_addr)
         new = (raw & ~DESC_NC) if cacheable else (raw | DESC_NC)
-        self._el2_write(desc_addr, new)
+        self.platform.caches.write(desc_addr, new, cacheable=True)
         if not cacheable:
             # Flush any dirty lines so no stale writeback bypasses the
             # MBM.  The bitmap bits are already armed, so the flushed
@@ -781,9 +758,10 @@ class Hypersec(EL2Vector):
     def _h_mbm_service(self) -> int:
         if self.mbm is None:
             return hc.HVC_DENIED
+        caches = self.platform.caches
         events = self.mbm.ring.consume_all(
-            reader=lambda paddr: self._el2_read(paddr, cacheable=False),
-            writer=lambda paddr, value: self._el2_write(
+            reader=lambda paddr: caches.read(paddr, cacheable=False),
+            writer=lambda paddr, value: caches.write(
                 paddr, value, cacheable=False
             ),
         )
@@ -809,9 +787,16 @@ class Hypersec(EL2Vector):
     def audit(self):
         """Check every Hypernel security invariant against live machine
         state (real table walks, real bitmap contents).  Returns an
-        :class:`~repro.core.audit.AuditReport`."""
-        from repro.core.audit import HypersecAuditor
-        return HypersecAuditor(self).audit()
+        :class:`~repro.security.fuzz.invariants.InvariantReport`."""
+        from repro.core.audit import LiveEvidence
+        from repro.security.fuzz.invariants import run_invariants
+
+        report = run_invariants(LiveEvidence(self))
+        # A modest flat cost: real audits would be periodic EL2 work.
+        # (The walk itself uses backdoor reads: the auditor is EL2
+        # software and charges per-audit, not per-access.)
+        self.cpu.compute(200 + report.leaves_checked // 4)
+        return report
 
     # ------------------------------------------------------------------
     # Introspection used by tests and the analysis layer

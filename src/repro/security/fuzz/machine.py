@@ -22,7 +22,7 @@ invariant specification* of :mod:`repro.security.fuzz.invariants`:
 A disagreement anywhere raises :class:`FuzzViolation`; Hypothesis then
 shrinks the rule sequence to a minimal reproducer, which
 :data:`LAST_TRACE` captures as a portable JSON operation list (see
-``save_trace``/``replay_ops`` and ``tests/corpus/``).
+``trace_document``/``replay_ops`` and ``tests/corpus/``).
 
 Every test case starts from a copy of a cached post-boot machine
 (:func:`restore_from_snapshot` unpickles it, in about 2 ms) instead of
@@ -94,7 +94,7 @@ __all__ = [
     "replay_ops",
     "reset_stats",
     "run_fuzz",
-    "save_trace",
+    "trace_document",
 ]
 
 #: Hypercall-sequence trace of the most recent test case (minimal
@@ -782,6 +782,30 @@ _OP_HANDLERS = {
 
 
 # ----------------------------------------------------------------------
+# What every example checks (rules AND corpus replay run these)
+# ----------------------------------------------------------------------
+def _check_live_audit(ctx: FuzzContext) -> None:
+    """After every operation: the live auditor must find a clean
+    machine (an accepted operation followed by a dirty audit is a
+    policy hole)."""
+    report = ctx.hypersec.audit()
+    if not report.clean:
+        _bump("violations")
+        tail = LAST_TRACE[-1]["op"] if LAST_TRACE else None
+        raise FuzzViolation(f"live audit dirty after {tail!r}: {report}")
+
+
+def _check_differential_gate(ctx: FuzzContext) -> None:
+    """Closing an example: the snapshot-grounded channel must agree
+    with the live one."""
+    result = differential_audit(ctx.system)
+    if not result.clean:
+        _bump("differential_disagreements")
+        raise FuzzViolation(str(result))
+    _bump("differential_gates")
+
+
+# ----------------------------------------------------------------------
 # The Hypothesis state machine
 # ----------------------------------------------------------------------
 def fuzz_machine(profile: str = "section"):
@@ -899,19 +923,10 @@ def fuzz_machine(profile: str = "section"):
 
         @invariant()
         def live_audit_clean(self):
-            report = self.ctx.hypersec.audit()
-            if not report.clean:
-                _bump("violations")
-                tail = LAST_TRACE[-1]["op"] if LAST_TRACE else None
-                raise FuzzViolation(
-                    f"live audit dirty after {tail!r}: {report}")
+            _check_live_audit(self.ctx)
 
         def teardown(self):
-            result = differential_audit(self.ctx.system)
-            if not result.clean:
-                _bump("differential_disagreements")
-                raise FuzzViolation(str(result))
-            _bump("differential_gates")
+            _check_differential_gate(self.ctx)
 
     HypersecFuzzMachine.__name__ = f"HypersecFuzzMachine_{profile}"
     return HypersecFuzzMachine
@@ -981,29 +996,20 @@ def replay_ops(profile: str, ops: List[dict]) -> Dict[str, int]:
     ctx = FuzzContext(restore_from_snapshot(boot_snapshot(profile)))
     for op in ops:
         apply_op(ctx, op)
-        report = ctx.hypersec.audit()
-        if not report.clean:
-            _bump("violations")
-            raise FuzzViolation(f"live audit dirty after {op!r}: {report}")
-    result = differential_audit(ctx.system)
-    if not result.clean:
-        _bump("differential_disagreements")
-        raise FuzzViolation(str(result))
-    _bump("differential_gates")
+        _check_live_audit(ctx)
+    _check_differential_gate(ctx)
     return dict(FUZZ_STATS)
 
 
-def save_trace(path: str, profile: str, note: str = "") -> None:
-    """Write :data:`LAST_TRACE` as a portable corpus file."""
-    document = {
+def trace_document(profile: str, note: str = "") -> dict:
+    """:data:`LAST_TRACE` as a corpus document (what :func:`load_trace`
+    reads)."""
+    return {
         "schema": "repro.fuzz.trace/1",
         "profile": profile,
         "note": note,
         "ops": [entry["op"] for entry in LAST_TRACE],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def load_trace(path: str) -> Tuple[str, List[dict]]:

@@ -36,7 +36,8 @@ machinery:
     digest of the package's source files (:func:`source_digest`), so
     edits that can change cycle accounting invalidate cached results
     automatically.  A cached payload without a ``metrics`` report is a
-    miss.
+    miss.  Each entry records the source digest that wrote it, so
+    :func:`prune_cache` deletes exactly the entries no lookup can hit.
 
 The executor for a cell is resolved from :data:`KIND_EXECUTORS` by
 dotted path at execution time (in the worker process), which keeps this
@@ -56,7 +57,6 @@ import os
 import pathlib
 import sys
 import tempfile
-import time
 from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Callable, Dict, List, Optional
@@ -208,7 +208,8 @@ class CellCache:
     def store(self, cell: Cell, payload: Dict[str, Any]) -> bool:
         path = self._path(cache_key(cell))
         blob = json.dumps(
-            {"cell": cell.label(), "payload": payload},
+            {"cell": cell.label(), "source": source_digest(),
+             "payload": payload},
             indent=2,
         )
         # A private temp file per store, then an atomic rename: concurrent
@@ -234,31 +235,40 @@ class CellCache:
         self.stores += 1
         return True
 
-
 # ----------------------------------------------------------------------
 # Cache maintenance (python -m repro cache {info,prune})
 # ----------------------------------------------------------------------
+def _stale(path: pathlib.Path) -> bool:
+    """Whether no lookup can hit the entry: written by a different
+    source (or before entries recorded one), or unreadable."""
+    try:
+        with open(path) as handle:
+            entry = json.load(handle)
+    except (OSError, ValueError):
+        return True
+    return not (isinstance(entry, dict)
+                and entry.get("source") == source_digest())
+
+
 def cache_contents(
     directory: Optional[os.PathLike | str] = None,
 ) -> Dict[str, Any]:
     """Inventory of the on-disk cache's result entries (``*.json``).
 
     Returns ``{"directory", "entries", "total_bytes"}`` where each entry
-    is ``{"path", "bytes", "mtime"}``.
+    is ``{"path", "bytes", "stale"}``; a stale entry was written by
+    a different source, or cannot be read.
     """
     base = (pathlib.Path(directory) if directory is not None
             else default_cache_dir())
     entries: List[Dict[str, Any]] = []
     for path in sorted(base.glob("*.json")):
         try:
-            stat = path.stat()
+            size = path.stat().st_size
         except OSError:
             continue  # raced with a concurrent prune
-        entries.append({
-            "path": str(path),
-            "bytes": stat.st_size,
-            "mtime": stat.st_mtime,
-        })
+        entries.append({"path": str(path), "bytes": size,
+                        "stale": _stale(path)})
     return {
         "directory": str(base),
         "entries": entries,
@@ -266,42 +276,23 @@ def cache_contents(
     }
 
 
-def prune_cache(
-    directory: Optional[os.PathLike | str] = None,
-    max_age_days: Optional[float] = None,
-    max_bytes: Optional[int] = None,
-    now: Optional[float] = None,
-) -> List[str]:
-    """Delete stale cache entries; returns the paths removed.
+def prune_cache(directory: Optional[os.PathLike | str] = None) -> List[str]:
+    """Delete every entry the current source can never hit; returns the
+    paths removed.
 
-    Entries older than ``max_age_days`` go first; then, if the survivors
-    still exceed ``max_bytes``, the oldest are evicted until the total
-    fits.  Content-addressing makes eviction always safe — a pruned
-    entry is simply recomputed on next use.
+    Keys hash :func:`source_digest`, so an entry written by a different
+    source is dead weight, and so is one that cannot be read.  Every
+    entry the current source wrote stays.
     """
-    inventory = cache_contents(directory)
-    cutoff = (time.time() if now is None else now)
-    doomed: List[Dict[str, Any]] = []
-    kept: List[Dict[str, Any]] = []
-    for entry in inventory["entries"]:
-        if (max_age_days is not None
-                and cutoff - entry["mtime"] > max_age_days * 86400.0):
-            doomed.append(entry)
-        else:
-            kept.append(entry)
-    if max_bytes is not None:
-        kept.sort(key=lambda entry: entry["mtime"])  # oldest first
-        total = sum(entry["bytes"] for entry in kept)
-        while kept and total > max_bytes:
-            evicted = kept.pop(0)
-            total -= evicted["bytes"]
-            doomed.append(evicted)
-    for entry in doomed:
-        try:
-            pathlib.Path(entry["path"]).unlink()
-        except OSError:
-            pass
-    return [entry["path"] for entry in doomed]
+    removed: List[str] = []
+    for entry in cache_contents(directory)["entries"]:
+        if entry["stale"]:
+            try:
+                pathlib.Path(entry["path"]).unlink()
+            except OSError:
+                continue
+            removed.append(entry["path"])
+    return removed
 
 
 # ----------------------------------------------------------------------

@@ -250,7 +250,6 @@ class TestCli:
         (["table2", "--scale", "0"], "must be a positive number, got 0"),
         (["table2", "--scale", "-1"], "must be a positive number, got -1"),
         (["table2", "--scale", "nan"], "must be a positive number, got nan"),
-        (["fuzz", "--steps", "0"], "must be at least 1, got 0"),
         (["fuzz", "--max-examples", "0"], "must be at least 1, got 0"),
     ])
     def test_nonpositive_number_is_a_usage_error(self, monkeypatch, capsys,
@@ -350,6 +349,49 @@ class TestCli:
                                  "unrecognized arguments: "
                                  + " ".join(argv[1:]))
 
+    @pytest.mark.parametrize("argv", [
+        ["cache", "info", "--dir", "x"],
+        ["cache", "info", "--verbose"],
+        ["cache", "prune", "--dir", "x"],
+        ["cache", "prune", "--max-age", "30"],
+        ["cache", "prune", "--max-bytes", "1000"],
+        ["fuzz", "--steps", "8"],
+        ["fuzz", "--save-failing", "x.json"],
+    ], ids=" ".join)
+    def test_removed_cache_and_fuzz_flags_are_usage_errors(self, monkeypatch,
+                                                            capsys, argv):
+        # REPRO_CACHE_DIR moves the cache, and prune deletes exactly the
+        # entries the current source can never hit; fuzz runs 8 steps
+        # per example and prints a failing trace as a corpus file.
+        flags = argv[2:] if argv[0] == "cache" else argv[1:]
+        self._assert_usage_error(monkeypatch, capsys, argv,
+                                 "unrecognized arguments: " + " ".join(flags))
+
+    def test_fuzz_failure_prints_a_replayable_corpus_file(self, monkeypatch,
+                                                          capsys, tmp_path):
+        from repro.security.fuzz import machine
+
+        ops = [{"op": "alloc", "root": False, "flaw": "secure", "index": 0},
+               {"op": "mbm"}]
+
+        def run_fuzz(profile, seed, max_examples, steps):
+            machine.replay_ops(profile, ops)  # leaves LAST_TRACE behind
+            raise machine.FuzzViolation("seeded failure")
+
+        monkeypatch.setattr(machine, "run_fuzz", run_fuzz)
+        assert main(["fuzz", "--profile", "page", "--max-examples", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "FUZZ FAILURE: [page] seeded failure" in out
+        document = out.split("minimized reproducer:\n", 1)[1]
+        document = document.split("\n\n", 1)[0]
+        path = tmp_path / "reproducer.json"
+        path.write_text(document)
+        assert machine.load_trace(str(path)) == ("page", ops)
+        # Saved as printed, it replays with --corpus.
+        assert main(["fuzz", "--corpus", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "  corpus_files: 1" in out and "  ops: 2" in out
+
     def test_failing_cell_is_one_stderr_line(self, capsys):
         # 41 MB boots, but the LMbench sweep runs out of physical
         # pages: exit 1, the cell and the cause on stderr, no traceback.
@@ -371,76 +413,65 @@ class TestCli:
 
 
 class TestCacheCommand:
-    def _seed(self, tmp_path):
-        import os
-
+    @staticmethod
+    def _seed(tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         (tmp_path / "aaaa.json").write_bytes(b"r" * 256)
-        stale = tmp_path / "bbbb.json"
-        stale.write_bytes(b"r" * 64)
-        ancient = 1_000_000_000.0  # 2001: older than any --max-age
-        os.utime(stale, (ancient, ancient))
+        (tmp_path / "bbbb.json").write_bytes(b"r" * 64)
 
-    def test_cache_info_summarizes_kinds(self, capsys, tmp_path):
-        self._seed(tmp_path)
-        assert main(["cache", "info", "--dir", str(tmp_path)]) == 0
+    def test_cache_info_summarizes_kinds(self, capsys, tmp_path, monkeypatch):
+        self._seed(tmp_path, monkeypatch)
+        assert main(["cache", "info"]) == 0
         out = capsys.readouterr().out
-        assert "result entries: 2 (320 bytes)" in out
+        assert f"cache directory: {tmp_path}\n" in out
+        assert "  result entries: 2 (320 bytes)\n" in out
+        assert "  stale entries: 2 " in out  # neither is readable
 
-    def test_cache_info_verbose_lists_entries(self, capsys, tmp_path):
-        self._seed(tmp_path)
-        assert main(["cache", "info", "--dir", str(tmp_path),
-                     "--verbose"]) == 0
+    def test_cache_info_empty_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "missing"))
+        assert main(["cache", "info"]) == 0
         out = capsys.readouterr().out
-        assert "aaaa.json" in out
-        assert "bbbb.json" in out
+        assert "result entries: 0 (0 bytes)" in out
+        assert "stale entries: 0 " in out
 
-    def test_cache_info_empty_directory(self, capsys, tmp_path):
-        assert main(["cache", "info", "--dir",
-                     str(tmp_path / "missing")]) == 0
-        assert "result entries: 0 (0 bytes)" in capsys.readouterr().out
+    def test_cache_prune_deletes_exactly_what_cannot_hit(self, capsys,
+                                                         tmp_path,
+                                                         monkeypatch):
+        import json
 
-    def test_cache_prune_by_age(self, capsys, tmp_path):
-        self._seed(tmp_path)
-        assert main(["cache", "prune", "--dir", str(tmp_path),
-                     "--max-age", "365"]) == 0
-        out = capsys.readouterr().out
-        assert "bbbb.json" in out
-        assert "pruned 1 entries; 1 remain" in out
-        assert not (tmp_path / "bbbb.json").exists()
-        assert (tmp_path / "aaaa.json").exists()
+        from repro.tools import runner
 
-    def test_cache_prune_by_bytes(self, capsys, tmp_path):
-        self._seed(tmp_path)
-        # 320 bytes on disk, 300 allowed: the oldest entry goes.
-        assert main(["cache", "prune", "--dir", str(tmp_path),
-                     "--max-bytes", "300"]) == 0
-        out = capsys.readouterr().out
-        assert "pruned 1 entries; 1 remain (256 bytes)" in out
-        assert not (tmp_path / "bbbb.json").exists()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["table1", *PLATFORM, "--jobs", "1"]) == 0
+        cold = capsys.readouterr().out
+        current = sorted(tmp_path.glob("*.json"))
+        assert len(current) == 3
+        entry = json.loads(current[0].read_text())
+        assert entry["source"] == runner.source_digest()
+        other = dict(entry, source="0" * 64)
+        (tmp_path / "other-1.json").write_text(json.dumps(other))
+        (tmp_path / "other-2.json").write_text(json.dumps(other))
+        del entry["source"]
+        (tmp_path / "no-source.json").write_text(json.dumps(entry))
+        (tmp_path / "unreadable.json").write_bytes(b"\xff not json")
+        stale = ["no-source.json", "other-1.json", "other-2.json",
+                 "unreadable.json"]
 
-    @pytest.mark.parametrize("argv,message", [
-        (["--max-age", "-1"], "must be a non-negative number, got -1"),
-        (["--max-age", "nan"], "must be a non-negative number, got nan"),
-        (["--max-age", "inf"], "must be a non-negative number, got inf"),
-        (["--max-bytes", "-1"], "must be at least 0, got -1"),
-    ])
-    def test_negative_prune_limit_is_a_usage_error(self, monkeypatch, capsys,
-                                                   tmp_path, argv, message):
-        # A negative limit used to delete every entry and exit 0.
-        self._seed(tmp_path)
-        TestCli._assert_usage_error(
-            monkeypatch, capsys,
-            ["cache", "prune", "--dir", str(tmp_path), *argv],
-            f"argument {argv[0]}: {message}")
-        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert main(["cache", "info"]) == 0
+        assert "  stale entries: 4 " in capsys.readouterr().out
+        assert main(["cache", "prune"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:-1] == [f"removed {tmp_path / name}" for name in stale]
+        assert out[-1].startswith("pruned 4 entries; 3 remain (")
+        assert sorted(tmp_path.glob("*.json")) == current
 
-    @pytest.mark.parametrize("limit", ["--max-age", "--max-bytes"])
-    def test_cache_prune_zero_empties_the_cache(self, capsys, tmp_path, limit):
-        self._seed(tmp_path)
-        assert main(["cache", "prune", "--dir", str(tmp_path),
-                     limit, "0"]) == 0
-        assert "pruned 2 entries; 0 remain" in capsys.readouterr().out
-        assert not list(tmp_path.glob("*.json"))
+        # Every survivor still hits: table1 computes no cell.
+        def computed(cell):
+            raise AssertionError(f"{cell.label()} missed the cache")
+
+        monkeypatch.setattr(runner, "_run_in_process", computed)
+        assert main(["table1", *PLATFORM, "--jobs", "1"]) == 0
+        assert capsys.readouterr().out == cold
 
     def test_cache_requires_action(self):
         with pytest.raises(SystemExit):

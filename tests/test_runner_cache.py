@@ -8,6 +8,7 @@ unchanged rerun must hit without dispatching any work.
 """
 
 import dataclasses
+import json
 import os
 import pathlib
 import shutil
@@ -246,25 +247,23 @@ class TestCacheBehaviour:
         assert list(tmp_path.glob("*.tmp")) == []
 
 
-def seed_cache_dir(tmp_path, ages_days):
-    """Fabricate result entries with set mtimes.
+def seed_cache_dir(tmp_path, sources):
+    """Fabricate result entries, each 100 bytes or more.
 
-    ``ages_days`` maps filename stem -> age in days.  Every file is
-    100 bytes so byte budgets are easy to reason about.  Returns
-    ``now`` (the reference timestamp the ages are relative to).
+    ``sources`` maps filename stem -> the ``source`` the entry records
+    (``None``: no ``source`` key).
     """
-    now = 1_700_000_000.0
-    for stem, age in ages_days.items():
-        path = tmp_path / f"{stem}.json"
-        path.write_bytes(b"x" * 100)
-        stamp = now - age * 86400.0
-        os.utime(path, (stamp, stamp))
-    return now
+    for stem, source in sources.items():
+        entry = {"cell": stem, "payload": {}}
+        if source is not None:
+            entry["source"] = source
+        (tmp_path / f"{stem}.json").write_text(json.dumps(entry).ljust(100))
 
 
 class TestCacheMaintenance:
     def test_contents_inventories_result_entries(self, tmp_path):
-        seed_cache_dir(tmp_path, {"aa": 1, "bb": 2})
+        (tmp_path / "aa.json").write_bytes(b"x" * 100)
+        (tmp_path / "bb.json").write_bytes(b"x" * 100)
         inventory = cache_contents(tmp_path)
         assert [os.path.basename(e["path"]) for e in inventory["entries"]] == [
             "aa.json", "bb.json"]
@@ -276,24 +275,30 @@ class TestCacheMaintenance:
         assert inventory["entries"] == []
         assert inventory["total_bytes"] == 0
 
-    def test_prune_by_age_removes_only_stale_entries(self, tmp_path):
-        now = seed_cache_dir(tmp_path, {"young": 1, "old": 30, "older": 40})
-        removed = prune_cache(tmp_path, max_age_days=7, now=now)
-        assert sorted(os.path.basename(p) for p in removed) == [
-            "old.json", "older.json"]
-        survivors = [e["path"] for e in cache_contents(tmp_path)["entries"]]
-        assert survivors == [str(tmp_path / "young.json")]
+    def test_store_records_the_source(self, tmp_path):
+        cell = echo_cell(config=small_config())
+        CellCache(tmp_path).store(cell, {"metrics": {}})
+        [path] = tmp_path.glob("*.json")
+        entry = json.loads(path.read_text())
+        assert entry == {"cell": cell.label(),
+                         "source": runner.source_digest(),
+                         "payload": {"metrics": {}}}
 
-    def test_prune_by_bytes_evicts_oldest_first(self, tmp_path):
-        now = seed_cache_dir(tmp_path, {"newest": 1, "middle": 5, "oldest": 9})
-        removed = prune_cache(tmp_path, max_bytes=250, now=now)
-        assert [os.path.basename(p) for p in removed] == ["oldest.json"]
-        removed = prune_cache(tmp_path, max_bytes=100, now=now)
-        assert [os.path.basename(p) for p in removed] == ["middle.json"]
+    def test_prune_removes_only_stale_entries(self, tmp_path):
+        seed_cache_dir(tmp_path, {"current": runner.source_digest(),
+                                  "other": "0" * 64, "unsourced": None})
+        (tmp_path / "unreadable.json").write_bytes(b"\xff")
+        removed = prune_cache(tmp_path)
+        assert sorted(os.path.basename(p) for p in removed) == [
+            "other.json", "unreadable.json", "unsourced.json"]
+        survivors = [e["path"] for e in cache_contents(tmp_path)["entries"]]
+        assert survivors == [str(tmp_path / "current.json")]
 
     def test_prune_without_limits_removes_nothing(self, tmp_path):
-        now = seed_cache_dir(tmp_path, {"aa": 1, "bb": 400})
-        assert prune_cache(tmp_path, now=now) == []
+        # No age or size limit: what the current source wrote stays.
+        seed_cache_dir(tmp_path, {"aa": runner.source_digest(),
+                                  "bb": runner.source_digest()})
+        assert prune_cache(tmp_path) == []
         assert len(cache_contents(tmp_path)["entries"]) == 2
 
     def test_pruned_entry_is_recomputed_transparently(self, tmp_path):
@@ -301,7 +306,9 @@ class TestCacheMaintenance:
         cell = echo_cell(config=small_config())
         run_cells([cell], cache=cache)
         assert cache.lookup(cell) is not None
-        prune_cache(tmp_path, max_age_days=0.0, now=9_999_999_999.0)
+        [path] = tmp_path.glob("*.json")
+        path.write_text("{}")  # corrupt: records no source
+        assert prune_cache(tmp_path) == [str(path)]
         assert cache.lookup(cell) is None  # miss, not an error
         [payload] = run_cells([cell], cache=cache)  # recomputed cleanly
         assert payload["value"] == "x"
@@ -315,9 +322,11 @@ class TestPruneRace:
         errors = []
 
         def pruner():
+            # Unlink every entry, as pruning does to another source's.
             while not stop.is_set():
                 try:
-                    prune_cache(tmp_path, max_age_days=0.0)
+                    for path in tmp_path.glob("*.json"):
+                        path.unlink(missing_ok=True)
                 except Exception as exc:  # noqa: BLE001 - the assertion
                     errors.append(exc)
                 time.sleep(0.01)

@@ -35,7 +35,7 @@ from repro.security.fuzz.machine import (
     replay_ops,
     restore_from_snapshot,
     run_fuzz,
-    save_trace,
+    trace_document,
 )
 from repro.security.fuzz.snapshot_checker import (
     SnapshotEvidence,
@@ -206,13 +206,15 @@ class TestCorpus:
             {"op": "mbm"},
         ])
         path = tmp_path / "trace.json"
-        save_trace(str(path), "section", note="roundtrip")
+        document = trace_document("section", note="roundtrip")
+        path.write_text(json.dumps(document))
         profile, ops = load_trace(str(path))
         assert profile == "section"
         assert [entry["op"] for entry in LAST_TRACE] == ops
         # Stored traces are plain JSON — portable corpus files.
         document = json.loads(path.read_text())
         assert document["schema"] == "repro.fuzz.trace/1"
+        assert document["note"] == "roundtrip"
 
     def test_corrupt_trace_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
