@@ -251,6 +251,7 @@ class TestCli:
         (["table2", "--scale", "-1"], "must be a positive number, got -1"),
         (["table2", "--scale", "nan"], "must be a positive number, got nan"),
         (["fuzz", "--max-examples", "0"], "must be at least 1, got 0"),
+        (["table1", "--dram-mb", "0"], "must be at least 1, got 0"),
     ])
     def test_nonpositive_number_is_a_usage_error(self, monkeypatch, capsys,
                                                  argv, message):
