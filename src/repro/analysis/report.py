@@ -1,10 +1,10 @@
 """One-shot evaluation report: every reproduced result as markdown.
 
-:func:`generate_report` runs Table 1, Figure 6 and Table 2 (and,
-optionally, the attack matrix) and renders a self-contained markdown
-document with measured-vs-paper columns — the programmatic counterpart
-of EXPERIMENTS.md, for users who changed the cost model or workloads
-and want a fresh record.
+:func:`generate_report` runs Table 1, Figure 6, Table 2 and the attack
+matrix and renders a self-contained markdown document with
+measured-vs-paper columns — the programmatic counterpart of
+EXPERIMENTS.md, for users who changed the cost model or workloads and
+want a fresh record.
 
 ::
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.config import PlatformConfig
+from repro.config import DEFAULT_DRAM_MB, PlatformConfig, platform_for
 from repro.analysis import paper
 from repro.analysis.figures import run_figure6
 from repro.analysis.monitoring import run_table2
@@ -112,6 +112,7 @@ def generate_report(
 ) -> str:
     """Run the full evaluation and return it as a markdown document.
 
+    The platform defaults to the CLI's (``--dram-mb`` at its default).
     ``jobs`` and ``cache`` are forwarded to the three
     cell-based experiment runners (the attack matrix stays in-process:
     its scenarios share mutable victim systems).  The report
@@ -119,9 +120,7 @@ def generate_report(
     IntegrityError when the monitoring pipeline lost events.
     """
     if platform_config is None:
-        platform_config = PlatformConfig(
-            dram_bytes=192 * 1024 * 1024, secure_bytes=24 * 1024 * 1024
-        )
+        platform_config = platform_for(DEFAULT_DRAM_MB)
     runner_kwargs = {"platform_config": platform_config, "jobs": jobs,
                      "cache": cache}
     lines: List[str] = [

@@ -50,16 +50,7 @@ class CPUCore:
         self.el2_vector: EL2Vector | None = None
         self._reads = 0
         self._writes = 0
-        self.stats = StatSet("cpu")
-        self.stats.flush_hook = self._flush_stats
-
-    def _flush_stats(self) -> None:
-        if self._reads:
-            reads, self._reads = self._reads, 0
-            self.stats.add("reads", reads)
-        if self._writes:
-            writes, self._writes = self._writes, 0
-            self.stats.add("writes", writes)
+        self.stats = StatSet("cpu", self, "_reads", "_writes")
 
     # ------------------------------------------------------------------
     # EL2 installation

@@ -88,9 +88,8 @@ class _TlbEntry:
 class TLB:
     """A finite translation cache with FIFO replacement.
 
-    Hit/miss accounting is batched: ``lookup`` bumps plain integers and
-    the :class:`StatSet` folds them in lazily (via its ``flush_hook``)
-    whenever the stats are read, so the per-lookup cost stays minimal.
+    ``lookup`` counts hits and misses in plain integers that the
+    :class:`StatSet` reads live, so the per-lookup cost stays minimal.
     ``epoch`` increments on every mutation (insert or invalidate); the
     MMU's one-entry fast path uses it to know its cached translation is
     still current.
@@ -104,16 +103,7 @@ class TLB:
         self._hits = 0
         self._misses = 0
         self.epoch = 0
-        self.stats = StatSet(name)
-        self.stats.flush_hook = self._flush_pending
-
-    def _flush_pending(self) -> None:
-        if self._hits:
-            hits, self._hits = self._hits, 0
-            self.stats.add("hits", hits)
-        if self._misses:
-            misses, self._misses = self._misses, 0
-            self.stats.add("misses", misses)
+        self.stats = StatSet(name, self, "_hits", "_misses")
 
     def lookup(self, key: Tuple) -> Optional[_TlbEntry]:
         entry = self._entries.get(key)

@@ -46,7 +46,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.config import PlatformConfig
+from repro.config import DEFAULT_DRAM_MB, PlatformConfig, platform_for
 from repro.errors import IntegrityError, RunnerError
 
 
@@ -83,18 +83,11 @@ _FUZZ_STEPS = 8
 
 
 def _platform_config(args) -> PlatformConfig:
-    return _platform_for(args.dram_mb)
-
-
-def _platform_for(dram_mb: int) -> PlatformConfig:
-    return PlatformConfig(
-        dram_bytes=dram_mb * 1024 * 1024,
-        secure_bytes=max(16, dram_mb // 8) * 1024 * 1024,
-    )
+    return platform_for(args.dram_mb)
 
 
 def _boots(dram_mb: int) -> bool:
-    base, limit = _platform_for(dram_mb).page_pool()
+    base, limit = platform_for(dram_mb).page_pool()
     return base < limit
 
 
@@ -111,8 +104,9 @@ def _dram_mb(text: str) -> int:
 
 
 def _add_platform(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dram-mb", type=_dram_mb, default=192,
-                        help="simulated DRAM size in MB (default 192)")
+    parser.add_argument("--dram-mb", type=_dram_mb, default=DEFAULT_DRAM_MB,
+                        help="simulated DRAM size in MB "
+                             f"(default {DEFAULT_DRAM_MB})")
 
 
 def _add_scale(parser: argparse.ArgumentParser) -> None:

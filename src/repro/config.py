@@ -210,3 +210,23 @@ class PlatformConfig:
 def juno_r1() -> PlatformConfig:
     """The default platform: Juno r1 big core, 2 GB DRAM (paper section 7)."""
     return PlatformConfig()
+
+
+#: The ``--dram-mb`` default: the DRAM of the platform the CLI verbs and
+#: the evaluation report run on unless told otherwise.
+DEFAULT_DRAM_MB = 192
+
+
+def platform_for(dram_mb: int) -> PlatformConfig:
+    """A platform with ``dram_mb`` MB of DRAM, an eighth of it (at
+    least 16 MB) reserved as the secure region."""
+    return PlatformConfig(
+        dram_bytes=dram_mb * 1024 * 1024,
+        secure_bytes=max(16, dram_mb // 8) * 1024 * 1024,
+    )
+
+
+def default_platform_config() -> PlatformConfig:
+    """The platform a system builder boots when given none: fast to
+    boot, big enough for workloads."""
+    return platform_for(256)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.config import PlatformConfig
+from repro.config import PlatformConfig, default_platform_config
 from repro.hw.platform import Platform
 from repro.arch.cpu import CPUCore
 from repro.core.hypersec import Hypersec
@@ -29,14 +29,6 @@ from repro.kernel.pgtable_mgmt import HypercallPgTableWriter
 from repro.kernel.process import Task
 from repro.security.app import SecurityApp
 from repro.security.hooks import MonitorHookStub
-
-
-def _default_platform_config() -> PlatformConfig:
-    """A mid-sized platform: fast to boot, big enough for workloads."""
-    return PlatformConfig(
-        dram_bytes=256 * 1024 * 1024,
-        secure_bytes=32 * 1024 * 1024,
-    )
 
 
 @dataclass
@@ -101,7 +93,7 @@ def build_native(
     kernel_config: Optional[KernelConfig] = None,
 ) -> System:
     """The **Native** case: base kernel, vanilla 2 MB-section map."""
-    platform = Platform(platform_config or _default_platform_config())
+    platform = Platform(platform_config or default_platform_config())
     cpu = CPUCore(platform)
     kcfg = kernel_config or KernelConfig(linear_map_mode="section")
     kernel = Kernel(platform, cpu, kcfg)
@@ -115,7 +107,7 @@ def build_kvm_guest(
     prepopulate_stage2: bool = False,
 ) -> System:
     """The **KVM-guest** case: the same kernel under nested paging."""
-    platform = Platform(platform_config or _default_platform_config())
+    platform = Platform(platform_config or default_platform_config())
     cpu = CPUCore(platform)
     kvm = KvmHypervisor(platform, cpu)
     kvm.install()
@@ -141,7 +133,7 @@ def build_hypernel(
     active (``with_mbm=False`` matches that exactly); the monitoring
     experiments of 7.2 add the MBM and the security applications.
     """
-    platform = Platform(platform_config or _default_platform_config())
+    platform = Platform(platform_config or default_platform_config())
     cpu = CPUCore(platform)
     mbm = None
     if with_mbm:

@@ -28,25 +28,12 @@ class BitmapCache:
         self.capacity = entries
         self.enabled = enabled
         self._lines: "OrderedDict[int, int]" = OrderedDict()
-        self.stats = StatSet("mbm_bitmap_cache")
-        self.stats.flush_hook = self._flush_pending
-        # Batched hot-path counters: lookup() runs once per captured
-        # write event (see StatSet docs).
         self._hits = 0
         self._misses = 0
         self._bypasses = 0
-
-    def _flush_pending(self) -> None:
-        stats = self.stats
-        if self._hits:
-            hits, self._hits = self._hits, 0
-            stats.add("hits", hits)
-        if self._misses:
-            misses, self._misses = self._misses, 0
-            stats.add("misses", misses)
-        if self._bypasses:
-            bypasses, self._bypasses = self._bypasses, 0
-            stats.add("bypasses", bypasses)
+        self.stats = StatSet(
+            "mbm_bitmap_cache", self, "_hits", "_misses", "_bypasses"
+        )
 
     def lookup(self, bitmap_word_paddr: int) -> Optional[int]:
         """Cached value of the bitmap word, or ``None`` on a miss."""

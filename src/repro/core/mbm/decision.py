@@ -36,17 +36,8 @@ class DecisionUnit:
         self._checked = 0
         self._hits = 0
         self._decision_cost = costs.mbm_decision
-        self.stats = StatSet("mbm_decision")
-        self.stats.flush_hook = self._flush_pending
+        self.stats = StatSet("mbm_decision", self, "_checked", "_hits")
         self.busy_cycles = 0
-
-    def _flush_pending(self) -> None:
-        if self._checked:
-            checked, self._checked = self._checked, 0
-            self.stats.add("checked", checked)
-        if self._hits:
-            hits, self._hits = self._hits, 0
-            self.stats.add("hits", hits)
 
     def decide(
         self, paddr: int, value: Optional[int], bitmap_word: int, bit: int

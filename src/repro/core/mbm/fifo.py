@@ -27,33 +27,17 @@ class CaptureFifo:
             raise ValueError(f"FIFO depth must be positive, got {depth}")
         self.depth = depth
         self._entries: Deque[FifoEntry] = deque()
+        #: Sticky overrun flag, reported as the counter ``overrun``.
         self.overrun = False
-        self.stats = StatSet("mbm_fifo")
-        self.stats.flush_hook = self._flush_pending
-        # Batched hot-path counters (see StatSet docs).  ``max_depth``
-        # is a high-water mark, not an increment: ``_max_seen`` tracks
-        # the deepest occupancy ever, ``_max_flushed`` how much of it
-        # the StatSet already holds — the flush adds the difference.
         self._pushed = 0
         self._popped = 0
         self._dropped = 0
-        self._max_seen = 0
-        self._max_flushed = 0
-
-    def _flush_pending(self) -> None:
-        stats = self.stats
-        if self._pushed:
-            pushed, self._pushed = self._pushed, 0
-            stats.add("pushed", pushed)
-        if self._popped:
-            popped, self._popped = self._popped, 0
-            stats.add("popped", popped)
-        if self._dropped:
-            dropped, self._dropped = self._dropped, 0
-            stats.add("dropped", dropped)
-        if self._max_seen > self._max_flushed:
-            stats.add("max_depth", self._max_seen - self._max_flushed)
-            self._max_flushed = self._max_seen
+        #: High-water mark: the deepest occupancy ever.
+        self.max_depth = 0
+        self.stats = StatSet(
+            "mbm_fifo", self, "_pushed", "_popped", "_dropped", "max_depth",
+            "overrun",
+        )
 
     def push(self, paddr: int, value: Optional[int]) -> bool:
         """Capture one event; returns False (and sets the overrun flag)
@@ -66,8 +50,8 @@ class CaptureFifo:
         entries.append((paddr, value))
         self._pushed += 1
         high = len(entries)
-        if high > self._max_seen:
-            self._max_seen = high
+        if high > self.max_depth:
+            self.max_depth = high
         return True
 
     def pop(self) -> Optional[FifoEntry]:

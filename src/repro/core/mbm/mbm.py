@@ -51,9 +51,8 @@ class MemoryBusMonitor:
         costs = config.costs
         self.irq_coalesce = irq_coalesce
         self._undelivered = 0
-        self.stats = StatSet("mbm")
-        self.stats.flush_hook = self._flush_pending
-        self._irqs_raised = 0  # batched hot-path counter (see StatSet docs)
+        self._irqs_raised = 0
+        self.stats = StatSet("mbm", self, "_irqs_raised")
         self.tamper_alert = EventHook("mbm_tamper")
 
         # ---- secure-memory layout -------------------------------------
@@ -89,11 +88,6 @@ class MemoryBusMonitor:
         # Non-zero only inside expected_flush() brackets, which close
         # within one hypercall.
         self._expected_flush_depth = 0
-
-    def _flush_pending(self) -> None:
-        if self._irqs_raised:
-            raised, self._irqs_raised = self._irqs_raised, 0
-            self.stats.add("irqs_raised", raised)
 
     # ------------------------------------------------------------------
     @property

@@ -45,17 +45,11 @@ class EventRingBuffer:
         self.bus = bus
         self.base = base_paddr
         self.entries = entries
-        self.stats = StatSet("mbm_ring")
-        self.stats.flush_hook = self._flush_pending
-        self._produced = 0  # batched hot-path counter (see StatSet docs)
+        self._produced = 0
+        self.stats = StatSet("mbm_ring", self, "_produced")
         # Reset indices in memory (device initialization).
         bus.poke(self.base, 0)
         bus.poke(self.base + WORD_BYTES, 0)
-
-    def _flush_pending(self) -> None:
-        if self._produced:
-            produced, self._produced = self._produced, 0
-            self.stats.add("produced", produced)
 
     @property
     def size_bytes(self) -> int:

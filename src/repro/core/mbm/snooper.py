@@ -32,8 +32,7 @@ class BusTrafficSnooper:
         self.mbm = mbm
         self._observed = 0
         self._captured = 0
-        self.stats = StatSet("mbm_snooper")
-        self.stats.flush_hook = self._flush_pending
+        self.stats = StatSet("mbm_snooper", self, "_observed", "_captured")
         # The snooper runs once per bus transaction — the hottest call
         # site in a monitored system.  The pipeline objects it forwards
         # to are created once and mutated in place, so their bound
@@ -43,14 +42,6 @@ class BusTrafficSnooper:
         self._covers = mbm.bitmap.covers
         self._snoop_update = mbm.bitmap_cache.snoop_update
         self._capture = mbm.capture
-
-    def _flush_pending(self) -> None:
-        if self._observed:
-            observed, self._observed = self._observed, 0
-            self.stats.add("observed", observed)
-        if self._captured:
-            captured, self._captured = self._captured, 0
-            self.stats.add("captured", captured)
 
     def __call__(self, txn: BusTransaction) -> None:
         """Observe one bus transaction (installed as a bus snooper)."""

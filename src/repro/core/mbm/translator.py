@@ -34,14 +34,8 @@ class BitmapTranslator:
         self.cache = cache
         self.costs = costs
         self._translations = 0
-        self.stats = StatSet("mbm_translator")
-        self.stats.flush_hook = self._flush_pending
+        self.stats = StatSet("mbm_translator", self, "_translations")
         self.busy_cycles = 0
-
-    def _flush_pending(self) -> None:
-        if self._translations:
-            translations, self._translations = self._translations, 0
-            self.stats.add("translations", translations)
 
     def fetch_word(self, bitmap_word_paddr: int) -> int:
         """Return the bitmap word, consulting the cache first."""

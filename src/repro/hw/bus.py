@@ -76,30 +76,16 @@ class MemoryBus:
         self.dram = dram
         self.clock = clock
         self._snoopers: List[Snooper] = []
-        self.stats = StatSet("bus")
-        self.stats.flush_hook = self._flush_stats
-        # Batched hot-path counters, folded into ``stats`` on read.
         self._reads = 0
         self._writes = 0
         self._line_fills = 0
         self._writebacks = 0
         self._block_writes = 0
         self._block_words = 0
-
-    def _flush_stats(self) -> None:
-        stats = self.stats
-        for key, attr in (
-            ("reads", "_reads"),
-            ("writes", "_writes"),
-            ("line_fills", "_line_fills"),
-            ("writebacks", "_writebacks"),
-            ("block_writes", "_block_writes"),
-            ("block_words", "_block_words"),
-        ):
-            pending = getattr(self, attr)
-            if pending:
-                setattr(self, attr, 0)
-                stats.add(key, pending)
+        self.stats = StatSet(
+            "bus", self, "_reads", "_writes", "_line_fills", "_writebacks",
+            "_block_writes", "_block_words",
+        )
 
     # ------------------------------------------------------------------
     # Snooper management

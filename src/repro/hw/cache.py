@@ -51,16 +51,7 @@ class Cache:
         self._sets: Dict[int, "OrderedDict[int, bool]"] = {}
         self._hits = 0
         self._misses = 0
-        self.stats = StatSet(name)
-        self.stats.flush_hook = self._flush_pending
-
-    def _flush_pending(self) -> None:
-        if self._hits:
-            hits, self._hits = self._hits, 0
-            self.stats.add("hits", hits)
-        if self._misses:
-            misses, self._misses = self._misses, 0
-            self.stats.add("misses", misses)
+        self.stats = StatSet(name, self, "_hits", "_misses")
 
     def _set_index(self, line_addr: int) -> int:
         return (line_addr >> self._line_shift) & self._set_mask
@@ -143,26 +134,15 @@ class CacheHierarchy:
         self.l2 = l2
         self.bus = bus
         self.costs = costs
-        self.stats = StatSet("cache_hierarchy")
-        self.stats.flush_hook = self._flush_pending
         self._line_mask = ~(l1.line_bytes - 1)
         self._cached_reads = 0
         self._cached_writes = 0
         self._uncached_reads = 0
         self._uncached_writes = 0
-
-    def _flush_pending(self) -> None:
-        stats = self.stats
-        for key, attr in (
-            ("cached_reads", "_cached_reads"),
-            ("cached_writes", "_cached_writes"),
-            ("uncached_reads", "_uncached_reads"),
-            ("uncached_writes", "_uncached_writes"),
-        ):
-            pending = getattr(self, attr)
-            if pending:
-                setattr(self, attr, 0)
-                stats.add(key, pending)
+        self.stats = StatSet(
+            "cache_hierarchy", self, "_cached_reads", "_cached_writes",
+            "_uncached_reads", "_uncached_writes",
+        )
 
     # ------------------------------------------------------------------
     def _ensure_resident(self, paddr: int, initiator: str) -> None:
@@ -200,7 +180,7 @@ class CacheHierarchy:
             return self.bus.read(paddr, initiator=initiator)
         self._cached_reads += 1
         # Inline L1-hit fast path: identical accounting to
-        # ``_ensure_resident`` (lookup-touch, batched hit counter, one
+        # ``_ensure_resident`` (lookup-touch, hit counter, one
         # l1_hit charge) without the call chain.
         l1 = self.l1
         line = paddr & self._line_mask

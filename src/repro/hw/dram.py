@@ -29,19 +29,9 @@ class DramModel:
         self._row_hits = 0
         self._row_misses = 0
         self._burst_words = 0
-        self.stats = StatSet("dram")
-        self.stats.flush_hook = self._flush_pending
-
-    def _flush_pending(self) -> None:
-        if self._row_hits:
-            hits, self._row_hits = self._row_hits, 0
-            self.stats.add("row_hits", hits)
-        if self._row_misses:
-            misses, self._row_misses = self._row_misses, 0
-            self.stats.add("row_misses", misses)
-        if self._burst_words:
-            words, self._burst_words = self._burst_words, 0
-            self.stats.add("burst_words", words)
+        self.stats = StatSet(
+            "dram", self, "_row_hits", "_row_misses", "_burst_words"
+        )
 
     def access_cycles(self, paddr: int) -> int:
         """Latency in cycles for one access at ``paddr``; updates row state."""

@@ -9,8 +9,8 @@ one serializable :class:`RunMetrics` report and turns the loss counters
 into hard *integrity checks*: any non-zero value fails the run loudly
 (:class:`~repro.errors.IntegrityError`).
 
-Collection is read-only on the simulated machine: StatSet reads flush
-batched counters but never charge cycles, and the ring-occupancy gauge
+Collection is read-only on the simulated machine: StatSet reads change
+no component state and charge no cycles, and the ring-occupancy gauge
 uses the bus backdoor (``peek``).  A run with metrics collection is
 cycle-for-cycle identical to one without.
 """
@@ -27,9 +27,8 @@ from repro.utils.stats import StatSet
 #: The integrity checks, as ``(component, counter, meaning)``.  Every
 #: counter is an event-loss indicator: non-zero means the monitoring
 #: pipeline missed writes and any detection count from the run is
-#: suspect.  ``mbm_fifo.overrun`` is the sticky hardware flag (latched
-#: even if the dropped counter is later reset); the rest are exact drop
-#: counts at each pipeline stage.
+#: suspect.  ``mbm_fifo.overrun`` is the sticky hardware flag (0 or 1);
+#: the rest are exact drop counts at each pipeline stage.
 INTEGRITY_CHECK_SPECS: Tuple[Tuple[str, str, str], ...] = (
     ("mbm_fifo", "overrun", "capture FIFO latched its sticky overrun flag"),
     ("mbm_fifo", "dropped", "events dropped at the capture FIFO"),
@@ -277,10 +276,7 @@ def collect_metrics(system) -> RunMetrics:
     checks: List[IntegrityCheck] = []
     if system.mbm is not None:
         for component, counter, description in INTEGRITY_CHECK_SPECS:
-            if component == "mbm_fifo" and counter == "overrun":
-                value = int(system.mbm.fifo.overrun)
-            else:
-                value = components.get(component, {}).get(counter, 0)
+            value = components.get(component, {}).get(counter, 0)
             checks.append(
                 IntegrityCheck(component, counter, value,
                                description=description)

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.config import PlatformConfig
+from repro.config import PlatformConfig, default_platform_config
 from repro.errors import RunnerError
 
 #: Default per-job timeout (seconds).  Generous: a paper-scale cell is
@@ -148,12 +148,14 @@ def source_digest() -> str:
 def cost_fingerprint(platform_config: Optional[PlatformConfig]) -> Dict[str, Any]:
     """Every constant a cell can set that changes cycle accounting.
 
-    The platform config embeds its :class:`CostModel`.  Kernel base
-    compute costs are :class:`OpCosts` defaults (cells always build
-    kernels with the default :class:`KernelConfig`), which are source
-    text and so already part of :func:`source_digest`.
+    A cell without a platform config is keyed by the one the system
+    builders boot in its place.  The platform config embeds its
+    :class:`CostModel`.  Kernel base compute costs are :class:`OpCosts`
+    defaults (cells always build kernels with the default
+    :class:`KernelConfig`), which are source text and so already part
+    of :func:`source_digest`.
     """
-    config = platform_config if platform_config is not None else PlatformConfig()
+    config = platform_config or default_platform_config()
     return {"platform": dataclasses.asdict(config)}
 
 

@@ -1,9 +1,12 @@
 """A minimal synchronous publish/subscribe hook.
 
-Hardware models expose :class:`EventHook` instances (e.g. the memory bus
-publishes each transaction; the MBM publishes each detection) so that
+Models expose :class:`EventHook` instances (e.g. the MBM's tamper alert,
+Hypersec's alerts, the kernel's object allocation and free) so that
 monitors, statistics collectors and tests can observe behaviour without
-the models knowing about their observers.
+the models knowing about their observers.  The two hottest signals do
+not use it: the memory bus calls its snooper list directly, and the
+MBM's decision unit reports detections through its plain ``on_hit``
+attribute.
 
 Dispatch is synchronous and in subscription order, which matches the
 "combinational fan-out" nature of the signals being modelled.

@@ -6,29 +6,32 @@ benchmark harness and tests read them to assert on event counts (e.g.
 "how many MBM interrupts fired", "how many descriptor fetches did the
 nested walk perform").
 
-Hot-path components keep their most frequent counters as plain integer
-attributes and register a ``flush_hook`` that folds the pending values
-into the ``StatSet`` the moment anybody *reads* it.  Readers therefore
-always see exact totals while the per-event cost on the owner's hot path
-is a single integer add.
+Hot-path components count their most frequent events in plain integer
+attributes of their own and name those attributes when they create the
+``StatSet``: ``StatSet("bus", self, "_reads", "_writes")`` reports the
+owner's ``_reads`` as ``reads``.  Every read adds each attribute's
+current value to the stored counter of the same key, so readers see
+exact totals, the owner's per-event cost is a single integer add, and
+reading changes nothing on the owner.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 
 class StatSet:
-    """A named bag of integer counters."""
+    """A named bag of integer counters, some of them live attributes of
+    an owner object."""
 
-    __slots__ = ("name", "_counters", "flush_hook")
+    __slots__ = ("name", "_counters", "_owner", "_owned")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, owner: object = None, *attrs: str):
         self.name = name
         self._counters: Dict[str, int] = {}
-        #: Optional callable invoked before any read; owners use it to
-        #: fold deferred (batched) increments into the counters.
-        self.flush_hook: Optional[Callable[[], None]] = None
+        self._owner = owner
+        #: counter key -> owner attribute; the key drops leading "_".
+        self._owned: Dict[str, str] = {attr.lstrip("_"): attr for attr in attrs}
 
     def add(self, key: str, amount: int = 1) -> None:
         """Increment counter ``key`` by ``amount``."""
@@ -38,26 +41,28 @@ class StatSet:
         except KeyError:
             counters[key] = amount
 
-    def _flush(self) -> None:
-        hook = self.flush_hook
-        if hook is not None:
-            hook()
-
     def get(self, key: str) -> int:
         """Current value of ``key`` (0 if never incremented)."""
-        self._flush()
-        return self._counters.get(key, 0)
+        value = self._counters.get(key, 0)
+        attr = self._owned.get(key)
+        if attr is not None:
+            value += getattr(self._owner, attr)
+        return value
 
     def snapshot(self) -> Dict[str, int]:
-        """A plain-dict copy of all counters."""
-        self._flush()
-        return dict(self._counters)
+        """A plain-dict copy of all non-zero owner counters and every
+        stored one."""
+        counters = dict(self._counters)
+        owner = self._owner
+        for key, attr in self._owned.items():
+            value = getattr(owner, attr)
+            if value:
+                counters[key] = counters.get(key, 0) + value
+        return counters
 
     def __iter__(self) -> Iterator[Tuple[str, int]]:
-        self._flush()
-        return iter(sorted(self._counters.items()))
+        return iter(sorted(self.snapshot().items()))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}={v}" for k, v in self)
         return f"StatSet({self.name}: {body})"
-

@@ -7,6 +7,7 @@ three MBM event-loss / attribution regressions it was built around:
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -237,6 +238,12 @@ class TestRunMetrics:
         second = collect_metrics(monitored)
         assert first.to_dict() == second.to_dict()
 
+    def test_collection_leaves_the_machine_unchanged(self, monitored):
+        monitored.kernel.sys.setuid(monitored.kernel.procs.current, 1000)
+        before = pickle.dumps(monitored)
+        collect_metrics(monitored)
+        assert pickle.dumps(monitored) == before
+
     def test_clean_run_has_all_checks_passing(self, monitored):
         monitored.kernel.sys.setuid(monitored.kernel.procs.current, 1000)
         metrics = collect_metrics(monitored)
@@ -266,6 +273,8 @@ class TestRunMetrics:
         names = {check.name for check in metrics.failures}
         assert "mbm_fifo.overrun" in names
         assert "mbm_fifo.dropped" in names
+        overrun = metrics.to_dict()["components"]["mbm_fifo"]["overrun"]
+        assert overrun == 1 and type(overrun) is int
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.config import CostModel, PlatformConfig
+from repro.core.hypernel import build_native
 from repro.tools import runner
 from repro.tools.runner import (
     Cell,
@@ -63,6 +64,12 @@ class TestCacheKey:
         base = cache_key(echo_cell(config=small_config()))
         perturbed = cache_key(echo_cell(config=small_config(l1_hit=5)))
         assert base != perturbed
+
+    def test_cell_without_platform_is_keyed_as_the_one_it_boots(self):
+        booted = build_native().platform.config
+        assert cache_key(echo_cell()) == cache_key(echo_cell(config=booted))
+        assert cache_key(echo_cell()) != cache_key(
+            echo_cell(config=PlatformConfig()))
 
     def test_spec_scale_perturbation_changes_key(self):
         base = cache_key(echo_cell(scale=0.25))
